@@ -32,7 +32,6 @@ from .predictor import (
     PredictionRecord,
     PredictorConfig,
     TrainedPredictor,
-    forward,
     rolling_predict,
     split_series,
     train_arnn,
@@ -41,8 +40,6 @@ from .risk_model import (
     RiskModel,
     asset_skewness,
     build_risk_model,
-    error_covariance,
-    error_variance,
     expected_return,
 )
 from .taguchi import FactorGrid, TuneResult, analyze_means, build_array, run_experiments

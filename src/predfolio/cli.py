@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import zlib
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +31,27 @@ STAGE_ARTIFACTS = {
     "ingest": "returns.csv",
     "predict": "predictions.json",
     "risk": "risk_model.json",
+    "optimize": "portfolio.json",
+    "frontier": "frontier.json",
 }
+
+
+def _keyed_fields(cls) -> list:
+    """Fields of ``PredictorConfig``/``GAConfig`` set by a config key; the
+    seed is derived per run from the master ``seed`` instead."""
+    return [f for f in fields(cls) if f.name != "seed"]
+
+
+def _field_defaults(cls) -> dict[str, str]:
+    return {f.name: str(f.default) for f in _keyed_fields(cls)}
+
 
 CONFIG_DEFAULTS = {
     "out_dir": "runs/out",
     "seed": "0",
     "sampling_weekday": "monday",
     "min_length": "",
-    "delay": "41",
-    "hidden_units": "5",
-    "max_epochs": "1000",
-    "train_frac": "0.70",
-    "val_frac": "0.15",
-    "test_frac": "0.15",
-    "lm_initial_damping": "1e-3",
-    "lm_damping_factor": "10",
+    **_field_defaults(PredictorConfig),
     "mu_mode": "one-step",
     "centered_covariance": "false",
     "mape_floor": "1e-12",
@@ -58,17 +65,7 @@ CONFIG_DEFAULTS = {
     "lambda_grid": "1,0.8,0.2,0",
     "theta_grid": "0,0.2,0.8",
     "skew_mode": "weighted",
-    "population_size": "200",
-    "crossover_fraction": "0.8",
-    "crossover_kind": "single-point",
-    "selection_kind": "roulette",
-    "penalty_factor": "10",
-    "stall_generations": "50",
-    "function_tolerance": "1e-6",
-    "time_limit_seconds": "1000",
-    "generation_cap": "500",
-    "mutation_swap_rate": "0.1",
-    "tournament_size": "2",
+    **_field_defaults(GAConfig),
     "tune_replicates": "3",
     "tune_lambda": "0.8",
     "tune_theta": "0.2",
@@ -147,19 +144,6 @@ class RunConfig:
     def out_dir(self) -> Path:
         return Path(self.str_("out_dir"))
 
-    def predictor_config(self, seed) -> PredictorConfig:
-        return PredictorConfig(
-            delay=self.int_("delay"),
-            hidden_units=self.int_("hidden_units"),
-            max_epochs=self.int_("max_epochs"),
-            train_frac=self.float_("train_frac"),
-            val_frac=self.float_("val_frac"),
-            test_frac=self.float_("test_frac"),
-            lm_initial_damping=self.float_("lm_initial_damping"),
-            lm_damping_factor=self.float_("lm_damping_factor"),
-            seed=seed,
-        )
-
     def bounds(self) -> Bounds:
         def parse(key):
             parts = self.float_list(key)
@@ -167,21 +151,12 @@ class RunConfig:
 
         return Bounds(epsilon=parse("epsilon"), delta=parse("delta"))
 
-    def ga_config(self, seed) -> GAConfig:
-        return GAConfig(
-            population_size=self.int_("population_size"),
-            crossover_fraction=self.float_("crossover_fraction"),
-            crossover_kind=self.str_("crossover_kind"),
-            selection_kind=self.str_("selection_kind"),
-            penalty_factor=self.float_("penalty_factor"),
-            stall_generations=self.int_("stall_generations"),
-            function_tolerance=self.float_("function_tolerance"),
-            time_limit_seconds=self.float_("time_limit_seconds"),
-            generation_cap=self.int_("generation_cap"),
-            mutation_swap_rate=self.float_("mutation_swap_rate"),
-            tournament_size=self.int_("tournament_size"),
-            seed=seed,
-        )
+    def build(self, cls, seed):
+        """``cls`` (``PredictorConfig`` or ``GAConfig``) from its keys, each
+        parsed by the type of the field's default."""
+        parse = {int: self.int_, float: self.float_, str: self.str_}
+        values = {f.name: parse[type(f.default)](f.name) for f in _keyed_fields(cls)}
+        return cls(**values, seed=seed)
 
 
 def _asset_seed(master: int, asset: str) -> tuple[int, int]:
@@ -207,13 +182,18 @@ def _update_manifest(out: Path, config: RunConfig, artifacts: list[str]) -> None
     _write_json(manifest_path, manifest)
 
 
-def _require_stage(out: Path, stage: str) -> Path:
+def _load_stage(out: Path, stage: str, decode):
+    """``decode`` the artifact of ``stage``; a missing or malformed file
+    raises an error naming the stage to run."""
     artifact = out / STAGE_ARTIFACTS[stage]
     if not artifact.exists():
+        raise ConfigError(f"missing {artifact.name}; run the `{stage}` stage first")
+    try:
+        return decode(artifact)
+    except (ValueError, LookupError, StopIteration) as exc:
         raise ConfigError(
-            f"missing {artifact.name}; run the `{stage}` stage first"
-        )
-    return artifact
+            f"malformed {artifact} ({exc!r}); re-run the `{stage}` stage"
+        ) from exc
 
 
 def _read_returns_csv(path: Path) -> tuple[list[str], list[dt.date], np.ndarray]:
@@ -262,13 +242,13 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def cmd_predict(config: RunConfig) -> int:
     out = config.out_dir()
-    assets, _, matrix = _read_returns_csv(_require_stage(out, "ingest"))
+    assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
     master = config.int_("seed")
 
     predictor_dumps = {}
     prediction_dumps = {}
     for j, asset in enumerate(assets):
-        pconfig = config.predictor_config(seed=_asset_seed(master, asset))
+        pconfig = config.build(PredictorConfig, seed=_asset_seed(master, asset))
         split = predictor.split_series(matrix[:, j], pconfig)
         trained = predictor.train_arnn(split, pconfig, asset=asset)
         record = predictor.rolling_predict(trained, matrix[:, j], pconfig)
@@ -281,18 +261,17 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def _load_records(out: Path) -> dict[str, PredictionRecord]:
-    data = _read_json(_require_stage(out, "predict"))
+def _decode_records(path: Path) -> dict[str, PredictionRecord]:
     return {
         asset: PredictionRecord.from_dict(record)
-        for asset, record in data["records"].items()
+        for asset, record in _read_json(path)["records"].items()
     }
 
 
 def cmd_risk(config: RunConfig) -> int:
     out = config.out_dir()
-    assets, _, matrix = _read_returns_csv(_require_stage(out, "ingest"))
-    records = _load_records(out)
+    assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
+    records = _load_stage(out, "predict", _decode_records)
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
     model = risk_model.build_risk_model(
@@ -301,7 +280,7 @@ def cmd_risk(config: RunConfig) -> int:
         mu_mode=config.str_("mu_mode"),
         centered=config.bool_("centered_covariance"),
     )
-    model.to_json(out / "risk_model.json")
+    _write_json(out / "risk_model.json", model.to_dict())
     _update_manifest(out, config, ["risk_model.json"])
     print(f"risk model over {model.n_assets} assets, window {model.estimation_window}")
     return 0
@@ -309,7 +288,7 @@ def cmd_risk(config: RunConfig) -> int:
 
 def cmd_metrics(config: RunConfig) -> int:
     out = config.out_dir()
-    records = _load_records(out)
+    records = _load_stage(out, "predict", _decode_records)
     floor = config.float_("mape_floor")
     alpha = config.float_("ks_alpha")
     lilliefors = config.bool_("ks_lilliefors")
@@ -320,7 +299,7 @@ def cmd_metrics(config: RunConfig) -> int:
         reports[asset] = eval_metrics.evaluate(record.real, record.predicted, mape_floor=floor)
         try:
             ks = eval_metrics.ks_normality_test(record.errors, alpha=alpha, lilliefors=lilliefors)
-            ks_rows[asset] = ks.to_dict()
+            ks_rows[asset] = asdict(ks)
         except PredfolioError as exc:
             ks_rows[asset] = {"error": str(exc)}
 
@@ -350,7 +329,7 @@ def cmd_metrics(config: RunConfig) -> int:
         out / "metrics.json",
         {
             "version": 1,
-            "per_asset": {a: reports[a].to_dict() for a in sorted(reports)},
+            "per_asset": {a: asdict(reports[a]) for a in sorted(reports)},
             "ks_errors": {a: ks_rows[a] for a in sorted(ks_rows)},
         },
     )
@@ -361,13 +340,13 @@ def cmd_metrics(config: RunConfig) -> int:
 
 def cmd_tune(config: RunConfig) -> int:
     out = config.out_dir()
-    model = risk_model.RiskModel.from_json(_require_stage(out, "risk"))
+    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
     params = ObjectiveParams(
         lam=config.float_("tune_lambda"),
         theta=config.float_("tune_theta"),
         skew_mode=config.str_("skew_mode"),
     )
-    base = config.ga_config(seed=config.int_("seed"))
+    base = config.build(GAConfig, seed=config.int_("seed"))
     runner = taguchi.ga_runner(model, params, config.bounds(), config.int_("k"), base)
     array = taguchi.build_array()
     runs = taguchi.run_experiments(
@@ -375,7 +354,7 @@ def cmd_tune(config: RunConfig) -> int:
     )
     result = taguchi.analyze_means(runs, array=array)
 
-    _write_json(out / "tune_result.json", {"version": 1, **result.to_dict()})
+    _write_json(out / "tune_result.json", {"version": 1, **asdict(result)})
     with open(out / "tune_runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row"] + taguchi.DEFAULT_FACTORS.names + ["replicate", "cost"])
@@ -408,13 +387,13 @@ def cmd_tune(config: RunConfig) -> int:
 
 def cmd_optimize(config: RunConfig) -> int:
     out = config.out_dir()
-    model = risk_model.RiskModel.from_json(_require_stage(out, "risk"))
+    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
     params = ObjectiveParams(
         lam=config.float_("lambda"),
         theta=config.float_("theta"),
         skew_mode=config.str_("skew_mode"),
     )
-    ga_config = config.ga_config(seed=config.int_("seed"))
+    ga_config = config.build(GAConfig, seed=config.int_("seed"))
     result = evolve(model, params, config.bounds(), config.int_("k"), ga_config)
 
     dump = result.to_dict(assets=model.assets)
@@ -435,8 +414,8 @@ def cmd_optimize(config: RunConfig) -> int:
 
 def cmd_frontier(config: RunConfig) -> int:
     out = config.out_dir()
-    model = risk_model.RiskModel.from_json(_require_stage(out, "risk"))
-    ga_config = config.ga_config(seed=config.int_("seed"))
+    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
+    ga_config = config.build(GAConfig, seed=config.int_("seed"))
     result = frontier.sweep(
         model,
         config.bounds(),
@@ -473,7 +452,7 @@ def cmd_frontier(config: RunConfig) -> int:
             "version": 1,
             "points": [p.to_dict(model.assets) for p in result.points],
             "failures": result.failures,
-            "ga_config": ga_config.to_dict(),
+            "ga_config": asdict(ga_config),
         },
     )
     _update_manifest(out, config, ["frontier.csv", "frontier_curve.csv", "frontier.json"])
@@ -489,39 +468,42 @@ def cmd_frontier(config: RunConfig) -> int:
     return 0
 
 
+def _summarize_returns(path: Path) -> dict:
+    assets, dates, _ = _read_returns_csv(path)
+    return {"assets": len(assets), "weeks": len(dates)}
+
+
+def _summarize_risk_model(path: Path) -> dict:
+    model = risk_model.RiskModel.from_json(path)
+    return {"assets": model.n_assets, "estimation_window": model.estimation_window}
+
+
+def _summarize_portfolio(path: Path) -> dict:
+    dump = _read_json(path)
+    return {key: dump[key] for key in ("best_cost", "lambda", "theta", "stop_reason")}
+
+
+def _summarize_frontier(path: Path) -> dict:
+    dump = _read_json(path)
+    return {"points": len(dump["points"]), "failures": len(dump["failures"])}
+
+
+# report section -> (stage whose artifact it reads, summarizer)
+REPORT_SECTIONS = {
+    "universe": ("ingest", _summarize_returns),
+    "risk_model": ("risk", _summarize_risk_model),
+    "portfolio": ("optimize", _summarize_portfolio),
+    "frontier": ("frontier", _summarize_frontier),
+}
+
+
 def cmd_report(config: RunConfig) -> int:
     out = config.out_dir()
     manifest_path = out / "manifest.json"
-    summary: dict = {"artifacts": {}}
-    if manifest_path.exists():
-        summary["artifacts"] = _read_json(manifest_path)
-    returns_path = out / "returns.csv"
-    if returns_path.exists():
-        assets, dates, _ = _read_returns_csv(returns_path)
-        summary["universe"] = {"assets": len(assets), "weeks": len(dates)}
-    model_path = out / "risk_model.json"
-    if model_path.exists():
-        model = risk_model.RiskModel.from_json(model_path)
-        summary["risk_model"] = {
-            "assets": model.n_assets,
-            "estimation_window": model.estimation_window,
-        }
-    portfolio_path = out / "portfolio.json"
-    if portfolio_path.exists():
-        dump = _read_json(portfolio_path)
-        summary["portfolio"] = {
-            "best_cost": dump["best_cost"],
-            "lambda": dump["lambda"],
-            "theta": dump["theta"],
-            "stop_reason": dump["stop_reason"],
-        }
-    frontier_path = out / "frontier.json"
-    if frontier_path.exists():
-        dump = _read_json(frontier_path)
-        summary["frontier"] = {
-            "points": len(dump["points"]),
-            "failures": len(dump["failures"]),
-        }
+    summary: dict = {"artifacts": _read_json(manifest_path) if manifest_path.exists() else {}}
+    for section, (stage, summarize) in REPORT_SECTIONS.items():
+        if (out / STAGE_ARTIFACTS[stage]).exists():
+            summary[section] = _load_stage(out, stage, summarize)
     _write_json(out / "report.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -568,10 +550,7 @@ def main(argv=None) -> int:
         config.override("k", args.k)
         config.override("time_limit_seconds", args.time_limit)
         return COMMANDS[args.command](config)
-    except PredfolioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PredfolioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,19 +48,6 @@ class MetricReport:
     hr_minus: float | None
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "me": self.me,
-            "signed_me": self.signed_me,
-            "rmse": self.rmse,
-            "mape": self.mape,
-            "mape_skipped": self.mape_skipped,
-            "hr": self.hr,
-            "hr_plus": self.hr_plus,
-            "hr_minus": self.hr_minus,
-            "n": self.n,
-        }
-
 
 @dataclass
 class KsResult:
@@ -71,17 +58,6 @@ class KsResult:
     n: int
     mean: float
     std: float
-
-    def to_dict(self) -> dict:
-        return {
-            "d_statistic": self.d_statistic,
-            "threshold": self.threshold,
-            "accepted": self.accepted,
-            "alpha": self.alpha,
-            "n": self.n,
-            "mean": self.mean,
-            "std": self.std,
-        }
 
 
 def _paired(real, predicted) -> tuple[np.ndarray, np.ndarray]:

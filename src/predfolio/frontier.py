@@ -57,10 +57,6 @@ class SweepResult:
     points: list[FrontierPoint]
     failures: list[dict]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _base_seed(config: GAConfig) -> tuple[int, ...]:
     return (config.seed,) if isinstance(config.seed, int) else tuple(config.seed)

@@ -9,7 +9,7 @@ on a stalled best cost, a wall-clock limit, or the generation cap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,23 +69,6 @@ class GAConfig:
         if self.tournament_size < 1:
             raise ConfigError("tournament_size must be >= 1")
 
-    def to_dict(self) -> dict:
-        seed = self.seed if isinstance(self.seed, int) else list(self.seed)
-        return {
-            "population_size": self.population_size,
-            "crossover_fraction": self.crossover_fraction,
-            "crossover_kind": self.crossover_kind,
-            "selection_kind": self.selection_kind,
-            "penalty_factor": self.penalty_factor,
-            "stall_generations": self.stall_generations,
-            "function_tolerance": self.function_tolerance,
-            "time_limit_seconds": self.time_limit_seconds,
-            "generation_cap": self.generation_cap,
-            "mutation_swap_rate": self.mutation_swap_rate,
-            "tournament_size": self.tournament_size,
-            "seed": seed,
-        }
-
 
 @dataclass
 class GAResult:
@@ -107,7 +90,7 @@ class GAResult:
             "mean_history": [float(c) for c in self.mean_history],
             "stop_reason": self.stop_reason,
             "evaluations": self.evaluations,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
 
 
@@ -154,6 +137,8 @@ def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
 
 
 def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarray:
+    if not population:
+        raise ConfigError("cannot select from an empty population")
     costs = np.array([c.cost for c in population], dtype=float)
     if not np.isfinite(costs).all():
         raise ConfigError("selection requires finite fitness for every chromosome")
@@ -162,14 +147,6 @@ def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarr
     if kind == "uniform":
         return np.full(len(costs), 1.0 / len(costs))
     raise ConfigError(f"no selection probabilities for kind {kind!r}")
-
-
-def roulette_select(population: list[Chromosome], rng: np.random.Generator) -> Chromosome:
-    """Draw one parent with probability proportional to its rank weight."""
-    if not population:
-        raise ConfigError("cannot select from an empty population")
-    probs = selection_probabilities(population, "roulette")
-    return population[int(rng.choice(len(population), p=probs))]
 
 
 def tournament_select(

@@ -46,10 +46,6 @@ class ReturnSeries:
     returns: np.ndarray
     dates: tuple[dt.date, ...]
 
-    @property
-    def start_date(self) -> dt.date:
-        return self.dates[0]
-
     def __len__(self) -> int:
         return len(self.returns)
 
@@ -61,7 +57,6 @@ class AssetUniverse:
     assets: list[str]
     series: dict[str, ReturnSeries]
     dates: tuple[dt.date, ...]
-    index_membership: dict[str, str] | None = None
 
     @property
     def n_assets(self) -> int:
@@ -82,7 +77,6 @@ class PriceTable:
 
     points: dict[str, list[PricePoint]]
     excluded: list[str]
-    weekday: int
 
 
 @dataclass
@@ -189,7 +183,7 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
             points[asset] = sampled
         else:
             excluded.append(asset)
-    return PriceTable(points=points, excluded=excluded, weekday=weekday)
+    return PriceTable(points=points, excluded=excluded)
 
 
 def compute_returns(prices: list[PricePoint]) -> ReturnSeries:
@@ -210,9 +204,7 @@ def compute_returns(prices: list[PricePoint]) -> ReturnSeries:
 
 
 def align_universe(
-    series: list[ReturnSeries],
-    min_length: int | None = None,
-    index_membership: dict[str, str] | None = None,
+    series: list[ReturnSeries], min_length: int | None = None
 ) -> tuple[AssetUniverse, AlignmentReport]:
     """Intersect return series onto their common date grid.
 
@@ -252,12 +244,7 @@ def align_universe(
         )
         assets.append(s.asset)
 
-    universe = AssetUniverse(
-        assets=assets,
-        series=aligned,
-        dates=grid,
-        index_membership=index_membership,
-    )
+    universe = AssetUniverse(assets=assets, series=aligned, dates=grid)
     report = AlignmentReport(
         kept=assets,
         dropped=dropped,

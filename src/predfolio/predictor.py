@@ -138,8 +138,11 @@ class PredictionRecord:
     asset: str
     real: np.ndarray
     predicted: np.ndarray
-    errors: np.ndarray
     split_labels: np.ndarray
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.real - self.predicted
 
     def __len__(self) -> int:
         return len(self.real)
@@ -149,7 +152,6 @@ class PredictionRecord:
             "asset": self.asset,
             "real": [float(v) for v in self.real],
             "predicted": [float(v) for v in self.predicted],
-            "errors": [float(v) for v in self.errors],
             "split_labels": [str(v) for v in self.split_labels],
         }
 
@@ -159,7 +161,6 @@ class PredictionRecord:
             asset=data["asset"],
             real=np.asarray(data["real"], dtype=float),
             predicted=np.asarray(data["predicted"], dtype=float),
-            errors=np.asarray(data["errors"], dtype=float),
             split_labels=np.asarray(data["split_labels"], dtype=object),
         )
 
@@ -238,29 +239,6 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
     labels[n_train : n_train + n_val] = VAL
     labels[n_train + n_val :] = TEST
     return SupervisedSplit(inputs=inputs, targets=targets, labels=labels)
-
-
-def forward(predictor: TrainedPredictor, lags) -> float:
-    """Evaluate the network on one window of ``delay`` lagged returns."""
-    lags = np.asarray(lags, dtype=float)
-    if lags.shape != (predictor.delay,):
-        raise DimensionError(
-            f"expected {predictor.delay} lag values, got shape {lags.shape}"
-        )
-    out = _forward_flat(
-        predictor.flat(), lags[None, :], predictor.delay, predictor.hidden_units
-    )
-    return float(out[0])
-
-
-def jacobian(predictor: TrainedPredictor, inputs) -> np.ndarray:
-    """Residual Jacobian of the network over a batch of lag windows."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != predictor.delay:
-        raise DimensionError(
-            f"lag windows have width {inputs.shape[1]}, predictor expects {predictor.delay}"
-        )
-    return _jacobian_flat(predictor.flat(), inputs, predictor.delay, predictor.hidden_units)
 
 
 def train_arnn(
@@ -380,11 +358,9 @@ def rolling_predict(
     predicted = _forward_flat(
         predictor.flat(), split.inputs, predictor.delay, predictor.hidden_units
     )
-    errors = split.targets - predicted
     return PredictionRecord(
         asset=asset if asset is not None else predictor.asset,
         real=split.targets,
         predicted=predicted,
-        errors=errors,
         split_labels=split.labels,
     )

@@ -67,11 +67,6 @@ class RiskModel:
             "degenerate_skew_assets": list(self.degenerate_skew_assets),
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> "RiskModel":
         if data.get("version") != 1:
@@ -93,31 +88,6 @@ class RiskModel:
     def from_json(cls, path) -> "RiskModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def error_covariance(errors_i, errors_j, centered: bool = False) -> float:
-    """Covariance of two prediction-error series.
-
-    Raw cross products over ``N - 1`` by default; ``centered=True`` first
-    subtracts each series' mean (for sensitivity analysis only).
-    """
-    e_i = np.asarray(errors_i, dtype=float)
-    e_j = np.asarray(errors_j, dtype=float)
-    if e_i.shape != e_j.shape:
-        raise EstimationError(f"error series lengths differ: {e_i.shape} vs {e_j.shape}")
-    n = len(e_i)
-    if n < 2:
-        raise EstimationError(f"need at least 2 errors, got {n}")
-    if centered:
-        e_i = e_i - e_i.mean()
-        e_j = e_j - e_j.mean()
-    return float(e_i @ e_j) / (n - 1)
-
-
-def error_variance(record_or_errors, centered: bool = False) -> float:
-    """Variance of one error series; equals the self-covariance."""
-    errors = getattr(record_or_errors, "errors", record_or_errors)
-    return error_covariance(errors, errors, centered=centered)
 
 
 def expected_return(record: PredictionRecord, mode: str = MU_ONE_STEP) -> float:

@@ -68,18 +68,6 @@ class TuneResult:
     ties: dict[str, bool]
     runs: list[ExperimentRun]
 
-    def to_dict(self) -> dict:
-        return {
-            "best_levels": dict(self.best_levels),
-            "best_level_indices": dict(self.best_level_indices),
-            "response_table": {k: list(v) for k, v in self.response_table.items()},
-            "ties": dict(self.ties),
-            "runs": [
-                {"row": r.row, "levels": list(r.levels), "costs": list(r.costs)}
-                for r in self.runs
-            ],
-        }
-
 
 def build_array(grid: FactorGrid = DEFAULT_FACTORS) -> np.ndarray:
     """First five columns of the standard 27-row three-level array.
@@ -155,14 +143,10 @@ def analyze_means(
     runs: list[ExperimentRun],
     grid: FactorGrid = DEFAULT_FACTORS,
     array: np.ndarray | None = None,
-    use_sn: bool = False,
 ) -> TuneResult:
-    """Mean response per (factor, level); the best level minimizes it.
+    """Mean cost per (factor, level); the best level minimizes it.
 
-    With ``use_sn`` the response is the smaller-is-better signal-to-noise
-    ratio ``-10 log10(mean(cost^2))`` (costs must be strictly positive)
-    and the best level maximizes it. Ties break toward the lower-index
-    level and are flagged.
+    Ties break toward the lower-index level and are flagged.
     """
     if array is None:
         array = build_array(grid)
@@ -173,11 +157,6 @@ def analyze_means(
         raise ExperimentError("run table is missing rows or has duplicates")
     if any(not run.costs for run in runs):
         raise ExperimentError("every run needs at least one replicate cost")
-
-    if use_sn:
-        all_costs = [c for run in runs for c in run.costs]
-        if any(c <= 0 for c in all_costs):
-            raise ExperimentError("signal-to-noise response requires strictly positive costs")
 
     response_table: dict[str, list[float]] = {}
     best_levels: dict[str, object] = {}
@@ -192,13 +171,9 @@ def analyze_means(
                 if array[row_idx, f] == level
                 for c in by_row[row_idx].costs
             ]
-            if use_sn:
-                means.append(-10.0 * np.log10(np.mean(np.square(costs))))
-            else:
-                means.append(float(np.mean(costs)))
+            means.append(float(np.mean(costs)))
         response_table[name] = means
-        target = max(means) if use_sn else min(means)
-        winners = [i for i, v in enumerate(means) if v == target]
+        winners = [i for i, v in enumerate(means) if v == min(means)]
         best_level_indices[name] = winners[0]
         best_levels[name] = levels[winners[0]]
         ties[name] = len(winners) > 1

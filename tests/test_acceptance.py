@@ -243,7 +243,7 @@ def test_criterion_10_frontier_behavior():
         config = GAConfig(population_size=100, stall_generations=20,
                           generation_cap=200, seed=60601)
         result = sweep(model, Bounds(0.0, 1.0), 5, config, repeats=2)
-        assert result.ok
+        assert not result.failures
         assert len(result.points) == 12
 
         by_grid = {(p.lam, p.theta): p for p in result.points}

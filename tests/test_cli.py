@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predfolio.cli import RunConfig, main
+from predfolio.cli import CONFIG_DEFAULTS, RunConfig, main
 from predfolio.errors import ConfigError
+from predfolio.ga_solver import GAConfig
+from predfolio.predictor import PredictorConfig
 
 from conftest import geometric_walk, write_prices_csv
 
@@ -71,6 +76,30 @@ def test_run_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(path)
 
 
+def test_run_config_defaults_are_the_dataclass_defaults():
+    config = RunConfig({})
+    assert config.build(GAConfig, seed=0) == GAConfig(seed=0)
+    assert config.build(PredictorConfig, seed=0) == PredictorConfig(seed=0)
+
+
+@pytest.mark.parametrize("cls", [GAConfig, PredictorConfig])
+def test_run_config_every_dataclass_field_is_read(cls):
+    for field in fields(cls):
+        if field.name == "seed":
+            continue
+        default = field.default
+        changed = f"not-{default}" if isinstance(default, str) else default * 2 + 3
+        built = RunConfig({field.name: str(changed)}).build(cls, seed=5)
+        assert built == replace(cls(seed=5), **{field.name: changed}), field.name
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([a-z_]+)`", section))
+    assert set(CONFIG_DEFAULTS) | {"prices_path"} <= documented
+
+
 def test_ingest_summary_and_artifacts(tmp_path, capsys):
     prices = make_demo_prices(tmp_path, n_assets=2, n_weeks=30)
     out = tmp_path / "out"
@@ -107,6 +136,30 @@ def test_stage_order_enforced(pipeline, capsys):
     assert main(["predict", "--config", config]) == 1
     err = capsys.readouterr().err
     assert "ingest" in err
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, text",
+    [
+        ("risk", "predictions.json", '{"version": 1, "records": {"AST0": {"asset": "AS'),
+        ("metrics", "predictions.json", '{"version": 1}'),
+        ("optimize", "risk_model.json", '{"version": 1, "assets": ["A"]}'),
+        ("predict", "returns.csv", "date,AST0\n2024-01-08,0.0x\n"),
+        ("report", "portfolio.json", "{"),
+    ],
+)
+def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, text):
+    config, out = pipeline
+    for earlier in ("ingest", "predict", "risk"):
+        assert main([earlier, "--config", config]) == 0
+    (out / artifact).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ")
+    assert artifact in err
+    assert "re-run the `" in err
+    assert "Traceback" not in err
 
 
 def test_full_pipeline_and_artifacts(pipeline, capsys):

@@ -91,7 +91,7 @@ def test_sweep_default_grids_give_12_points(rng):
     )
     result = sweep(model, Bounds(0.0, 1.0), 3, config, repeats=1)
     assert len(result.points) == 12
-    assert result.ok
+    assert not result.failures
     grid = {(p.lam, p.theta) for p in result.points}
     assert grid == {(l, t) for l in (1.0, 0.8, 0.2, 0.0) for t in (0.0, 0.2, 0.8)}
 
@@ -127,7 +127,7 @@ def test_sweep_records_failures_and_continues(rng):
     )
     assert result.points == []
     assert len(result.failures) == 2
-    assert not result.ok
+    assert result.failures
 
 
 def test_sweep_theta_zero_endpoints_are_extremal(rng):

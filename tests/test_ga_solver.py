@@ -12,7 +12,7 @@ from predfolio.ga_solver import (
     evolve,
     init_population,
     mutate,
-    roulette_select,
+    selection_probabilities,
     tournament_select,
 )
 from predfolio.objective import Bounds, ObjectiveParams
@@ -76,34 +76,32 @@ def test_init_population_k_larger_than_universe():
 
 def test_roulette_single_chromosome_always_selected():
     only = chromosome([0, 1], [0.5, 0.5], cost=1.0)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert roulette_select([only], rng) is only
+    np.testing.assert_array_equal(selection_probabilities([only], "roulette"), [1.0])
 
 
 def test_roulette_two_chromosome_frequencies():
     best = chromosome([0], [1.0], cost=-1.0)
     worst = chromosome([1], [1.0], cost=2.0)
-    rng = np.random.default_rng(7)
-    picks = sum(roulette_select([best, worst], rng) is best for _ in range(100_000))
-    assert picks / 100_000 == pytest.approx(2.0 / 3.0, abs=0.01)
+    np.testing.assert_allclose(
+        selection_probabilities([best, worst], "roulette"), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15
+    )
+    # order of the population does not matter, only the rank of the cost
+    np.testing.assert_allclose(
+        selection_probabilities([worst, best], "roulette"), [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15
+    )
 
 
 def test_roulette_equal_costs_near_uniform():
     pop = [chromosome([i], [1.0], cost=5.0) for i in range(4)]
-    rng = np.random.default_rng(3)
-    counts = np.zeros(4)
-    for _ in range(40_000):
-        winner = roulette_select(pop, rng)
-        counts[pop.index(winner)] += 1
-    # rank weights 4..1 are assigned in stable index order on ties, so the
-    # stationary frequencies are (0.4, 0.3, 0.2, 0.1)
-    np.testing.assert_allclose(counts / 40_000, [0.4, 0.3, 0.2, 0.1], atol=0.015)
+    # rank weights 4..1 are assigned in stable index order on ties
+    np.testing.assert_allclose(
+        selection_probabilities(pop, "roulette"), [0.4, 0.3, 0.2, 0.1], rtol=1e-15
+    )
 
 
 def test_roulette_empty_population_errors():
     with pytest.raises(ConfigError):
-        roulette_select([], np.random.default_rng(0))
+        selection_probabilities([], "roulette")
 
 
 def test_tournament_prefers_cheaper(rng):

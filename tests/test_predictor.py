@@ -19,8 +19,6 @@ from predfolio.predictor import (
     _init_flat,
     _jacobian_flat,
     _unpack,
-    forward,
-    jacobian,
     rolling_predict,
     split_series,
     train_arnn,
@@ -92,8 +90,7 @@ def test_config_validation():
 def test_forward_zero_network_returns_output_bias():
     theta = np.zeros(3 * 2 + 3 + 3 + 1)
     theta[-1] = 0.042
-    pred = predictor_from_flat(theta, delay=2, hidden=3)
-    assert forward(pred, [0.5, -0.3]) == 0.042
+    assert _forward_flat(theta, np.array([[0.5, -0.3]]), 2, 3)[0] == 0.042
 
 
 def test_forward_near_linear_passthrough_of_last_lag():
@@ -103,15 +100,9 @@ def test_forward_near_linear_passthrough_of_last_lag():
     w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
     w_in[0, 1] = 1e-4
     w_out[0] = 1e4
-    pred = predictor_from_flat(theta, delay, hidden)
     for lag in (0.4, -0.7, 0.01):
-        assert forward(pred, [0.9, lag]) == pytest.approx(lag, rel=1e-6)
-
-
-def test_forward_wrong_lag_count_errors():
-    pred = predictor_from_flat(np.zeros(3 * 2 + 3 + 3 + 1), delay=2, hidden=3)
-    with pytest.raises(DimensionError):
-        forward(pred, [0.1])
+        output = _forward_flat(theta, np.array([[0.9, lag]]), delay, hidden)[0]
+        assert output == pytest.approx(lag, rel=1e-6)
 
 
 # ----------------------------------------------------------------- jacobian
@@ -152,8 +143,7 @@ def test_jacobian_zero_output_weights_collapse():
     w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
     w_in[:] = 0.3
     b_h[:] = -0.1
-    pred = predictor_from_flat(theta, delay, hidden)
-    jac = jacobian(pred, np.array([[0.2, -0.4]]))
+    jac = _jacobian_flat(theta, np.array([[0.2, -0.4]]), delay, hidden)
     # with w_out = 0 only output-layer columns are live; the bias column is 1
     assert np.all(jac[0, : hidden * delay + hidden] == 0.0)
     assert jac[0, -1] == 1.0
@@ -172,12 +162,6 @@ def test_jacobian_first_order_taylor_check(rng):
     before = _forward_flat(theta, inputs, delay, hidden) - target
     after = _forward_flat(bumped, inputs, delay, hidden) - target
     assert after[0] - before[0] == pytest.approx(jac[0, j] * bump, rel=1e-4, abs=1e-12)
-
-
-def test_jacobian_rejects_wrong_width(rng):
-    pred = predictor_from_flat(_init_flat(2, 3, rng), delay=2, hidden=3)
-    with pytest.raises(DimensionError):
-        jacobian(pred, np.zeros((4, 5)))
 
 
 # ----------------------------------------------------------------- training

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from predfolio.cli import _write_json
 from predfolio.errors import EstimationError
 from predfolio.predictor import PredictionRecord
 from predfolio.risk_model import (
@@ -11,8 +12,6 @@ from predfolio.risk_model import (
     RiskModel,
     asset_skewness,
     build_risk_model,
-    error_covariance,
-    error_variance,
     expected_return,
 )
 
@@ -26,7 +25,6 @@ def record_from(asset, real, predicted) -> PredictionRecord:
         asset=asset,
         real=real,
         predicted=predicted,
-        errors=real - predicted,
         split_labels=np.array(["train"] * len(real), dtype=object),
     )
 
@@ -38,48 +36,57 @@ def record_with_errors(asset, errors) -> PredictionRecord:
 
 # --------------------------------------------------------------- covariance
 
+def error_sigma(*error_series, centered=False) -> np.ndarray:
+    """Sigma that ``build_risk_model`` derives from the given error series."""
+    records = [record_with_errors(f"A{i}", e) for i, e in enumerate(error_series)]
+    returns = {r.asset: np.arange(3.0) for r in records}
+    return build_risk_model(records, returns, centered=centered).sigma
+
+
 def test_error_covariance_hand_values():
-    assert error_covariance([1.0, -1.0], [1.0, -1.0]) == 2.0
-    assert error_covariance([1.0, -1.0], [1.0, 1.0]) == 0.0
-    assert error_covariance([0.5, -0.7, 0.1], [0.0, 0.0, 0.0]) == 0.0
+    assert error_sigma([1.0, -1.0], [1.0, -1.0])[0, 1] == 2.0
+    assert error_sigma([1.0, -1.0], [1.0, 1.0])[0, 1] == 0.0
+    assert error_sigma([0.5, -0.7, 0.1], [0.0, 0.0, 0.0])[0, 1] == 0.0
 
 
 def test_error_covariance_guards():
     with pytest.raises(EstimationError):
-        error_covariance([1.0], [1.0])
+        error_sigma([1.0], [1.0])
     with pytest.raises(EstimationError):
-        error_covariance([1.0, 2.0], [1.0, 2.0, 3.0])
+        error_sigma([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_error_covariance_centered_mode_subtracts_means():
     e = np.array([1.0, 2.0, 3.0])
-    raw = error_covariance(e, e)
-    centered = error_covariance(e, e, centered=True)
-    assert raw == pytest.approx(14.0 / 2.0)
-    assert centered == pytest.approx(1.0)
+    assert error_sigma(e, e)[0, 1] == pytest.approx(14.0 / 2.0)
+    assert error_sigma(e, e, centered=True)[0, 1] == pytest.approx(1.0)
 
 
 def test_error_variance_hand_value_and_self_consistency(rng):
-    assert error_variance([0.03, -0.04]) == pytest.approx(0.0025)
-    assert error_variance(np.zeros(5)) == 0.0
+    assert error_sigma([0.03, -0.04])[0, 0] == pytest.approx(0.0025)
+    assert error_sigma(np.zeros(5))[0, 0] == 0.0
     for _ in range(20):
         e = rng.normal(size=12)
-        assert error_variance(e) == error_covariance(e, e)
+        pair = error_sigma(e, e)
+        assert pair[0, 0] == pair[0, 1] == pair[1, 1]
 
 
 def test_error_variance_accepts_records():
     record = record_with_errors("A", [0.03, -0.04])
-    assert error_variance(record) == pytest.approx(0.0025)
+    np.testing.assert_array_equal(record.errors, [0.03, -0.04])
+    model = build_risk_model([record], {"A": np.arange(3.0)})
+    assert model.sigma[0, 0] == pytest.approx(0.0025)
 
 
 def test_error_variance_round_trips_through_stored_record(rng):
     # replaying a stored error series reproduces its recorded risk figure,
     # here pinned to a published index-level risk magnitude (0.002834)
     errors = rng.normal(size=180)
-    errors *= np.sqrt(0.002834 / error_variance(errors))
+    errors *= np.sqrt(0.002834 / error_sigma(errors)[0, 0])
     stored = record_with_errors("Bank", errors)
     replayed = PredictionRecord.from_dict(stored.to_dict())
-    assert error_variance(replayed) == pytest.approx(0.002834, rel=1e-12)
+    model = build_risk_model([replayed], {"Bank": np.arange(3.0)})
+    assert model.sigma[0, 0] == pytest.approx(0.002834, rel=1e-12)
 
 
 # ---------------------------------------------------------- expected return
@@ -135,7 +142,7 @@ def test_build_risk_model_single_asset_reduces_to_variance(rng):
     record = record_with_errors("A", errors)
     model = build_risk_model([record], {"A": rng.normal(size=30)})
     assert model.sigma.shape == (1, 1)
-    assert model.sigma[0, 0] == pytest.approx(error_variance(errors), rel=1e-12)
+    assert model.sigma[0, 0] == pytest.approx(errors @ errors / 29, rel=1e-12)
     assert model.estimation_window == 30
 
 
@@ -212,7 +219,7 @@ def test_risk_model_json_round_trip(tmp_path, rng):
     returns = {f"A{i}": rng.normal(size=30) for i in range(4)}
     model = build_risk_model(records, returns)
     path = tmp_path / "risk.json"
-    model.to_json(path)
+    _write_json(path, model.to_dict())
     loaded = RiskModel.from_json(path)
     assert loaded.assets == model.assets
     np.testing.assert_array_equal(loaded.mu, model.mu)

@@ -170,18 +170,6 @@ def test_analyze_means_incomplete_table_errors():
         analyze_means(runs[:-1], array=array)
 
 
-def test_analyze_means_sn_mode_requires_positive_costs():
-    array = build_array()
-    runs = run_experiments(array, lambda a, s: -1.0, replicates=1, seed=0)
-    with pytest.raises(ExperimentError):
-        analyze_means(runs, array=array, use_sn=True)
-    positive = run_experiments(array, lambda a, s: 2.0, replicates=1, seed=0)
-    result = analyze_means(positive, array=array, use_sn=True)
-    np.testing.assert_allclose(
-        result.response_table["population_size"], -10.0 * np.log10(4.0)
-    )
-
-
 def test_ga_runner_executes_assignment(rng):
     model = random_risk_model(rng, 4)
     params = ObjectiveParams(lam=0.8, theta=0.2)
