@@ -14,8 +14,11 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
 import sys
 import zlib
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -163,8 +166,22 @@ def _asset_seed(master: int, asset: str) -> tuple[int, int]:
     return (master, zlib.crc32(asset.encode()))
 
 
+@contextmanager
+def _atomic_open(path: Path, newline: str | None = None):
+    """Open ``path`` for writing through a temp file in the same directory
+    that replaces it only when the block completes, so an interrupted or
+    failed write leaves the old file (or none) in place."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, data) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -174,12 +191,27 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
+def _read_manifest(out: Path) -> dict:
+    """The manifest's entries, empty when there is no manifest yet."""
+    path = out / "manifest.json"
+    if not path.exists():
+        return {}
+    try:
+        manifest = _read_json(path)
+        if not isinstance(manifest, dict):
+            raise ValueError(f"expected a JSON object, got {type(manifest).__name__}")
+    except ValueError as exc:
+        raise ConfigError(
+            f"malformed manifest.json ({exc!r}); delete {path} to start a new one"
+        ) from exc
+    return manifest
+
+
 def _update_manifest(out: Path, config: RunConfig, artifacts: list[str]) -> None:
-    manifest_path = out / "manifest.json"
-    manifest = _read_json(manifest_path) if manifest_path.exists() else {}
+    manifest = _read_manifest(out)
     for name in artifacts:
         manifest[name] = {"config_hash": config.hash(), "seed": config.int_("seed")}
-    _write_json(manifest_path, manifest)
+    _write_json(out / "manifest.json", manifest)
 
 
 def _load_stage(out: Path, stage: str, decode):
@@ -229,12 +261,13 @@ def cmd_ingest(config: RunConfig) -> int:
     report.dropped = skipped + report.dropped
 
     matrix = universe.returns_matrix()
-    with open(out / "returns.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "returns.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + universe.assets)
         for i, date in enumerate(universe.dates):
             writer.writerow([date.isoformat()] + [repr(float(v)) for v in matrix[i]])
-    (out / "alignment_report.txt").write_text(report.as_text(), encoding="utf-8")
+    with _atomic_open(out / "alignment_report.txt") as fh:
+        fh.write(report.as_text())
     _update_manifest(out, config, ["returns.csv", "alignment_report.txt"])
     print(f"{universe.n_assets} assets, {universe.n_weeks} weeks")
     return 0
@@ -247,17 +280,20 @@ def cmd_predict(config: RunConfig) -> int:
 
     predictor_dumps = {}
     prediction_dumps = {}
+    stops: Counter[str] = Counter()
     for j, asset in enumerate(assets):
         pconfig = config.build(PredictorConfig, seed=_asset_seed(master, asset))
         split = predictor.split_series(matrix[:, j], pconfig)
         trained = predictor.train_arnn(split, pconfig, asset=asset)
         record = predictor.rolling_predict(trained, matrix[:, j], pconfig)
+        stops[trained.stop_reason] += 1
         predictor_dumps[asset] = trained.to_dict()
         prediction_dumps[asset] = record.to_dict()
     _write_json(out / "predictors.json", {"version": 1, "predictors": predictor_dumps})
     _write_json(out / "predictions.json", {"version": 1, "records": prediction_dumps})
     _update_manifest(out, config, ["predictors.json", "predictions.json"])
-    print(f"trained {len(assets)} predictors")
+    reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
+    print(f"trained {len(assets)} predictors ({reasons})")
     return 0
 
 
@@ -303,7 +339,7 @@ def cmd_metrics(config: RunConfig) -> int:
         except PredfolioError as exc:
             ks_rows[asset] = {"error": str(exc)}
 
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "metrics.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["asset", "n", "me", "signed_me", "rmse", "mape", "mape_skipped",
@@ -320,7 +356,7 @@ def cmd_metrics(config: RunConfig) -> int:
                 + [rep.mape_skipped]
                 + ["" if v is None else repr(float(v)) for v in (rep.hr, rep.hr_plus, rep.hr_minus)]
             )
-    with open(out / "metrics_summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "metrics_summary.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "variance", "std"])
         for name, mean, var, std in eval_metrics.summarize_reports(reports):
@@ -355,7 +391,7 @@ def cmd_tune(config: RunConfig) -> int:
     result = taguchi.analyze_means(runs, array=array)
 
     _write_json(out / "tune_result.json", {"version": 1, **asdict(result)})
-    with open(out / "tune_runs.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "tune_runs.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row"] + taguchi.DEFAULT_FACTORS.names + ["replicate", "cost"])
         for run in runs:
@@ -366,7 +402,7 @@ def cmd_tune(config: RunConfig) -> int:
                     + [assignment[name] for name in taguchi.DEFAULT_FACTORS.names]
                     + [rep, repr(cost)]
                 )
-    with open(out / "tune_response.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "tune_response.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["factor", "level_1", "level_2", "level_3", "best_level", "tie"])
         for name in taguchi.DEFAULT_FACTORS.names:
@@ -376,7 +412,8 @@ def cmd_tune(config: RunConfig) -> int:
                 + [result.best_levels[name], result.ties[name]]
             )
     lines = [f"{name} = {value}" for name, value in result.best_levels.items()]
-    (out / "tuned_ga.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _atomic_open(out / "tuned_ga.cfg") as fh:
+        fh.write("\n".join(lines) + "\n")
     _update_manifest(
         out, config,
         ["tune_result.json", "tune_runs.csv", "tune_response.csv", "tuned_ga.cfg"],
@@ -399,7 +436,7 @@ def cmd_optimize(config: RunConfig) -> int:
     dump = result.to_dict(assets=model.assets)
     dump.update({"lambda": params.lam, "theta": params.theta, "skew_mode": params.skew_mode})
     _write_json(out / "portfolio.json", dump)
-    with open(out / "ga_trace.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "ga_trace.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "best_cost", "mean_cost"])
         for gen, (best, mean) in enumerate(zip(result.cost_history, result.mean_history)):
@@ -428,7 +465,7 @@ def cmd_frontier(config: RunConfig) -> int:
     )
     curve = frontier.efficient_filter(result.points)
 
-    with open(out / "frontier.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "frontier.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["lambda", "theta"] + list(model.assets)
@@ -441,7 +478,7 @@ def cmd_frontier(config: RunConfig) -> int:
                 + [repr(point.mu_p), repr(point.sigma_p), repr(point.cost),
                    point.stop_reason, "-".join(str(s) for s in point.seed)]
             )
-    with open(out / "frontier_curve.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out / "frontier_curve.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma_p", "mu_p"])
         for point in curve:
@@ -499,8 +536,7 @@ REPORT_SECTIONS = {
 
 def cmd_report(config: RunConfig) -> int:
     out = config.out_dir()
-    manifest_path = out / "manifest.json"
-    summary: dict = {"artifacts": _read_json(manifest_path) if manifest_path.exists() else {}}
+    summary: dict = {"artifacts": _read_manifest(out)}
     for section, (stage, summarize) in REPORT_SECTIONS.items():
         if (out / STAGE_ARTIFACTS[stage]).exists():
             summary[section] = _load_stage(out, stage, summarize)

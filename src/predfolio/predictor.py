@@ -5,6 +5,12 @@ tanh hidden units and a single linear output. Training minimizes the sum of
 squared one-step errors on the training slice with damped Gauss-Newton
 steps (Levenberg-Marquardt); the parameter snapshot with the lowest
 validation loss seen is kept, which doubles as early stopping.
+
+The damped step ``-(J'J + mu I)^-1 J'r`` is solved in whichever space is
+smaller. With fewer training samples than parameters (126 against 216 at
+paper scale) it is computed as ``-J'(JJ' + mu I)^-1 r`` from the sample-space
+Gram matrix ``JJ'``, which the Kronecker structure of the Jacobian rows
+gives without forming ``J``; otherwise ``J`` and ``J'J`` are formed.
 """
 
 from __future__ import annotations
@@ -84,6 +90,9 @@ class TrainedPredictor:
     output_bias: float
     best_val_loss: float
     epochs_run: int
+    # how training stopped: "gradient", "no-accepted-step", "ftol" or
+    # "max-epochs"; None for dumps written before it was recorded
+    stop_reason: str | None
 
     @property
     def delay(self) -> int:
@@ -111,6 +120,7 @@ class TrainedPredictor:
             "parameters": [float(v) for v in self.flat()],
             "best_val_loss": float(self.best_val_loss),
             "epochs_run": int(self.epochs_run),
+            "stop_reason": self.stop_reason,
         }
 
     @classmethod
@@ -128,6 +138,7 @@ class TrainedPredictor:
             output_bias=b_out,
             best_val_loss=float(data["best_val_loss"]),
             epochs_run=int(data["epochs_run"]),
+            stop_reason=data.get("stop_reason"),
         )
 
 
@@ -199,18 +210,77 @@ def _forward_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int
     return hidden_act @ w_out + b_out
 
 
+def _hidden_layer(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int):
+    """Hidden activations and the output-weighted tanh slope ("gate"), each
+    ``(n, hidden)``."""
+    w_in, b_h, w_out, _ = _unpack(theta, delay, hidden)
+    hidden_act = np.tanh(inputs @ w_in.T + b_h)
+    return hidden_act, (1.0 - hidden_act**2) * w_out
+
+
 def _jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:
     """Analytic d(prediction)/d(parameter), one row per sample.
 
     Residuals are ``prediction - target``, so this is also the residual
-    Jacobian; column order matches :func:`_pack`.
+    Jacobian; column order matches :func:`_pack`. Row ``i`` is
+    ``[gate_i (x) inputs_i, gate_i, hidden_act_i, 1]``.
     """
-    w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
+    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
     n = inputs.shape[0]
-    hidden_act = np.tanh(inputs @ w_in.T + b_h)        # (n, hidden)
-    gate = (1.0 - hidden_act**2) * w_out               # (n, hidden)
     j_w_in = np.einsum("nh,nd->nhd", gate, inputs).reshape(n, hidden * delay)
     return np.concatenate([j_w_in, gate, hidden_act, np.ones((n, 1))], axis=1)
+
+
+def _jt_dot(hidden_act, gate, inputs, v: np.ndarray) -> np.ndarray:
+    """``J' v`` from the row structure of :func:`_jacobian_flat`, without
+    forming ``J``."""
+    gv = gate * v[:, None]
+    return np.concatenate(
+        [(gv.T @ inputs).ravel(), gv.sum(axis=0), hidden_act.T @ v, [v.sum()]]
+    )
+
+
+def _sample_gram(hidden_act, gate, lag_gram: np.ndarray) -> np.ndarray:
+    """``J J'`` from the same structure; ``lag_gram`` is ``inputs inputs' + 1``."""
+    return (gate @ gate.T) * lag_gram + hidden_act @ hidden_act.T + 1.0
+
+
+def _lag_gram(inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray | None:
+    """``inputs inputs' + 1`` when the LM step is solved in sample space
+    (fewer samples than parameters), else None."""
+    if inputs.shape[0] < _n_params(delay, hidden):
+        return inputs @ inputs.T + 1.0
+    return None
+
+
+def _gauss_newton(theta, inputs, targets, lag_gram, delay: int, hidden: int):
+    """Linearize the residual ``prediction - targets`` at ``theta``.
+
+    Returns ``(gradient, step)``: ``gradient`` is ``J'r`` and
+    ``step(damping)`` solves ``(J'J + damping I) s = -J'r``. With a
+    ``lag_gram`` (see :func:`_lag_gram`) the step is computed as
+    ``J'(JJ' + damping I)^-1 (-r)``, the same vector from an ``n x n``
+    system; otherwise ``J'J`` is formed and solved in parameter space.
+    """
+    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    residual = _forward_flat(theta, inputs, delay, hidden) - targets
+    gradient = _jt_dot(hidden_act, gate, inputs, residual)
+    if lag_gram is not None:
+        gram = _sample_gram(hidden_act, gate, lag_gram)
+        eye = np.eye(len(residual))
+
+        def step(damping: float) -> np.ndarray:
+            dual = np.linalg.solve(gram + damping * eye, -residual)
+            return _jt_dot(hidden_act, gate, inputs, dual)
+    else:
+        jac = _jacobian_flat(theta, inputs, delay, hidden)
+        hessian = jac.T @ jac
+        eye = np.eye(hessian.shape[0])
+
+        def step(damping: float) -> np.ndarray:
+            return np.linalg.solve(hessian + damping * eye, -gradient)
+
+    return gradient, step
 
 
 def split_series(series, config: PredictorConfig) -> SupervisedSplit:
@@ -252,8 +322,16 @@ def train_arnn(
     Each epoch solves ``(J'J + damping * I) step = -J' residual`` and only
     accepts steps that strictly decrease the training SSE; the damping is
     divided by ``lm_damping_factor`` on acceptance and multiplied on
-    rejection. The returned parameters are the snapshot with the lowest
-    validation SSE. Deterministic for a fixed seed.
+    rejection. When the training slice has fewer samples than the network
+    has parameters, the step is solved in sample space as
+    ``J'(JJ' + damping * I)^-1 (-residual)`` from the structured Gram matrix
+    (see :func:`_gauss_newton`); otherwise in parameter space. The returned
+    parameters are the snapshot with the lowest validation SSE, and
+    ``stop_reason`` says why training ended: a vanishing gradient
+    (``gradient``), no step accepted up to the maximum damping
+    (``no-accepted-step``), a relative SSE decrease below ``_FTOL``
+    (``ftol``) or the epoch cap (``max-epochs``). Deterministic for a fixed
+    seed.
 
     ``on_epoch(epoch, train_loss, val_loss)`` is invoked after each
     accepted epoch when supplied.
@@ -271,8 +349,7 @@ def train_arnn(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     theta = _init_flat(d, h, rng)
-    n_params = _n_params(d, h)
-    eye = np.eye(n_params)
+    lag_gram = _lag_gram(x_train, d, h)
 
     def sse(params, x, y):
         r = _forward_flat(params, x, d, h) - y
@@ -287,19 +364,17 @@ def train_arnn(
     damping = config.lm_initial_damping
     factor = config.lm_damping_factor
     epochs_run = 0
+    stop_reason = "max-epochs"
 
     for epoch in range(1, config.max_epochs + 1):
-        residual = _forward_flat(theta, x_train, d, h) - y_train
-        jac = _jacobian_flat(theta, x_train, d, h)
-        gradient = jac.T @ residual
+        gradient, step = _gauss_newton(theta, x_train, y_train, lag_gram, d, h)
         if np.max(np.abs(gradient)) < 1e-14:
+            stop_reason = "gradient"
             break
-        hessian = jac.T @ jac
 
         accepted = False
         while damping <= _DAMPING_MAX:
-            step = np.linalg.solve(hessian + damping * eye, -gradient)
-            trial = theta + step
+            trial = theta + step(damping)
             trial_loss = sse(trial, x_train, y_train)
             if np.isfinite(trial_loss) and trial_loss < loss:
                 prev_loss = loss
@@ -309,6 +384,7 @@ def train_arnn(
                 break
             damping *= factor
         if not accepted:
+            stop_reason = "no-accepted-step"
             break
         epochs_run = epoch
         if not np.isfinite(loss):
@@ -323,6 +399,7 @@ def train_arnn(
         if on_epoch is not None:
             on_epoch(epoch, loss, val_loss)
         if prev_loss - loss <= _FTOL * (loss + 1e-30):
+            stop_reason = "ftol"
             break
 
     w_in, b_h, w_out, b_out = _unpack(best_theta, d, h)
@@ -334,6 +411,7 @@ def train_arnn(
         output_bias=b_out,
         best_val_loss=best_val,
         epochs_run=epochs_run,
+        stop_reason=stop_reason,
     )
 
 

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predfolio.cli import CONFIG_DEFAULTS, RunConfig, main
+from predfolio.cli import CONFIG_DEFAULTS, RunConfig, _write_json, main
 from predfolio.errors import ConfigError
 from predfolio.ga_solver import GAConfig
 from predfolio.predictor import PredictorConfig
@@ -93,11 +94,38 @@ def test_run_config_every_dataclass_field_is_read(cls):
         assert built == replace(cls(seed=5), **{field.name: changed}), field.name
 
 
-def test_readme_lists_every_config_key():
+def readme_config_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"`([a-z_]+)`", section))
+    return readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_every_config_key():
+    documented = set(re.findall(r"`([a-z_]+)`", readme_config_section()))
     assert set(CONFIG_DEFAULTS) | {"prices_path"} <= documented
+
+
+def readme_default(text: str) -> str:
+    """The default at the start of a README parenthesis: a backticked
+    value, a bare word or number, or ``empty``."""
+    text = text.strip()
+    if text.startswith("`"):
+        return text[1:].split("`", 1)[0]
+    word = re.split(r"[;:,\s]", text, maxsplit=1)[0]
+    return "" if word == "empty" else word
+
+
+def test_readme_defaults_match_config_defaults():
+    pairs = re.findall(r"`([a-z_]+)`\s+\(([^()]*)\)", readme_config_section())
+    documented = [(key, readme_default(text)) for key, text in pairs if key in CONFIG_DEFAULTS]
+    counts = Counter(key for key, _ in documented)
+    assert set(counts) == set(CONFIG_DEFAULTS)
+    assert max(counts.values()) == 1
+    for key, value in documented:
+        default = CONFIG_DEFAULTS[key]
+        try:
+            assert float(value) == float(default), key
+        except ValueError:
+            assert value == default, key
 
 
 def test_ingest_summary_and_artifacts(tmp_path, capsys):
@@ -160,6 +188,50 @@ def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, 
     assert artifact in err
     assert "re-run the `" in err
     assert "Traceback" not in err
+
+
+def test_malformed_manifest_is_a_clean_error(pipeline, capsys):
+    config, out = pipeline
+    assert main(["ingest", "--config", config]) == 0
+    (out / "manifest.json").write_text('{"returns.csv": ', encoding="utf-8")
+    capsys.readouterr()
+    for stage in ("predict", "report"):
+        assert main([stage, "--config", config]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest.json ("), stage
+        assert "Traceback" not in err
+
+
+def test_manifest_must_be_an_object(pipeline, capsys):
+    config, out = pipeline
+    assert main(["ingest", "--config", config]) == 0
+    (out / "manifest.json").write_text("[]\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed manifest.json (")
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "artifact.json"
+    _write_json(path, {"kept": [1, 2, 3]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": list(range(1000)), "z": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_predict_reports_stop_reasons(pipeline, capsys):
+    config, out = pipeline
+    assert main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == 0
+    line = capsys.readouterr().out.strip()
+    dumps = json.loads((out / "predictors.json").read_text())["predictors"]
+    stops = Counter(dump["stop_reason"] for dump in dumps.values())
+    reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
+    assert line == f"trained 5 predictors ({reasons})"
+    assert set(stops) <= {"gradient", "no-accepted-step", "ftol", "max-epochs"}
 
 
 def test_full_pipeline_and_artifacts(pipeline, capsys):

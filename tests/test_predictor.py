@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfolio.errors import (
     ConfigError,
@@ -16,8 +18,14 @@ from predfolio.predictor import (
     PredictorConfig,
     TrainedPredictor,
     _forward_flat,
+    _gauss_newton,
+    _hidden_layer,
     _init_flat,
     _jacobian_flat,
+    _jt_dot,
+    _lag_gram,
+    _n_params,
+    _sample_gram,
     _unpack,
     rolling_predict,
     split_series,
@@ -41,6 +49,7 @@ def predictor_from_flat(theta, delay, hidden, asset="X") -> TrainedPredictor:
         output_bias=b_out,
         best_val_loss=0.0,
         epochs_run=0,
+        stop_reason=None,
     )
 
 
@@ -162,6 +171,71 @@ def test_jacobian_first_order_taylor_check(rng):
     before = _forward_flat(theta, inputs, delay, hidden) - target
     after = _forward_flat(bumped, inputs, delay, hidden) - target
     assert after[0] - before[0] == pytest.approx(jac[0, j] * bump, rel=1e-4, abs=1e-12)
+
+
+# ------------------------------------------------- structured LM step
+
+@st.composite
+def lm_problems(draw):
+    """A network and a sample set on either side of ``n = n_params``."""
+    delay = draw(st.integers(1, 8))
+    hidden = draw(st.integers(1, 5))
+    n_params = _n_params(delay, hidden)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, n_params - 1))
+    else:
+        n = draw(st.integers(n_params, n_params + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.02, 1.0]))
+    theta = _init_flat(delay, hidden, rng)
+    inputs = rng.normal(scale=scale, size=(n, delay))
+    targets = rng.normal(scale=scale, size=n)
+    return theta, inputs, targets, delay, hidden
+
+
+LM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@LM_SETTINGS
+@given(lm_problems())
+def test_structured_gram_matches_dense(problem):
+    theta, inputs, _, delay, hidden = problem
+    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    gram = _sample_gram(hidden_act, gate, inputs @ inputs.T + 1.0)
+    np.testing.assert_allclose(gram, jac @ jac.T, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
+
+
+@LM_SETTINGS
+@given(lm_problems(), st.integers(0, 2**32 - 1))
+def test_structured_transpose_product_matches_dense(problem, seed):
+    theta, inputs, _, delay, hidden = problem
+    v = np.random.default_rng(seed).normal(size=inputs.shape[0])
+    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    dense = jac.T @ v
+    np.testing.assert_allclose(
+        _jt_dot(hidden_act, gate, inputs, v), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
+    )
+
+
+@LM_SETTINGS
+@given(lm_problems(), st.sampled_from([1e-3, 1e-1, 10.0]))
+def test_lm_step_matches_parameter_space_solve(problem, damping):
+    theta, inputs, targets, delay, hidden = problem
+    lag_gram = _lag_gram(inputs, delay, hidden)
+    assert (lag_gram is not None) == (len(targets) < len(theta))
+    gradient, step = _gauss_newton(theta, inputs, targets, lag_gram, delay, hidden)
+
+    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    residual = _forward_flat(theta, inputs, delay, hidden) - targets
+    dense_gradient = jac.T @ residual
+    expected = np.linalg.solve(jac.T @ jac + damping * np.eye(len(theta)), -dense_gradient)
+    np.testing.assert_allclose(
+        gradient, dense_gradient, rtol=1e-12, atol=1e-12 * np.abs(dense_gradient).max()
+    )
+    actual = step(damping)
+    assert np.linalg.norm(actual - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 # ----------------------------------------------------------------- training
@@ -287,3 +361,37 @@ def test_predictor_dump_round_trip(rng):
     np.testing.assert_array_equal(loaded.flat(), trained.flat())
     assert loaded.asset == "RT"
     assert loaded.best_val_loss == trained.best_val_loss
+    assert loaded.stop_reason == trained.stop_reason
+
+
+def test_predictor_dump_without_stop_reason_loads(rng):
+    returns = rng.normal(0.0, 0.02, size=60)
+    config = small_config(seed=5)
+    dump = train_arnn(split_series(returns, config), config).to_dict()
+    del dump["stop_reason"]
+    assert TrainedPredictor.from_dict(dump).stop_reason is None
+
+
+@pytest.mark.parametrize(
+    "size, config, expected",
+    [
+        (40, small_config(), "gradient"),  # a zero series is fitted exactly
+        (60, PredictorConfig(delay=1, hidden_units=1, seed=0), "ftol"),
+        (30, PredictorConfig(delay=5, hidden_units=3, seed=0), "no-accepted-step"),
+        # the paper-scale split: 126 training samples for 216 parameters
+        (221, PredictorConfig(delay=41, max_epochs=3, seed=0), "max-epochs"),
+    ],
+)
+def test_stop_reason(size, config, expected):
+    returns = np.zeros(size) if expected == "gradient" else (
+        np.random.default_rng(0).normal(0.0, 0.02, size=size)
+    )
+    losses = []
+    trained = train_arnn(
+        split_series(returns, config), config, on_epoch=lambda e, tr, vl: losses.append(tr)
+    )
+    assert trained.stop_reason == expected
+    assert len(losses) == trained.epochs_run
+    assert (trained.epochs_run == config.max_epochs) == (expected == "max-epochs")
+    if expected == "ftol":
+        assert losses[-2] - losses[-1] <= 1e-12 * losses[-1]
