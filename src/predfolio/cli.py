@@ -167,22 +167,28 @@ def _asset_seed(master: int, asset: str) -> tuple[int, int]:
 
 
 @contextmanager
-def _atomic_open(path: Path, newline: str | None = None):
+def _atomic_open(path: Path):
     """Open ``path`` for writing through a temp file in the same directory
     that replaces it only when the block completes, so an interrupted or
     failed write leaves the old file (or none) in place."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def _numpy_to_json(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, data) -> None:
     with _atomic_open(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
@@ -214,6 +220,24 @@ def _update_manifest(out: Path, config: RunConfig, artifacts: list[str]) -> None
     _write_json(out / "manifest.json", manifest)
 
 
+def _write_artifacts(out: Path, config: RunConfig, artifacts: dict) -> None:
+    """Write one stage's artifacts, then record exactly those names in the
+    manifest. Each is encoded by its extension: ``.json`` data as JSON,
+    ``.csv`` a list of rows of Python scalars (a float cell is written as
+    its ``repr``), anything else as text."""
+    for name, payload in artifacts.items():
+        path = out / name
+        if path.suffix == ".json":
+            _write_json(path, payload)
+            continue
+        with _atomic_open(path) as fh:
+            if path.suffix == ".csv":
+                csv.writer(fh).writerows(payload)
+            else:
+                fh.write(payload)
+    _update_manifest(out, config, list(artifacts))
+
+
 def _load_stage(out: Path, stage: str, decode):
     """``decode`` the artifact of ``stage``; a missing or malformed file
     raises an error naming the stage to run."""
@@ -237,7 +261,12 @@ def _read_returns_csv(path: Path) -> tuple[list[str], list[dt.date], np.ndarray]
         for row in reader:
             dates.append(dt.date.fromisoformat(row[0]))
             rows.append([float(v) for v in row[1:]])
-    return assets, dates, np.array(rows)
+    matrix = np.array(rows)
+    if not dates or matrix.shape != (len(dates), len(assets)):
+        raise ValueError(
+            f"expected at least one row of {len(assets)} returns, got a {matrix.shape} matrix"
+        )
+    return assets, dates, matrix
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -261,14 +290,12 @@ def cmd_ingest(config: RunConfig) -> int:
     report.dropped = skipped + report.dropped
 
     matrix = universe.returns_matrix()
-    with _atomic_open(out / "returns.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + universe.assets)
-        for i, date in enumerate(universe.dates):
-            writer.writerow([date.isoformat()] + [repr(float(v)) for v in matrix[i]])
-    with _atomic_open(out / "alignment_report.txt") as fh:
-        fh.write(report.as_text())
-    _update_manifest(out, config, ["returns.csv", "alignment_report.txt"])
+    returns_rows = [["date"] + universe.assets] + [
+        [date.isoformat()] + row for date, row in zip(universe.dates, matrix.tolist())
+    ]
+    _write_artifacts(
+        out, config, {"returns.csv": returns_rows, "alignment_report.txt": report.as_text()}
+    )
     print(f"{universe.n_assets} assets, {universe.n_weeks} weeks")
     return 0
 
@@ -288,10 +315,11 @@ def cmd_predict(config: RunConfig) -> int:
         record = predictor.rolling_predict(trained, matrix[:, j], pconfig)
         stops[trained.stop_reason] += 1
         predictor_dumps[asset] = trained.to_dict()
-        prediction_dumps[asset] = record.to_dict()
-    _write_json(out / "predictors.json", {"version": 1, "predictors": predictor_dumps})
-    _write_json(out / "predictions.json", {"version": 1, "records": prediction_dumps})
-    _update_manifest(out, config, ["predictors.json", "predictions.json"])
+        prediction_dumps[asset] = asdict(record)
+    _write_artifacts(out, config, {
+        "predictors.json": {"version": 1, "predictors": predictor_dumps},
+        "predictions.json": {"version": 1, "records": prediction_dumps},
+    })
     reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
     print(f"trained {len(assets)} predictors ({reasons})")
     return 0
@@ -304,10 +332,26 @@ def _decode_records(path: Path) -> dict[str, PredictionRecord]:
     }
 
 
+def _check_records_match(records: dict, assets: list[str], matrix: np.ndarray) -> None:
+    """Refuse predictions made from other returns: both files must hold the
+    same assets, and each record's ``real`` must be the tail of its asset's
+    column (both store ``repr`` floats, so the comparison is exact)."""
+    differ = sorted(set(records) ^ set(assets))
+    if not differ:
+        tails = {a: matrix[len(matrix) - len(records[a].real):, j] for j, a in enumerate(assets)}
+        differ = [a for a in assets if not np.array_equal(records[a].real, tails[a])]
+    if differ:
+        raise ConfigError(
+            f"predictions.json does not match returns.csv (assets {differ});"
+            " re-run the `predict` stage"
+        )
+
+
 def cmd_risk(config: RunConfig) -> int:
     out = config.out_dir()
     assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
     records = _load_stage(out, "predict", _decode_records)
+    _check_records_match(records, assets, matrix)
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
     model = risk_model.build_risk_model(
@@ -316,8 +360,7 @@ def cmd_risk(config: RunConfig) -> int:
         mu_mode=config.str_("mu_mode"),
         centered=config.bool_("centered_covariance"),
     )
-    _write_json(out / "risk_model.json", model.to_dict())
-    _update_manifest(out, config, ["risk_model.json"])
+    _write_artifacts(out, config, {"risk_model.json": model.to_dict()})
     print(f"risk model over {model.n_assets} assets, window {model.estimation_window}")
     return 0
 
@@ -339,37 +382,19 @@ def cmd_metrics(config: RunConfig) -> int:
         except PredfolioError as exc:
             ks_rows[asset] = {"error": str(exc)}
 
-    with _atomic_open(out / "metrics.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["asset", "n", "me", "signed_me", "rmse", "mape", "mape_skipped",
-             "hr", "hr_plus", "hr_minus"]
-        )
-        for asset in sorted(reports):
-            rep = reports[asset]
-            writer.writerow(
-                [asset, rep.n]
-                + [
-                    "" if v is None else repr(float(v))
-                    for v in (rep.me, rep.signed_me, rep.rmse, rep.mape)
-                ]
-                + [rep.mape_skipped]
-                + ["" if v is None else repr(float(v)) for v in (rep.hr, rep.hr_plus, rep.hr_minus)]
-            )
-    with _atomic_open(out / "metrics_summary.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "variance", "std"])
-        for name, mean, var, std in eval_metrics.summarize_reports(reports):
-            writer.writerow([name, repr(mean), repr(var), repr(std)])
-    _write_json(
-        out / "metrics.json",
-        {
+    columns = ["n", "me", "signed_me", "rmse", "mape", "mape_skipped", "hr", "hr_plus", "hr_minus"]
+    _write_artifacts(out, config, {
+        "metrics.csv": [["asset"] + columns] + [
+            [asset] + [getattr(reports[asset], c) for c in columns] for asset in sorted(reports)
+        ],
+        "metrics_summary.csv": [["metric", "mean", "variance", "std"]]
+        + eval_metrics.summarize_reports(reports),
+        "metrics.json": {
             "version": 1,
             "per_asset": {a: asdict(reports[a]) for a in sorted(reports)},
             "ks_errors": {a: ks_rows[a] for a in sorted(ks_rows)},
         },
-    )
-    _update_manifest(out, config, ["metrics.csv", "metrics_summary.csv", "metrics.json"])
+    })
     print(f"metrics for {len(reports)} assets")
     return 0
 
@@ -390,34 +415,24 @@ def cmd_tune(config: RunConfig) -> int:
     )
     result = taguchi.analyze_means(runs, array=array)
 
-    _write_json(out / "tune_result.json", {"version": 1, **asdict(result)})
-    with _atomic_open(out / "tune_runs.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row"] + taguchi.DEFAULT_FACTORS.names + ["replicate", "cost"])
-        for run in runs:
-            assignment = taguchi.DEFAULT_FACTORS.assignment(run.levels)
-            for rep, cost in enumerate(run.costs):
-                writer.writerow(
-                    [run.row]
-                    + [assignment[name] for name in taguchi.DEFAULT_FACTORS.names]
-                    + [rep, repr(cost)]
-                )
-    with _atomic_open(out / "tune_response.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "level_1", "level_2", "level_3", "best_level", "tie"])
-        for name in taguchi.DEFAULT_FACTORS.names:
-            writer.writerow(
-                [name]
-                + [repr(v) for v in result.response_table[name]]
-                + [result.best_levels[name], result.ties[name]]
-            )
-    lines = [f"{name} = {value}" for name, value in result.best_levels.items()]
-    with _atomic_open(out / "tuned_ga.cfg") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _update_manifest(
-        out, config,
-        ["tune_result.json", "tune_runs.csv", "tune_response.csv", "tuned_ga.cfg"],
-    )
+    names = taguchi.DEFAULT_FACTORS.names
+    run_rows = [["row"] + names + ["replicate", "cost"]]
+    for run in runs:
+        assignment = taguchi.DEFAULT_FACTORS.assignment(run.levels)
+        run_rows += [
+            [run.row] + [assignment[name] for name in names] + [rep, cost]
+            for rep, cost in enumerate(run.costs)
+        ]
+    _write_artifacts(out, config, {
+        "tune_result.json": {"version": 1, **asdict(result)},
+        "tune_runs.csv": run_rows,
+        "tune_response.csv": [["factor", "level_1", "level_2", "level_3", "best_level", "tie"]]
+        + [
+            [name] + result.response_table[name] + [result.best_levels[name], result.ties[name]]
+            for name in names
+        ],
+        "tuned_ga.cfg": "".join(f"{k} = {v}\n" for k, v in result.best_levels.items()),
+    })
     print("best levels: " + ", ".join(f"{k}={v}" for k, v in result.best_levels.items()))
     return 0
 
@@ -433,15 +448,15 @@ def cmd_optimize(config: RunConfig) -> int:
     ga_config = config.build(GAConfig, seed=config.int_("seed"))
     result = evolve(model, params, config.bounds(), config.int_("k"), ga_config)
 
-    dump = result.to_dict(assets=model.assets)
+    dump = asdict(result)
+    dump["best"]["assets"] = model.assets
     dump.update({"lambda": params.lam, "theta": params.theta, "skew_mode": params.skew_mode})
-    _write_json(out / "portfolio.json", dump)
-    with _atomic_open(out / "ga_trace.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_cost", "mean_cost"])
-        for gen, (best, mean) in enumerate(zip(result.cost_history, result.mean_history)):
-            writer.writerow([gen, repr(best), repr(mean)])
-    _update_manifest(out, config, ["portfolio.json", "ga_trace.csv"])
+    _write_artifacts(out, config, {
+        "portfolio.json": dump,
+        "ga_trace.csv": [["generation", "best_cost", "mean_cost"]]
+        + [[gen, best, mean] for gen, (best, mean)
+           in enumerate(zip(result.cost_history, result.mean_history))],
+    })
     print(
         f"best cost {result.best_cost:.6g} after {result.generations} generations"
         f" ({result.stop_reason})"
@@ -465,34 +480,26 @@ def cmd_frontier(config: RunConfig) -> int:
     )
     curve = frontier.efficient_filter(result.points)
 
-    with _atomic_open(out / "frontier.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["lambda", "theta"] + list(model.assets)
-            + ["mu_p", "sigma_p", "cost", "stop_reason", "seed"]
-        )
-        for point in result.points:
-            writer.writerow(
-                [repr(point.lam), repr(point.theta)]
-                + [repr(float(w)) for w in point.portfolio.weights]
-                + [repr(point.mu_p), repr(point.sigma_p), repr(point.cost),
-                   point.stop_reason, "-".join(str(s) for s in point.seed)]
-            )
-    with _atomic_open(out / "frontier_curve.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_p", "mu_p"])
-        for point in curve:
-            writer.writerow([repr(point.sigma_p), repr(point.mu_p)])
-    _write_json(
-        out / "frontier.json",
-        {
+    point_dumps = [asdict(point) for point in result.points]
+    for dump in point_dumps:
+        dump["lambda"] = dump.pop("lam")
+        dump["portfolio"]["assets"] = model.assets
+    _write_artifacts(out, config, {
+        "frontier.csv": [
+            ["lambda", "theta"] + model.assets + ["mu_p", "sigma_p", "cost", "stop_reason", "seed"]
+        ] + [
+            [p.lam, p.theta] + p.portfolio.weights.tolist()
+            + [p.mu_p, p.sigma_p, p.cost, p.stop_reason, "-".join(str(s) for s in p.seed)]
+            for p in result.points
+        ],
+        "frontier_curve.csv": [["sigma_p", "mu_p"]] + [[p.sigma_p, p.mu_p] for p in curve],
+        "frontier.json": {
             "version": 1,
-            "points": [p.to_dict(model.assets) for p in result.points],
+            "points": point_dumps,
             "failures": result.failures,
             "ga_config": asdict(ga_config),
         },
-    )
-    _update_manifest(out, config, ["frontier.csv", "frontier_curve.csv", "frontier.json"])
+    })
     print(f"{len(result.points)} frontier points, {len(result.failures)} failures")
     if result.failures:
         for failure in result.failures:

@@ -39,18 +39,6 @@ class FrontierPoint:
     def sigma_p(self) -> float:
         return self.portfolio.sigma_p
 
-    def to_dict(self, assets: list[str] | None = None) -> dict:
-        return {
-            "lambda": self.lam,
-            "theta": self.theta,
-            "portfolio": self.portfolio.to_dict(assets),
-            "cost": float(self.cost),
-            "seed": list(self.seed),
-            "stop_reason": self.stop_reason,
-            "generations": self.generations,
-            "spread": float(self.spread),
-        }
-
 
 @dataclass
 class SweepResult:

@@ -9,7 +9,7 @@ on a stalled best cost, a wall-clock limit, or the generation cap.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class GAResult:
     stop_reason: str
     evaluations: int
     config: GAConfig
-
-    def to_dict(self, assets: list[str] | None = None) -> dict:
-        return {
-            "best": self.best.to_dict(assets),
-            "best_cost": float(self.best_cost),
-            "generations": self.generations,
-            "cost_history": [float(c) for c in self.cost_history],
-            "mean_history": [float(c) for c in self.mean_history],
-            "stop_reason": self.stop_reason,
-            "evaluations": self.evaluations,
-            "config": asdict(self.config),
-        }
 
 
 @dataclass

@@ -95,17 +95,6 @@ class Portfolio:
     mu_p: float
     sigma_p: float
 
-    def to_dict(self, assets: list[str] | None = None) -> dict:
-        data = {
-            "selection": [int(i) for i in self.selection],
-            "weights": [float(w) for w in self.weights],
-            "mu_p": float(self.mu_p),
-            "sigma_p": float(self.sigma_p),
-        }
-        if assets is not None:
-            data["assets"] = list(assets)
-        return data
-
 
 def decode_weights(raw, epsilon, delta) -> np.ndarray:
     """Decode raw allocation numbers into bounded weights summing to one.
@@ -190,8 +179,8 @@ def mvs_cost(
 
     ``lam * risk - (1 - lam) * return - theta * skew_term``, where the
     skew term is weight-weighted by default; literal mode sums the raw
-    skewness over the selected subset (and needs ``selection``, inferred
-    from nonzero weights when omitted).
+    skewness over ``selection``, which it requires (a selected asset can
+    decode to weight zero, so the weights do not determine it).
     """
     w = np.asarray(weights, dtype=float)
     risk = portfolio_risk(w, model.sigma)
@@ -200,7 +189,7 @@ def mvs_cost(
         skew_term = float(w @ model.skew)
     else:
         if selection is None:
-            selection = np.nonzero(w)[0]
+            raise ConfigError("literal skew mode needs the selection")
         skew_term = float(model.skew[np.asarray(selection, dtype=int)].sum())
     return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
 

@@ -158,14 +158,6 @@ class PredictionRecord:
     def __len__(self) -> int:
         return len(self.real)
 
-    def to_dict(self) -> dict:
-        return {
-            "asset": self.asset,
-            "real": [float(v) for v in self.real],
-            "predicted": [float(v) for v in self.predicted],
-            "split_labels": [str(v) for v in self.split_labels],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "PredictionRecord":
         return cls(

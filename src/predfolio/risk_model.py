@@ -9,7 +9,7 @@ historical return series.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,16 +56,8 @@ class RiskModel:
             raise EstimationError("sigma is not positive semidefinite within tolerance")
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "assets": list(self.assets),
-            "mu": [float(v) for v in self.mu],
-            "sigma": [float(v) for v in self.sigma.ravel()],
-            "skew": [float(v) for v in self.skew],
-            "estimation_window": int(self.estimation_window),
-            "diagonal_shift": float(self.diagonal_shift),
-            "degenerate_skew_assets": list(self.degenerate_skew_assets),
-        }
+        """Dump with sigma row-major; ``cli._write_json`` encodes its numpy values."""
+        return {"version": 1, **asdict(self), "sigma": self.sigma.ravel()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RiskModel":

@@ -173,6 +173,8 @@ def test_stage_order_enforced(pipeline, capsys):
         ("metrics", "predictions.json", '{"version": 1}'),
         ("optimize", "risk_model.json", '{"version": 1, "assets": ["A"]}'),
         ("predict", "returns.csv", "date,AST0\n2024-01-08,0.0x\n"),
+        ("predict", "returns.csv", "date,AST0\n"),
+        ("predict", "returns.csv", "date,AST0,AST1\n2024-01-08,0.01\n"),
         ("report", "portfolio.json", "{"),
     ],
 )
@@ -188,6 +190,26 @@ def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, 
     assert artifact in err
     assert "re-run the `" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", ["extra asset", "re-ingested"])
+def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, change):
+    config, out = pipeline
+    for stage in ("ingest", "predict"):
+        assert main([stage, "--config", config]) == 0
+    if change == "extra asset":
+        lines = (out / "returns.csv").read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",EXTRA"] + [line + ",0.0" for line in lines[1:]]
+        (out / "returns.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        make_demo_prices(tmp_path, n_weeks=50)
+        assert main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["risk", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: predictions.json does not match returns.csv (")
+    assert err.rstrip().endswith("re-run the `predict` stage")
+    assert not (out / "risk_model.json").exists()
 
 
 def test_malformed_manifest_is_a_clean_error(pipeline, capsys):
@@ -258,6 +280,8 @@ def test_full_pipeline_and_artifacts(pipeline, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     hashes = {entry["config_hash"] for entry in manifest.values()}
     assert len(hashes) == 1  # one config drove every artifact
+    written = {path.name for path in out.iterdir()} - {"manifest.json", "report.json"}
+    assert set(manifest) == written
 
     report = json.loads((out / "report.json").read_text())
     assert report["universe"] == {"assets": 5, "weeks": 59}

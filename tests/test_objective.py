@@ -177,6 +177,19 @@ def test_mvs_cost_literal_mode_ignores_weights_within_subset():
     assert a - b == pytest.approx(-(0.015 - 0.011), abs=1e-12)
 
 
+def test_mvs_cost_literal_mode_requires_selection(rng):
+    model = random_risk_model(rng, 3)
+    params = ObjectiveParams(lam=0.0, theta=1.0, skew_mode="literal")
+    # a selected asset can decode to weight zero, so the weights do not
+    # tell which assets were selected
+    weights = decode_weights([0.0, 1.0, 1.0], np.zeros(3), np.ones(3))
+    assert weights[0] == 0.0
+    with pytest.raises(ConfigError):
+        mvs_cost(weights, model, params)
+    cost = mvs_cost(weights, model, params, selection=[0, 1, 2])
+    assert cost == pytest.approx(-weights @ model.mu - model.skew.sum(), abs=1e-12)
+
+
 def test_mvs_cost_term_collapse_exact(rng):
     for _ in range(1000):
         m = int(rng.integers(2, 6))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ def test_error_variance_round_trips_through_stored_record(rng):
     errors = rng.normal(size=180)
     errors *= np.sqrt(0.002834 / error_sigma(errors)[0, 0])
     stored = record_with_errors("Bank", errors)
-    replayed = PredictionRecord.from_dict(stored.to_dict())
+    replayed = PredictionRecord.from_dict(asdict(stored))
     model = build_risk_model([replayed], {"Bank": np.arange(3.0)})
     assert model.sigma[0, 0] == pytest.approx(0.002834, rel=1e-12)
 
