@@ -332,17 +332,20 @@ def _decode_records(path: Path) -> dict[str, PredictionRecord]:
     }
 
 
-def _check_records_match(records: dict, assets: list[str], matrix: np.ndarray) -> None:
-    """Refuse predictions made from other returns: both files must hold the
-    same assets, and each record's ``real`` must be the tail of its asset's
-    column (both store ``repr`` floats, so the comparison is exact)."""
+def _check_records_match(records: dict, assets: list[str], matrix: np.ndarray, delay: int) -> None:
+    """Refuse predictions made from other returns or under another ``delay``:
+    both files must hold the same assets, and each record's ``real`` must be
+    its asset's column after the first ``delay`` returns (both store
+    ``repr`` floats, so the comparison is exact)."""
     differ = sorted(set(records) ^ set(assets))
     if not differ:
-        tails = {a: matrix[len(matrix) - len(records[a].real):, j] for j, a in enumerate(assets)}
-        differ = [a for a in assets if not np.array_equal(records[a].real, tails[a])]
+        differ = [
+            a for j, a in enumerate(assets)
+            if not np.array_equal(records[a].real, matrix[delay:, j])
+        ]
     if differ:
         raise ConfigError(
-            f"predictions.json does not match returns.csv (assets {differ});"
+            f"predictions.json does not match returns.csv (assets {differ}, delay {delay});"
             " re-run the `predict` stage"
         )
 
@@ -351,7 +354,7 @@ def cmd_risk(config: RunConfig) -> int:
     out = config.out_dir()
     assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
     records = _load_stage(out, "predict", _decode_records)
-    _check_records_match(records, assets, matrix)
+    _check_records_match(records, assets, matrix, config.int_("delay"))
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
     model = risk_model.build_risk_model(

@@ -1,9 +1,11 @@
 """Genetic algorithm over asset subsets and raw allocation numbers.
 
-Steady-state loop: rank-based roulette (or uniform/tournament) parent
-selection, positional crossover with subset-aware reconciliation, adaptive
-step mutation in allocation space, and replace-the-worst insertion. Stops
-on a stalled best cost, a wall-clock limit, or the generation cap.
+Steady-state loop over a population held as ``(P, K)`` arrays: rank-based
+roulette (or uniform/tournament) parent selection, positional crossover
+with subset-aware repair, adaptive step mutation in allocation space, all
+applied to a whole generation of children at once, then replace-the-worst
+insertion. Stops on a stalled best cost, a wall-clock limit, or the
+generation cap. The single-chromosome operators are batches of one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleBoundsError
-from .objective import Bounds, ObjectiveParams, Portfolio, build_portfolio, penalized_cost
+from .objective import (
+    Bounds,
+    ObjectiveParams,
+    Portfolio,
+    build_portfolio,
+    penalized_cost,
+    penalized_costs,
+)
 from .risk_model import RiskModel
 
 SELECTION_KINDS = ("roulette", "uniform", "tournament")
@@ -102,17 +111,27 @@ def init_population(
     n_assets: int, k: int, size: int, rng: np.random.Generator
 ) -> list[Chromosome]:
     """Uniform subsets without replacement and uniform raw allocations."""
+    selection, raw = init_rows(n_assets, k, size, rng)
+    return [Chromosome(sel, r) for sel, r in zip(selection, raw)]
+
+
+def init_rows(
+    n_assets: int, k: int, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(size, K)`` selections and raws: each row's assets are the first K
+    of a uniform random permutation of the universe."""
     if k > n_assets:
         raise ConfigError(f"cannot select {k} assets from a universe of {n_assets}")
     if k < 1:
         raise ConfigError(f"subset size must be >= 1, got {k}")
-    return [
-        Chromosome(
-            selection=rng.choice(n_assets, size=k, replace=False),
-            raw=rng.random(k),
-        )
-        for _ in range(size)
-    ]
+    selection = np.argsort(rng.random((size, n_assets)), axis=1)[:, :k]
+    return selection, rng.random((size, k))
+
+
+def _costs_of(population: list[Chromosome]) -> np.ndarray:
+    if not population:
+        raise ConfigError("cannot select from an empty population")
+    return np.array([c.cost for c in population], dtype=float)
 
 
 def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
@@ -124,10 +143,7 @@ def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarray:
-    if not population:
-        raise ConfigError("cannot select from an empty population")
-    costs = np.array([c.cost for c in population], dtype=float)
+def _probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
     if not np.isfinite(costs).all():
         raise ConfigError("selection requires finite fitness for every chromosome")
     if kind == "roulette":
@@ -137,39 +153,62 @@ def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarr
     raise ConfigError(f"no selection probabilities for kind {kind!r}")
 
 
+def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarray:
+    return _probabilities(_costs_of(population), kind)
+
+
 def tournament_select(
     population: list[Chromosome], rng: np.random.Generator, size: int = 2
 ) -> Chromosome:
-    if not population:
-        raise ConfigError("cannot select from an empty population")
-    size = min(size, len(population))
-    contenders = rng.choice(len(population), size=size, replace=False)
-    best = min(contenders, key=lambda i: population[int(i)].cost)
-    return population[int(best)]
+    """One tournament winner: a batch of one through :func:`select_rows`."""
+    costs = _costs_of(population)
+    return population[int(select_rows(costs, "tournament", 1, rng, size)[0])]
 
 
-def _cut_mask(k: int, kind: str, rng: np.random.Generator, cuts=None) -> np.ndarray:
-    """Slot mask, True where the gene comes from parent A."""
+def select_rows(
+    costs: np.ndarray, kind: str, n: int, rng: np.random.Generator,
+    tournament_size: int = 2,
+) -> np.ndarray:
+    """Indices of ``n`` parents drawn independently from a population.
+
+    Roulette and uniform invert the CDF of their selection probabilities.
+    A tournament draws ``tournament_size`` distinct contenders (the
+    smallest of random keys over the population) and keeps the cheapest.
+    """
+    if kind == "tournament":
+        size = min(tournament_size, len(costs))
+        keys = rng.random((n, len(costs)))
+        contenders = np.argpartition(keys, size - 1, axis=1)[:, :size]
+        cheapest = np.argmin(costs[contenders], axis=1)
+        return contenders[np.arange(n), cheapest]
+    cdf = np.cumsum(_probabilities(costs, kind))
+    return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(costs) - 1)
+
+
+def _take_a(c: int, k: int, kind: str, rng: np.random.Generator, cuts=None) -> np.ndarray:
+    """``(C, K)`` slot masks (or one ``(1, K)`` mask for pinned ``cuts``),
+    True where the gene comes from parent A."""
+    slots = np.arange(k)
     if kind == "two-point":
         if cuts is None:
-            m = int(rng.integers(0, k))
-            n = int(rng.integers(m + 1, k + 1))
+            first = rng.integers(0, k, size=c)
+            second = rng.integers(first + 1, k + 1)
         else:
-            m, n = cuts
-            if not 0 <= m < n <= k:
-                raise ConfigError(f"invalid cut points ({m}, {n}) for {k} genes")
-        slots = np.arange(k)
-        return (slots < m) | (slots >= n)
+            first, second = cuts
+            if not 0 <= first < second <= k:
+                raise ConfigError(f"invalid cut points ({first}, {second}) for {k} genes")
+        first, second = np.reshape(first, (-1, 1)), np.reshape(second, (-1, 1))
+        return (slots < first) | (slots >= second)
     if kind == "single-point":
         if cuts is None:
-            c = int(rng.integers(1, k)) if k > 1 else int(rng.integers(0, 2))
+            cut = rng.integers(1, k, size=c) if k > 1 else rng.integers(0, 2, size=c)
         else:
-            (c,) = cuts
-            if not 0 <= c <= k:
-                raise ConfigError(f"invalid cut point {c} for {k} genes")
-        return np.arange(k) < c
+            (cut,) = cuts
+            if not 0 <= cut <= k:
+                raise ConfigError(f"invalid cut point {cut} for {k} genes")
+        return slots < np.reshape(cut, (-1, 1))
     if kind == "scattered":
-        return rng.random(k) < 0.5
+        return rng.random((c, k)) < 0.5
     raise ConfigError(f"unknown crossover kind {kind!r}")
 
 
@@ -180,55 +219,62 @@ def crossover(
     kind: str = "single-point",
     cuts=None,
 ) -> Chromosome:
-    """Produce one child by positional gene mixing plus subset repair.
+    """One child of two parents: a batch of one through
+    :func:`crossover_rows`. ``cuts`` pins the cut points (test hook)."""
+    if len(parent_a.selection) != len(parent_b.selection):
+        raise ConfigError("parents carry subsets of different sizes")
+    selection, raw = crossover_rows(
+        parent_a.selection[None], parent_a.raw[None],
+        parent_b.selection[None], parent_b.raw[None], rng, kind, cuts,
+    )
+    return Chromosome(selection[0], raw[0])
+
+
+def crossover_rows(
+    sel_a: np.ndarray,
+    raw_a: np.ndarray,
+    sel_b: np.ndarray,
+    raw_b: np.ndarray,
+    rng: np.random.Generator,
+    kind: str = "single-point",
+    cuts=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows.
 
     Slots up to the cut(s) come from one parent and the rest from the
-    other; duplicates collapse, assets selected by both parents get their
-    raw value from either parent with equal probability, and the subset is
-    topped up to exactly K with uniform draws from the parents' union.
-    ``cuts`` pins the cut points (test hook).
+    other. A slot whose asset already sits in an earlier slot is refilled
+    with an asset of the parents' union that the child lacks, drawn
+    uniformly without replacement by random keys; the union is always
+    large enough, since each parent alone holds K distinct assets. Assets
+    held by both parents take their raw value from either parent with
+    equal probability, the others from the parent that holds them.
     """
-    k = len(parent_a.selection)
-    if len(parent_b.selection) != k:
-        raise ConfigError("parents carry subsets of different sizes")
-    take_a = _cut_mask(k, kind, rng, cuts)
+    c, k = sel_a.shape
+    genes = np.where(_take_a(c, k, kind, rng, cuts), sel_a, sel_b)
+    earlier = np.triu(np.ones((k, k), dtype=bool), 1)   # slot i precedes slot j
+    repeat = ((genes[:, :, None] == genes[:, None, :]) & earlier).any(axis=1)
 
-    raw_of_a = dict(zip(parent_a.selection.tolist(), parent_a.raw.tolist()))
-    raw_of_b = dict(zip(parent_b.selection.tolist(), parent_b.raw.tolist()))
-    shared = set(raw_of_a) & set(raw_of_b)
-
-    def raw_for(asset: int, fallback: float) -> float:
-        if asset in shared:
-            return raw_of_a[asset] if rng.random() < 0.5 else raw_of_b[asset]
-        return fallback
-
-    child_sel: list[int] = []
-    child_raw: list[float] = []
-    seen: set[int] = set()
-    for j in range(k):
-        parent = parent_a if take_a[j] else parent_b
-        asset = int(parent.selection[j])
-        if asset in seen:
-            continue
-        seen.add(asset)
-        child_sel.append(asset)
-        child_raw.append(raw_for(asset, float(parent.raw[j])))
-
-    if len(child_sel) < k:
-        # Duplicates collapsed; refill from the parents' union (always large
-        # enough, since each parent alone carries K distinct assets).
-        pool = sorted((set(raw_of_a) | set(raw_of_b)) - seen)
-        chosen = rng.choice(len(pool), size=k - len(child_sel), replace=False)
-        for idx in np.sort(chosen):
-            asset = pool[int(idx)]
-            fallback = raw_of_a.get(asset, raw_of_b.get(asset))
-            child_sel.append(asset)
-            child_raw.append(raw_for(asset, float(fallback)))
-
-    return Chromosome(
-        selection=np.array(child_sel, dtype=int),
-        raw=np.array(child_raw, dtype=float),
+    union = np.concatenate([sel_a, sel_b], axis=1)
+    # Each union asset is a candidate once: B's copies of A's assets are not.
+    twice = np.concatenate(
+        [np.zeros((c, k), dtype=bool), (sel_b[:, :, None] == sel_a[:, None, :]).any(axis=2)],
+        axis=1,
     )
+    held = (union[:, :, None] == genes[:, None, :]).any(axis=2)
+    order = np.argsort(np.where(twice | held, 2.0, rng.random(union.shape)), axis=1)
+    # The j-th repeated slot of a row takes the candidate with its j-th smallest key.
+    nth = np.maximum(np.cumsum(repeat, axis=1) - 1, 0)
+    refill = np.take_along_axis(union, np.take_along_axis(order, nth, axis=1), axis=1)
+    genes = np.where(repeat, refill, genes)
+
+    match_a = genes[:, :, None] == sel_a[:, None, :]
+    match_b = genes[:, :, None] == sel_b[:, None, :]
+    from_a = np.take_along_axis(raw_a, match_a.argmax(axis=2), axis=1)
+    from_b = np.take_along_axis(raw_b, match_b.argmax(axis=2), axis=1)
+    in_a, in_b = match_a.any(axis=2), match_b.any(axis=2)
+    coin = rng.random((c, k)) < 0.5
+    take_raw_a = np.where(in_a & in_b, coin, in_a)
+    return genes, np.where(take_raw_a, from_a, from_b)
 
 
 def mutate(
@@ -238,30 +284,39 @@ def mutate(
     n_assets: int,
     swap_rate: float = 0.1,
 ) -> Chromosome:
-    """Step along a random direction in allocation space, clamp to [0, 1],
-    and occasionally swap one selected asset for a non-member."""
-    k = len(chromosome.raw)
-    direction = rng.standard_normal(k)
-    norm = float(np.linalg.norm(direction))
-    if norm > 0.0:
-        direction /= norm
-    raw = np.clip(chromosome.raw + step_length * direction, 0.0, 1.0)
-
-    selection = chromosome.selection.copy()
-    if n_assets > k and rng.random() < swap_rate:
-        position = int(rng.integers(k))
-        outside = np.setdiff1d(np.arange(n_assets), selection)
-        selection[position] = int(outside[int(rng.integers(len(outside)))])
-    return Chromosome(selection=selection, raw=raw)
+    """A mutated copy: a batch of one through :func:`mutate_rows`."""
+    selection, raw = mutate_rows(
+        chromosome.selection[None], chromosome.raw[None], step_length, rng, n_assets, swap_rate
+    )
+    return Chromosome(selection[0], raw[0])
 
 
-def _pick_parent(
-    population: list[Chromosome], config: GAConfig, rng: np.random.Generator,
-    probs: np.ndarray | None,
-) -> Chromosome:
-    if config.selection_kind == "tournament":
-        return tournament_select(population, rng, config.tournament_size)
-    return population[int(rng.choice(len(population), p=probs))]
+def mutate_rows(
+    selection: np.ndarray,
+    raw: np.ndarray,
+    step_length: float,
+    rng: np.random.Generator,
+    n_assets: int,
+    swap_rate: float = 0.1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step each row along a random unit direction in allocation space and
+    clamp to [0, 1]; in a ``swap_rate`` share of rows, swap one selected
+    asset for a uniformly drawn non-member."""
+    c, k = raw.shape
+    direction = rng.standard_normal((c, k))
+    norm = np.linalg.norm(direction, axis=1, keepdims=True)
+    raw = np.clip(raw + step_length * (direction / np.where(norm > 0.0, norm, 1.0)), 0.0, 1.0)
+
+    selection = selection.copy()
+    if n_assets > k:
+        rows = np.flatnonzero(rng.random(c) < swap_rate)
+        position = rng.integers(k, size=len(rows))
+        nth = rng.integers(n_assets - k, size=len(rows))
+        outside = np.ones((len(rows), n_assets), dtype=bool)
+        outside[np.arange(len(rows))[:, None], selection[rows]] = False
+        # the nth non-member in index order
+        selection[rows, position] = np.argmax(np.cumsum(outside, axis=1) > nth[:, None], axis=1)
+    return selection, raw
 
 
 def evolve(
@@ -273,11 +328,15 @@ def evolve(
 ) -> GAResult:
     """Run the steady-state GA and return the best decoded portfolio.
 
-    Per generation, ``crossover_fraction * population_size`` children are
-    produced (select, cross, mutate, evaluate, in creation order) and each
-    replaces the current worst member when strictly cheaper. The best cost
-    therefore never increases. Deterministic for a fixed seed, except that
-    a wall-clock stop can land on different generations across machines.
+    The population is held as ``(P, K)`` selection and raw arrays with a
+    ``(P,)`` cost vector. Each generation draws ``2C`` parents at once,
+    with ``C = round(crossover_fraction * population_size)``, then builds,
+    mutates and scores all ``C`` children as arrays against the
+    generation-start population. The children are then inserted in
+    creation order, each replacing the current worst member when strictly
+    cheaper, so the best cost never increases. Deterministic for a fixed
+    seed, except that a wall-clock stop can land on different generations
+    across machines.
     """
     config.validate()
     m = model.n_assets
@@ -291,19 +350,16 @@ def evolve(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     start = time.monotonic()
 
-    population = init_population(m, k, config.population_size, rng)
-    evaluations = 0
-    for chromosome in population:
-        chromosome.cost, _ = penalized_cost(
-            chromosome.selection, chromosome.raw, model, params, bounds,
-            config.penalty_factor,
-        )
-        evaluations += 1
+    def score(selection, raw):
+        return penalized_costs(selection, raw, model, params, bounds, config.penalty_factor)[0]
 
-    costs = np.array([c.cost for c in population])
-    best_cost = float(costs.min())
-    best = population[int(costs.argmin())]
-    best_snapshot = Chromosome(best.selection.copy(), best.raw.copy(), best.cost)
+    selection, raw = init_rows(m, k, config.population_size, rng)
+    costs = score(selection, raw)
+    evaluations = len(costs)
+
+    idx = int(costs.argmin())
+    best_cost = float(costs[idx])
+    best_selection, best_raw = selection[idx].copy(), raw[idx].copy()
     cost_history = [best_cost]
     mean_history = [float(costs.mean())]
 
@@ -318,38 +374,29 @@ def evolve(
             generation -= 1
             break
 
-        probs = None
-        if config.selection_kind in ("roulette", "uniform"):
-            probs = selection_probabilities(population, config.selection_kind)
+        parents = select_rows(
+            costs, config.selection_kind, 2 * n_children, rng, config.tournament_size
+        )
+        a, b = parents[:n_children], parents[n_children:]
+        child_sel, child_raw = crossover_rows(
+            selection[a], raw[a], selection[b], raw[b], rng, config.crossover_kind
+        )
+        child_sel, child_raw = mutate_rows(
+            child_sel, child_raw, step.length, rng, m, config.mutation_swap_rate
+        )
+        child_costs = score(child_sel, child_raw)
+        evaluations += len(child_costs)
 
-        # Children are built against the generation-start population and
-        # inserted afterwards in creation order, so evaluation could run in
-        # parallel without changing the outcome.
-        children: list[Chromosome] = []
-        for _ in range(n_children):
-            parent_a = _pick_parent(population, config, rng, probs)
-            parent_b = _pick_parent(population, config, rng, probs)
-            child = crossover(parent_a, parent_b, rng, config.crossover_kind)
-            child = mutate(child, step.length, rng, m, config.mutation_swap_rate)
-            child.cost, _ = penalized_cost(
-                child.selection, child.raw, model, params, bounds,
-                config.penalty_factor,
-            )
-            evaluations += 1
-            children.append(child)
-
-        for child in children:
+        for i, cost in enumerate(child_costs.tolist()):
             worst = int(costs.argmax())
-            if child.cost < costs[worst]:
-                population[worst] = child
-                costs[worst] = child.cost
+            if cost < costs[worst]:
+                selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
 
         previous_best = best_cost
         idx = int(costs.argmin())
         if costs[idx] < best_cost:
             best_cost = float(costs[idx])
-            winner = population[idx]
-            best_snapshot = Chromosome(winner.selection.copy(), winner.raw.copy(), winner.cost)
+            best_selection, best_raw = selection[idx].copy(), raw[idx].copy()
         cost_history.append(best_cost)
         mean_history.append(float(costs.mean()))
         step.update(best_cost < previous_best)
@@ -362,10 +409,9 @@ def evolve(
                 break
 
     _, weights = penalized_cost(
-        best_snapshot.selection, best_snapshot.raw, model, params, bounds,
-        config.penalty_factor,
+        best_selection, best_raw, model, params, bounds, config.penalty_factor,
     )
-    portfolio = build_portfolio(best_snapshot.selection, weights, model)
+    portfolio = build_portfolio(best_selection, weights, model)
     return GAResult(
         best=portfolio,
         best_cost=best_cost,

@@ -21,6 +21,15 @@ SKEW_LITERAL = "literal"
 _FEAS_TOL = 1e-9
 
 
+def _limits_for(limit, selection: np.ndarray, n_assets: int, side: str) -> np.ndarray:
+    limit = np.asarray(limit, dtype=float)
+    if limit.ndim == 0:
+        return np.full(selection.shape, float(limit))
+    if len(limit) != n_assets:
+        raise DimensionError(f"{side}-limit vector has {len(limit)} entries for {n_assets} assets")
+    return limit[selection]
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Per-asset weight limits; scalars broadcast over the universe."""
@@ -42,23 +51,12 @@ class Bounds:
             raise ConfigError("every lower limit must be below its upper limit")
 
     def for_selection(self, selection, n_assets: int) -> tuple[np.ndarray, np.ndarray]:
-        """Slice the limits down to the selected asset indices."""
+        """Slice the limits down to the selected asset indices (any shape)."""
         selection = np.asarray(selection, dtype=int)
-        eps = np.asarray(self.epsilon, dtype=float)
-        dlt = np.asarray(self.delta, dtype=float)
-        if eps.ndim == 0:
-            eps_q = np.full(len(selection), float(eps))
-        else:
-            if len(eps) != n_assets:
-                raise DimensionError(f"lower-limit vector has {len(eps)} entries for {n_assets} assets")
-            eps_q = eps[selection]
-        if dlt.ndim == 0:
-            dlt_q = np.full(len(selection), float(dlt))
-        else:
-            if len(dlt) != n_assets:
-                raise DimensionError(f"upper-limit vector has {len(dlt)} entries for {n_assets} assets")
-            dlt_q = dlt[selection]
-        return eps_q, dlt_q
+        return (
+            _limits_for(self.epsilon, selection, n_assets, "lower"),
+            _limits_for(self.delta, selection, n_assets, "upper"),
+        )
 
     def feasible_subset_exists(self, k: int, n_assets: int) -> bool:
         """True when at least one K-subset admits a valid allocation."""
@@ -105,16 +103,13 @@ def decode_weights(raw, epsilon, delta) -> np.ndarray:
     are then clipped to ``delta`` and the excess is redistributed among
     unclipped assets proportionally to raw (uniformly when those raws are
     all zero); each pass permanently clips at least one asset, so at most
-    K passes run.
+    K passes run. A batch of one through :func:`decode_rows`.
     """
-    s = np.asarray(raw, dtype=float).copy()
     eps = np.asarray(epsilon, dtype=float)
     dlt = np.asarray(delta, dtype=float)
-    k = len(s)
-    if eps.shape != (k,) or dlt.shape != (k,):
+    if eps.ndim != 1 or dlt.shape != eps.shape:
         raise DimensionError("raw vector and bound vectors must share one length")
-    if np.any(s < 0):
-        raise ValueError("raw allocation numbers must be nonnegative")
+    s = _check_raw(raw, len(eps))
 
     floor_total = float(eps.sum())
     cap_total = float(dlt.sum())
@@ -126,29 +121,44 @@ def decode_weights(raw, epsilon, delta) -> np.ndarray:
         raise InfeasibleBoundsError(
             f"upper limits over the selection sum to {cap_total:.6f} < 1"
         )
+    return decode_rows(s[None], eps[None], dlt[None])[0]
 
-    if s.sum() <= 0.0:
-        s = np.ones(k)
-    weights = eps + (s / s.sum()) * (1.0 - floor_total)
 
-    clipped = np.zeros(k, dtype=bool)
-    for _ in range(k):
+def decode_rows(raw: np.ndarray, eps: np.ndarray, dlt: np.ndarray) -> np.ndarray:
+    """:func:`decode_weights` of each row of ``(R, K)`` arrays.
+
+    The caller guarantees feasible rows: floors summing to at most one and
+    caps to at least one, within 1e-9.
+    """
+    s = np.where((raw.sum(axis=1) <= 0.0)[:, None], 1.0, raw)
+    weights = eps + s / s.sum(axis=1, keepdims=True) * (1.0 - eps.sum(axis=1, keepdims=True))
+
+    clipped = np.zeros(s.shape, dtype=bool)
+    for _ in range(s.shape[1]):
         over = (weights > dlt) & ~clipped
         if not over.any():
             break
-        excess = float((weights[over] - dlt[over]).sum())
-        weights[over] = dlt[over]
+        excess = np.where(over, weights - dlt, 0.0).sum(axis=1, keepdims=True)
+        weights = np.where(over, dlt, weights)
         clipped |= over
         free = ~clipped
-        if not free.any():
-            break
-        share = s[free]
-        total = share.sum()
-        if total > 0.0:
-            weights[free] += excess * share / total
-        else:
-            weights[free] += excess / free.sum()
+        share = np.where(free, s, 0.0)
+        total = share.sum(axis=1, keepdims=True)
+        # Rows whose free assets all have raw zero share the excess evenly;
+        # rows with nothing left free (or no excess) gain exactly zero.
+        share = np.where(total > 0.0, share, free)
+        total = np.where(total > 0.0, total, np.maximum(free.sum(axis=1, keepdims=True), 1))
+        weights = weights + excess * share / total
     return weights
+
+
+def _check_raw(raw, k: int) -> np.ndarray:
+    s = np.asarray(raw, dtype=float)
+    if s.shape != (k,):
+        raise DimensionError(f"raw vector of shape {s.shape} for {k} assets")
+    if np.any(s < 0):
+        raise ValueError("raw allocation numbers must be nonnegative")
+    return s
 
 
 def portfolio_return(weights, mu) -> float:
@@ -191,6 +201,10 @@ def mvs_cost(
         if selection is None:
             raise ConfigError("literal skew mode needs the selection")
         skew_term = float(model.skew[np.asarray(selection, dtype=int)].sum())
+    return _blend(params, risk, ret, skew_term)
+
+
+def _blend(params: ObjectiveParams, risk, ret, skew_term):
     return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
 
 
@@ -202,36 +216,56 @@ def penalized_cost(
     bounds: Bounds,
     penalty_factor: float = 10.0,
 ) -> tuple[float, np.ndarray]:
-    """Fitness of an arbitrary chromosome; always finite for finite input.
+    """Fitness of one chromosome: a batch of one through
+    :func:`penalized_costs`. Returns ``(cost, full_universe_weights)``."""
+    selection = np.asarray(selection, dtype=int)
+    raw = _check_raw(raw, len(selection))
+    costs, weights = penalized_costs(
+        selection[None], raw[None], model, params, bounds, penalty_factor
+    )
+    full = np.zeros(model.n_assets)
+    full[selection] = weights[0]
+    return float(costs[0]), full
+
+
+def penalized_costs(
+    selection: np.ndarray,
+    raw: np.ndarray,
+    model: RiskModel,
+    params: ObjectiveParams,
+    bounds: Bounds,
+    penalty_factor: float = 10.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitness of each row of ``(R, K)`` chromosomes; finite for finite input.
 
     Feasible selections decode normally and pay no penalty. When the
-    bounds over the selection are infeasible (floors sum above one or caps
+    bounds over a selection are infeasible (floors sum above one or caps
     below one) the offending limits are scaled to the nearest sums-to-one
-    feasible set, the chromosome is decoded against those, and
-    ``penalty_factor * violation magnitude`` is added to the cost.
+    feasible set, the row is decoded against those, and
+    ``penalty_factor * violation magnitude`` is added to its cost. The
+    cost terms come from the sub-sigma gathered over each selection.
 
-    Returns ``(cost, full_universe_weights)``.
+    Returns ``(costs, weights)``: ``(R,)`` costs and the ``(R, K)`` weights
+    of each row's selected assets.
     """
-    selection = np.asarray(selection, dtype=int)
-    eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
-    penalty = 0.0
-    try:
-        weights_q = decode_weights(raw, eps_q, dlt_q)
-    except InfeasibleBoundsError:
-        floor_total = float(eps_q.sum())
-        cap_total = float(dlt_q.sum())
-        violation = max(0.0, floor_total - 1.0) + max(0.0, 1.0 - cap_total)
-        if floor_total > 1.0:
-            eps_q = eps_q / floor_total
-        if cap_total < 1.0:
-            dlt_q = dlt_q / cap_total
-        weights_q = decode_weights(raw, eps_q, dlt_q)
-        penalty = penalty_factor * violation
+    eps, dlt = bounds.for_selection(selection, model.n_assets)
+    floor_total = eps.sum(axis=1, keepdims=True)
+    cap_total = dlt.sum(axis=1, keepdims=True)
+    infeasible = (floor_total > 1.0 + _FEAS_TOL) | (cap_total < 1.0 - _FEAS_TOL)
+    eps = eps / np.where(infeasible & (floor_total > 1.0), floor_total, 1.0)
+    dlt = dlt / np.where(infeasible & (cap_total < 1.0), cap_total, 1.0)
+    violation = np.maximum(floor_total - 1.0, 0.0) + np.maximum(1.0 - cap_total, 0.0)
+    penalty = np.where(infeasible, penalty_factor * violation, 0.0)[:, 0]
 
-    full = np.zeros(model.n_assets)
-    full[selection] = weights_q
-    cost = mvs_cost(full, model, params, selection=selection) + penalty
-    return cost, full
+    weights = decode_rows(raw, eps, dlt)
+    sub_sigma = model.sigma[selection[:, :, None], selection[:, None, :]]
+    risk = np.einsum("rk,rkl,rl->r", weights, sub_sigma, weights)
+    ret = np.einsum("rk,rk->r", weights, model.mu[selection])
+    if params.skew_mode == SKEW_WEIGHTED:
+        skew_term = np.einsum("rk,rk->r", weights, model.skew[selection])
+    else:
+        skew_term = model.skew[selection].sum(axis=1)
+    return _blend(params, risk, ret, skew_term) + penalty, weights
 
 
 def build_portfolio(selection, weights_full, model: RiskModel) -> Portfolio:

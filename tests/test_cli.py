@@ -192,7 +192,7 @@ def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("change", ["extra asset", "re-ingested"])
+@pytest.mark.parametrize("change", ["extra asset", "re-ingested", "other delay"])
 def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, change):
     config, out = pipeline
     for stage in ("ingest", "predict"):
@@ -201,6 +201,9 @@ def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, c
         lines = (out / "returns.csv").read_text(encoding="utf-8").splitlines()
         lines = [lines[0] + ",EXTRA"] + [line + ",0.0" for line in lines[1:]]
         (out / "returns.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif change == "other delay":
+        text = Path(config).read_text(encoding="utf-8")
+        Path(config).write_text(text.replace("delay = 5", "delay = 8"), encoding="utf-8")
     else:
         make_demo_prices(tmp_path, n_weeks=50)
         assert main(["ingest", "--config", config]) == 0

@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfolio.errors import ConfigError, InfeasibleBoundsError
 from predfolio.ga_solver import (
+    CROSSOVER_KINDS,
+    SELECTION_KINDS,
     AdaptiveStep,
     Chromosome,
     GAConfig,
     crossover,
+    crossover_rows,
     evolve,
     init_population,
     mutate,
+    mutate_rows,
     selection_probabilities,
     tournament_select,
 )
@@ -213,6 +219,55 @@ def test_mutate_swap_introduces_non_member(rng):
     assert swapped == 2000
 
 
+# ---------------------------------------------------- batched operators
+
+@st.composite
+def parent_batches(draw):
+    """``(C, K)`` parent rows over a universe of ``n`` assets; with a small
+    universe most pairs share assets, and some rows are identical."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    c = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sel_a = np.argsort(rng.random((c, n)), axis=1)[:, :k]
+    sel_b = np.argsort(rng.random((c, n)), axis=1)[:, :k]
+    same = rng.random(c) < 0.2
+    sel_b[same] = sel_a[same]
+    return n, sel_a, rng.random((c, k)), sel_b, rng.random((c, k)), rng
+
+
+BATCH_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@BATCH_SETTINGS
+@given(parent_batches(), st.sampled_from(CROSSOVER_KINDS))
+def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
+    _, sel_a, raw_a, sel_b, raw_b, rng = batch
+    child_sel, child_raw = crossover_rows(sel_a, raw_a, sel_b, raw_b, rng, kind)
+    assert child_sel.shape == child_raw.shape == sel_a.shape
+    for i in range(len(sel_a)):
+        raw_of_a = dict(zip(sel_a[i].tolist(), raw_a[i].tolist()))
+        raw_of_b = dict(zip(sel_b[i].tolist(), raw_b[i].tolist()))
+        assets = child_sel[i].tolist()
+        assert len(set(assets)) == len(assets)
+        assert set(assets) <= set(raw_of_a) | set(raw_of_b)
+        for asset, value in zip(assets, child_raw[i].tolist()):
+            assert value in (raw_of_a.get(asset), raw_of_b.get(asset))
+
+
+@BATCH_SETTINGS
+@given(parent_batches(), st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5, 1.0]))
+def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
+    n, selection, raw, _, _, rng = batch
+    new_sel, new_raw = mutate_rows(selection, raw, step, rng, n, swap_rate)
+    assert new_sel.shape == new_raw.shape == selection.shape
+    assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
+    for old, new in zip(selection.tolist(), new_sel.tolist()):
+        assert len(set(new)) == len(new)
+        assert sum(a != b for a, b in zip(old, new)) <= 1
+        assert set(new) <= set(range(n))
+
+
 # ------------------------------------------------------------------- evolve
 
 def test_evolve_inverse_variance_weights():
@@ -305,3 +360,20 @@ def test_evolve_vs_grid_oracle_small_instances(rng):
             )
             best_cost, _ = oracle[lam]
             assert abs(result.best_cost - best_cost) <= max(0.05 * abs(best_cost), 1e-5)
+
+
+@pytest.mark.parametrize("selection_kind", SELECTION_KINDS)
+@pytest.mark.parametrize("crossover_kind", CROSSOVER_KINDS)
+def test_evolve_fixed_work_per_generation(selection_kind, crossover_kind):
+    model = random_risk_model(np.random.default_rng(5), 7)
+    params = ObjectiveParams(lam=0.5, theta=0.2)
+    config = GAConfig(
+        population_size=30, crossover_fraction=0.7, selection_kind=selection_kind,
+        crossover_kind=crossover_kind, generation_cap=6, stall_generations=50, seed=3,
+    )
+    result = evolve(model, params, Bounds(0.05, 0.5), 3, config)
+    children = int(round(config.crossover_fraction * config.population_size))
+    assert result.stop_reason == "generation-limit"
+    assert result.generations == 6
+    assert result.evaluations == config.population_size + result.generations * children
+    assert len(result.cost_history) == len(result.mean_history) == result.generations + 1

@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfolio.errors import ConfigError, DimensionError, InfeasibleBoundsError
 from predfolio.objective import (
+    SKEW_LITERAL,
+    SKEW_WEIGHTED,
     Bounds,
     ObjectiveParams,
+    decode_rows,
     decode_weights,
     mvs_cost,
     penalized_cost,
+    penalized_costs,
     portfolio_return,
     portfolio_risk,
 )
@@ -262,3 +268,66 @@ def test_penalized_cost_monotone_in_penalty_factor(rng):
         for pf in (0.0, 1.0, 10.0, 100.0)
     ]
     assert all(b >= a for a, b in zip(costs, costs[1:]))
+
+
+# ------------------------------------------------ batched decode and cost
+
+@st.composite
+def chromosome_batches(draw):
+    """A random model, scalar or per-asset bounds, and ``(R, K)`` chromosomes.
+
+    Bound levels range widely enough that many subsets are infeasible
+    (floors summing above one or caps below one); some raws are zero and
+    some rows entirely zero.
+    """
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_risk_model(rng, n)
+    shape = () if draw(st.booleans()) else (n,)
+    eps = rng.uniform(0.0, 0.6, size=shape)
+    dlt = rng.uniform(eps + 0.01, 1.0)
+    selection = np.argsort(rng.random((rows, n)), axis=1)[:, :k]
+    raw = rng.random((rows, k))
+    raw[rng.random((rows, k)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return model, Bounds(eps, dlt), selection, raw
+
+
+BATCH_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _feasible(eps_q, dlt_q):
+    return (eps_q.sum(axis=1) <= 1.0 + 1e-9) & (dlt_q.sum(axis=1) >= 1.0 - 1e-9)
+
+
+@BATCH_SETTINGS
+@given(chromosome_batches())
+def test_batched_decode_sums_to_one_within_bounds(batch):
+    model, bounds, selection, raw = batch
+    eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
+    ok = _feasible(eps_q, dlt_q)
+    weights = decode_rows(raw[ok], eps_q[ok], dlt_q[ok])
+    assert weights.shape == raw[ok].shape
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert np.all(weights >= eps_q[ok] - 1e-9)
+    assert np.all(weights <= dlt_q[ok] + 1e-9)
+
+
+@BATCH_SETTINGS
+@given(chromosome_batches(), st.sampled_from([SKEW_WEIGHTED, SKEW_LITERAL]),
+       st.sampled_from([0.0, 10.0]))
+def test_batched_cost_is_mvs_cost_plus_penalty(batch, skew_mode, factor):
+    model, bounds, selection, raw = batch
+    params = ObjectiveParams(lam=0.6, theta=0.3, skew_mode=skew_mode)
+    costs, weights = penalized_costs(selection, raw, model, params, bounds, factor)
+    eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
+    floor_total, cap_total = eps_q.sum(axis=1), dlt_q.sum(axis=1)
+    violation = np.maximum(floor_total - 1.0, 0.0) + np.maximum(1.0 - cap_total, 0.0)
+    penalty = np.where(_feasible(eps_q, dlt_q), 0.0, factor * violation)
+    for r in range(len(selection)):
+        full = np.zeros(model.n_assets)
+        full[selection[r]] = weights[r]
+        assert abs(full.sum() - 1.0) <= 1e-9
+        expected = mvs_cost(full, model, params, selection=selection[r]) + penalty[r]
+        assert costs[r] == pytest.approx(expected, rel=0, abs=1e-12)
