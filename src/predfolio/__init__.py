@@ -9,7 +9,7 @@ efficient-frontier sweeps.
 from .errors import PredfolioError
 from .eval_metrics import KsResult, MetricReport, evaluate, ks_normality_test
 from .frontier import FrontierPoint, efficient_filter, sweep
-from .ga_solver import Chromosome, GAConfig, GAResult, evolve
+from .ga_solver import GAConfig, GAResult, evolve
 from .market_data import (
     AssetUniverse,
     PricePoint,

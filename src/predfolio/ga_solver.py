@@ -5,7 +5,7 @@ roulette (or uniform/tournament) parent selection, positional crossover
 with subset-aware repair, adaptive step mutation in allocation space, all
 applied to a whole generation of children at once, then replace-the-worst
 insertion. Stops on a stalled best cost, a wall-clock limit, or the
-generation cap. The single-chromosome operators are batches of one.
+generation cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .objective import (
     Portfolio,
     build_portfolio,
     penalized_cost,
-    penalized_costs,
 )
 from .risk_model import RiskModel
 
@@ -32,13 +31,6 @@ CROSSOVER_KINDS = ("single-point", "two-point", "scattered")
 STOP_STALL = "stall"
 STOP_TIME = "time"
 STOP_GENERATIONS = "generation-limit"
-
-
-@dataclass
-class Chromosome:
-    selection: np.ndarray        # (K,) unique asset indices
-    raw: np.ndarray              # (K,) allocation numbers in [0, 1]
-    cost: float | None = None
 
 
 @dataclass
@@ -109,14 +101,6 @@ class AdaptiveStep:
 
 def init_population(
     n_assets: int, k: int, size: int, rng: np.random.Generator
-) -> list[Chromosome]:
-    """Uniform subsets without replacement and uniform raw allocations."""
-    selection, raw = init_rows(n_assets, k, size, rng)
-    return [Chromosome(sel, r) for sel, r in zip(selection, raw)]
-
-
-def init_rows(
-    n_assets: int, k: int, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(size, K)`` selections and raws: each row's assets are the first K
     of a uniform random permutation of the universe."""
@@ -128,12 +112,6 @@ def init_rows(
     return selection, rng.random((size, k))
 
 
-def _costs_of(population: list[Chromosome]) -> np.ndarray:
-    if not population:
-        raise ConfigError("cannot select from an empty population")
-    return np.array([c.cost for c in population], dtype=float)
-
-
 def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
     """Linear rank weights: the lowest cost gets weight P, the highest 1."""
     n = len(costs)
@@ -143,7 +121,9 @@ def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
+def selection_probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
+    """Roulette (linear rank) or uniform selection probabilities over a
+    population's ``(P,)`` costs."""
     if not np.isfinite(costs).all():
         raise ConfigError("selection requires finite fitness for every chromosome")
     if kind == "roulette":
@@ -153,91 +133,55 @@ def _probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"no selection probabilities for kind {kind!r}")
 
 
-def selection_probabilities(population: list[Chromosome], kind: str) -> np.ndarray:
-    return _probabilities(_costs_of(population), kind)
-
-
 def tournament_select(
-    population: list[Chromosome], rng: np.random.Generator, size: int = 2
-) -> Chromosome:
-    """One tournament winner: a batch of one through :func:`select_rows`."""
-    costs = _costs_of(population)
-    return population[int(select_rows(costs, "tournament", 1, rng, size)[0])]
+    costs: np.ndarray, n: int, rng: np.random.Generator, tournament_size: int = 2
+) -> np.ndarray:
+    """Indices of ``n`` tournament winners: each tournament draws
+    ``tournament_size`` distinct contenders (the smallest of random keys
+    over the population) and keeps the cheapest."""
+    size = min(tournament_size, len(costs))
+    keys = rng.random((n, len(costs)))
+    contenders = np.argpartition(keys, size - 1, axis=1)[:, :size]
+    cheapest = np.argmin(costs[contenders], axis=1)
+    return contenders[np.arange(n), cheapest]
 
 
-def select_rows(
+def select_parents(
     costs: np.ndarray, kind: str, n: int, rng: np.random.Generator,
     tournament_size: int = 2,
 ) -> np.ndarray:
     """Indices of ``n`` parents drawn independently from a population.
 
     Roulette and uniform invert the CDF of their selection probabilities.
-    A tournament draws ``tournament_size`` distinct contenders (the
-    smallest of random keys over the population) and keeps the cheapest.
     """
     if kind == "tournament":
-        size = min(tournament_size, len(costs))
-        keys = rng.random((n, len(costs)))
-        contenders = np.argpartition(keys, size - 1, axis=1)[:, :size]
-        cheapest = np.argmin(costs[contenders], axis=1)
-        return contenders[np.arange(n), cheapest]
-    cdf = np.cumsum(_probabilities(costs, kind))
+        return tournament_select(costs, n, rng, tournament_size)
+    cdf = np.cumsum(selection_probabilities(costs, kind))
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(costs) - 1)
 
 
-def _take_a(c: int, k: int, kind: str, rng: np.random.Generator, cuts=None) -> np.ndarray:
-    """``(C, K)`` slot masks (or one ``(1, K)`` mask for pinned ``cuts``),
-    True where the gene comes from parent A."""
+def _take_a(c: int, k: int, kind: str, rng: np.random.Generator) -> np.ndarray:
+    """``(C, K)`` slot masks, True where the gene comes from parent A."""
     slots = np.arange(k)
     if kind == "two-point":
-        if cuts is None:
-            first = rng.integers(0, k, size=c)
-            second = rng.integers(first + 1, k + 1)
-        else:
-            first, second = cuts
-            if not 0 <= first < second <= k:
-                raise ConfigError(f"invalid cut points ({first}, {second}) for {k} genes")
-        first, second = np.reshape(first, (-1, 1)), np.reshape(second, (-1, 1))
-        return (slots < first) | (slots >= second)
+        first = rng.integers(0, k, size=c)
+        second = rng.integers(first + 1, k + 1)
+        return (slots < first[:, None]) | (slots >= second[:, None])
     if kind == "single-point":
-        if cuts is None:
-            cut = rng.integers(1, k, size=c) if k > 1 else rng.integers(0, 2, size=c)
-        else:
-            (cut,) = cuts
-            if not 0 <= cut <= k:
-                raise ConfigError(f"invalid cut point {cut} for {k} genes")
-        return slots < np.reshape(cut, (-1, 1))
+        cut = rng.integers(1, k, size=c) if k > 1 else rng.integers(0, 2, size=c)
+        return slots < cut[:, None]
     if kind == "scattered":
         return rng.random((c, k)) < 0.5
     raise ConfigError(f"unknown crossover kind {kind!r}")
 
 
 def crossover(
-    parent_a: Chromosome,
-    parent_b: Chromosome,
-    rng: np.random.Generator,
-    kind: str = "single-point",
-    cuts=None,
-) -> Chromosome:
-    """One child of two parents: a batch of one through
-    :func:`crossover_rows`. ``cuts`` pins the cut points (test hook)."""
-    if len(parent_a.selection) != len(parent_b.selection):
-        raise ConfigError("parents carry subsets of different sizes")
-    selection, raw = crossover_rows(
-        parent_a.selection[None], parent_a.raw[None],
-        parent_b.selection[None], parent_b.raw[None], rng, kind, cuts,
-    )
-    return Chromosome(selection[0], raw[0])
-
-
-def crossover_rows(
     sel_a: np.ndarray,
     raw_a: np.ndarray,
     sel_b: np.ndarray,
     raw_b: np.ndarray,
     rng: np.random.Generator,
     kind: str = "single-point",
-    cuts=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows.
 
@@ -250,7 +194,7 @@ def crossover_rows(
     equal probability, the others from the parent that holds them.
     """
     c, k = sel_a.shape
-    genes = np.where(_take_a(c, k, kind, rng, cuts), sel_a, sel_b)
+    genes = np.where(_take_a(c, k, kind, rng), sel_a, sel_b)
     earlier = np.triu(np.ones((k, k), dtype=bool), 1)   # slot i precedes slot j
     repeat = ((genes[:, :, None] == genes[:, None, :]) & earlier).any(axis=1)
 
@@ -278,20 +222,6 @@ def crossover_rows(
 
 
 def mutate(
-    chromosome: Chromosome,
-    step_length: float,
-    rng: np.random.Generator,
-    n_assets: int,
-    swap_rate: float = 0.1,
-) -> Chromosome:
-    """A mutated copy: a batch of one through :func:`mutate_rows`."""
-    selection, raw = mutate_rows(
-        chromosome.selection[None], chromosome.raw[None], step_length, rng, n_assets, swap_rate
-    )
-    return Chromosome(selection[0], raw[0])
-
-
-def mutate_rows(
     selection: np.ndarray,
     raw: np.ndarray,
     step_length: float,
@@ -351,9 +281,9 @@ def evolve(
     start = time.monotonic()
 
     def score(selection, raw):
-        return penalized_costs(selection, raw, model, params, bounds, config.penalty_factor)[0]
+        return penalized_cost(selection, raw, model, params, bounds, config.penalty_factor)[0]
 
-    selection, raw = init_rows(m, k, config.population_size, rng)
+    selection, raw = init_population(m, k, config.population_size, rng)
     costs = score(selection, raw)
     evaluations = len(costs)
 
@@ -374,14 +304,14 @@ def evolve(
             generation -= 1
             break
 
-        parents = select_rows(
+        parents = select_parents(
             costs, config.selection_kind, 2 * n_children, rng, config.tournament_size
         )
         a, b = parents[:n_children], parents[n_children:]
-        child_sel, child_raw = crossover_rows(
+        child_sel, child_raw = crossover(
             selection[a], raw[a], selection[b], raw[b], rng, config.crossover_kind
         )
-        child_sel, child_raw = mutate_rows(
+        child_sel, child_raw = mutate(
             child_sel, child_raw, step.length, rng, m, config.mutation_swap_rate
         )
         child_costs = score(child_sel, child_raw)
@@ -409,9 +339,11 @@ def evolve(
                 break
 
     _, weights = penalized_cost(
-        best_selection, best_raw, model, params, bounds, config.penalty_factor,
+        best_selection[None], best_raw[None], model, params, bounds, config.penalty_factor,
     )
-    portfolio = build_portfolio(best_selection, weights, model)
+    full = np.zeros(m)
+    full[best_selection] = weights[0]
+    portfolio = build_portfolio(best_selection, full, model)
     return GAResult(
         best=portfolio,
         best_cost=best_cost,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InfeasibleBoundsError
+from .errors import ConfigError, DimensionError
 from .risk_model import RiskModel
 
 SKEW_WEIGHTED = "weighted"
@@ -94,41 +94,18 @@ class Portfolio:
     sigma_p: float
 
 
-def decode_weights(raw, epsilon, delta) -> np.ndarray:
-    """Decode raw allocation numbers into bounded weights summing to one.
+def decode_weights(raw: np.ndarray, eps: np.ndarray, dlt: np.ndarray) -> np.ndarray:
+    """Decode each row of ``(R, K)`` raw allocation numbers into bounded
+    weights summing to one, against ``(R, K)`` floors and caps.
 
-    Every selected asset first receives its floor ``epsilon`` plus a share
-    of the free mass ``1 - sum(epsilon)`` proportional to its raw value
-    (an all-zero raw vector counts as uniform). Weights above their caps
-    are then clipped to ``delta`` and the excess is redistributed among
-    unclipped assets proportionally to raw (uniformly when those raws are
-    all zero); each pass permanently clips at least one asset, so at most
-    K passes run. A batch of one through :func:`decode_rows`.
-    """
-    eps = np.asarray(epsilon, dtype=float)
-    dlt = np.asarray(delta, dtype=float)
-    if eps.ndim != 1 or dlt.shape != eps.shape:
-        raise DimensionError("raw vector and bound vectors must share one length")
-    s = _check_raw(raw, len(eps))
-
-    floor_total = float(eps.sum())
-    cap_total = float(dlt.sum())
-    if floor_total > 1.0 + _FEAS_TOL:
-        raise InfeasibleBoundsError(
-            f"lower limits over the selection sum to {floor_total:.6f} > 1"
-        )
-    if cap_total < 1.0 - _FEAS_TOL:
-        raise InfeasibleBoundsError(
-            f"upper limits over the selection sum to {cap_total:.6f} < 1"
-        )
-    return decode_rows(s[None], eps[None], dlt[None])[0]
-
-
-def decode_rows(raw: np.ndarray, eps: np.ndarray, dlt: np.ndarray) -> np.ndarray:
-    """:func:`decode_weights` of each row of ``(R, K)`` arrays.
-
-    The caller guarantees feasible rows: floors summing to at most one and
-    caps to at least one, within 1e-9.
+    Every selected asset first receives its floor ``eps`` plus a share of
+    the free mass ``1 - sum(eps)`` proportional to its raw value (an
+    all-zero raw row counts as uniform). Weights above their caps are then
+    clipped to ``dlt`` and the excess is redistributed among unclipped
+    assets proportionally to raw (uniformly when those raws are all zero);
+    each pass permanently clips at least one asset, so at most K passes
+    run. The caller guarantees feasible rows: floors summing to at most
+    one and caps to at least one, within 1e-9.
     """
     s = np.where((raw.sum(axis=1) <= 0.0)[:, None], 1.0, raw)
     weights = eps + s / s.sum(axis=1, keepdims=True) * (1.0 - eps.sum(axis=1, keepdims=True))
@@ -150,15 +127,6 @@ def decode_rows(raw: np.ndarray, eps: np.ndarray, dlt: np.ndarray) -> np.ndarray
         total = np.where(total > 0.0, total, np.maximum(free.sum(axis=1, keepdims=True), 1))
         weights = weights + excess * share / total
     return weights
-
-
-def _check_raw(raw, k: int) -> np.ndarray:
-    s = np.asarray(raw, dtype=float)
-    if s.shape != (k,):
-        raise DimensionError(f"raw vector of shape {s.shape} for {k} assets")
-    if np.any(s < 0):
-        raise ValueError("raw allocation numbers must be nonnegative")
-    return s
 
 
 def portfolio_return(weights, mu) -> float:
@@ -209,26 +177,6 @@ def _blend(params: ObjectiveParams, risk, ret, skew_term):
 
 
 def penalized_cost(
-    selection,
-    raw,
-    model: RiskModel,
-    params: ObjectiveParams,
-    bounds: Bounds,
-    penalty_factor: float = 10.0,
-) -> tuple[float, np.ndarray]:
-    """Fitness of one chromosome: a batch of one through
-    :func:`penalized_costs`. Returns ``(cost, full_universe_weights)``."""
-    selection = np.asarray(selection, dtype=int)
-    raw = _check_raw(raw, len(selection))
-    costs, weights = penalized_costs(
-        selection[None], raw[None], model, params, bounds, penalty_factor
-    )
-    full = np.zeros(model.n_assets)
-    full[selection] = weights[0]
-    return float(costs[0]), full
-
-
-def penalized_costs(
     selection: np.ndarray,
     raw: np.ndarray,
     model: RiskModel,
@@ -257,7 +205,7 @@ def penalized_costs(
     violation = np.maximum(floor_total - 1.0, 0.0) + np.maximum(1.0 - cap_total, 0.0)
     penalty = np.where(infeasible, penalty_factor * violation, 0.0)[:, 0]
 
-    weights = decode_rows(raw, eps, dlt)
+    weights = decode_weights(raw, eps, dlt)
     sub_sigma = model.sigma[selection[:, :, None], selection[:, None, :]]
     risk = np.einsum("rk,rkl,rl->r", weights, sub_sigma, weights)
     ret = np.einsum("rk,rk->r", weights, model.mu[selection])

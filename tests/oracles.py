@@ -25,12 +25,14 @@ def _comp3(total: int) -> np.ndarray:
 
 
 def _comp4(total: int) -> np.ndarray:
-    blocks = []
-    for first in range(total + 1):
-        rest = _comp3(total - first)
-        col = np.full((len(rest), 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    # Each (first, second) prefix of _comp3 takes every third coordinate
+    # that leaves the fourth nonnegative.
+    first, second = _comp3(total)[:, :2].T
+    counts = total + 1 - first - second
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    third = np.arange(counts.sum(), dtype=np.int64) - np.repeat(starts, counts)
+    first, second = np.repeat(first, counts), np.repeat(second, counts)
+    return np.stack([first, second, third, total - first - second - third], axis=1)
 
 
 def simplex_chunks(n_assets: int, steps: int):
@@ -63,7 +65,7 @@ def grid_search_mvs(mu, sigma, lams, steps: int = 200):
     best = {lam: (np.inf, None) for lam in lams}
     for chunk in simplex_chunks(len(mu), steps):
         weights = chunk.astype(float) / steps
-        risk = np.einsum("nj,jk,nk->n", weights, sigma, weights)
+        risk = np.einsum("nk,nk->n", weights @ sigma, weights)
         ret = weights @ mu
         for lam in lams:
             costs = lam * risk - (1.0 - lam) * ret

@@ -98,14 +98,13 @@ def test_criterion_03_constraint_invariance():
     with criterion(3, "10,000 random chromosomes decode to valid bounded weights"):
         start = time.perf_counter()
         rng = np.random.default_rng(5150)
-        eps = np.full(5, 0.1)
-        dlt = np.full(5, 0.3)
-        for _ in range(10_000):
-            weights = decode_weights(rng.random(5), eps, dlt)
-            total = weights.sum()
-            assert 1.0 - 1e-9 <= total <= 1.0 + 1e-9
-            assert np.all(weights >= 0.1 - 1e-12)
-            assert np.all(weights <= 0.3 + 1e-12)
+        eps = np.full((10_000, 5), 0.1)
+        dlt = np.full((10_000, 5), 0.3)
+        weights = decode_weights(rng.random((10_000, 5)), eps, dlt)
+        total = weights.sum(axis=1)
+        assert np.all((1.0 - 1e-9 <= total) & (total <= 1.0 + 1e-9))
+        assert np.all(weights >= 0.1 - 1e-12)
+        assert np.all(weights <= 0.3 + 1e-12)
         assert time.perf_counter() - start < 10.0
 
 

@@ -10,14 +10,11 @@ from predfolio.ga_solver import (
     CROSSOVER_KINDS,
     SELECTION_KINDS,
     AdaptiveStep,
-    Chromosome,
     GAConfig,
     crossover,
-    crossover_rows,
     evolve,
     init_population,
     mutate,
-    mutate_rows,
     selection_probabilities,
     tournament_select,
 )
@@ -28,8 +25,9 @@ from conftest import random_risk_model
 from oracles import best_linear_portfolio, grid_search_mvs
 
 
-def chromosome(selection, raw, cost=None) -> Chromosome:
-    return Chromosome(np.asarray(selection, dtype=int), np.asarray(raw, dtype=float), cost)
+def rows(*values, dtype=float) -> np.ndarray:
+    """One ``(1, K)`` batch row per argument."""
+    return np.array(values, dtype=dtype)
 
 
 def diag_model(variances, mu=None):
@@ -53,24 +51,23 @@ def fast_config(**kwargs) -> GAConfig:
 
 def test_init_population_full_universe_forced():
     rng = np.random.default_rng(0)
-    population = init_population(5, 5, 20, rng)
-    for chrom in population:
-        assert sorted(chrom.selection) == [0, 1, 2, 3, 4]
-        assert np.all((chrom.raw >= 0.0) & (chrom.raw <= 1.0))
+    selection, raw = init_population(5, 5, 20, rng)
+    assert selection.shape == raw.shape == (20, 5)
+    np.testing.assert_array_equal(np.sort(selection, axis=1), np.tile(np.arange(5), (20, 1)))
+    assert np.all((raw >= 0.0) & (raw <= 1.0))
 
 
 def test_init_population_deterministic():
     a = init_population(10, 4, 30, np.random.default_rng(42))
     b = init_population(10, 4, 30, np.random.default_rng(42))
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.selection, y.selection)
-        np.testing.assert_array_equal(x.raw, y.raw)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_init_population_default_size_from_config():
     config = GAConfig()
-    population = init_population(20, 5, config.population_size, np.random.default_rng(0))
-    assert len(population) == 200
+    selection, raw = init_population(20, 5, config.population_size, np.random.default_rng(0))
+    assert len(selection) == len(raw) == 200
 
 
 def test_init_population_k_larger_than_universe():
@@ -81,106 +78,103 @@ def test_init_population_k_larger_than_universe():
 # -------------------------------------------------------------- selection
 
 def test_roulette_single_chromosome_always_selected():
-    only = chromosome([0, 1], [0.5, 0.5], cost=1.0)
-    np.testing.assert_array_equal(selection_probabilities([only], "roulette"), [1.0])
+    np.testing.assert_array_equal(selection_probabilities(np.array([1.0]), "roulette"), [1.0])
 
 
 def test_roulette_two_chromosome_frequencies():
-    best = chromosome([0], [1.0], cost=-1.0)
-    worst = chromosome([1], [1.0], cost=2.0)
+    best, worst = -1.0, 2.0
     np.testing.assert_allclose(
-        selection_probabilities([best, worst], "roulette"), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15
+        selection_probabilities(np.array([best, worst]), "roulette"),
+        [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15,
     )
     # order of the population does not matter, only the rank of the cost
     np.testing.assert_allclose(
-        selection_probabilities([worst, best], "roulette"), [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15
+        selection_probabilities(np.array([worst, best]), "roulette"),
+        [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15,
     )
 
 
 def test_roulette_equal_costs_near_uniform():
-    pop = [chromosome([i], [1.0], cost=5.0) for i in range(4)]
     # rank weights 4..1 are assigned in stable index order on ties
     np.testing.assert_allclose(
-        selection_probabilities(pop, "roulette"), [0.4, 0.3, 0.2, 0.1], rtol=1e-15
+        selection_probabilities(np.full(4, 5.0), "roulette"), [0.4, 0.3, 0.2, 0.1], rtol=1e-15
     )
-
-
-def test_roulette_empty_population_errors():
-    with pytest.raises(ConfigError):
-        selection_probabilities([], "roulette")
 
 
 def test_tournament_prefers_cheaper(rng):
-    best = chromosome([0], [1.0], cost=0.0)
-    worst = chromosome([1], [1.0], cost=9.0)
-    picks = sum(
-        tournament_select([best, worst], rng, size=2) is best for _ in range(200)
-    )
-    assert picks == 200
+    picks = tournament_select(np.array([0.0, 9.0]), 200, rng, tournament_size=2)
+    assert np.all(picks == 0)
 
 
 # -------------------------------------------------------------- crossover
 
 def test_crossover_identical_parents_fixed_point(rng):
-    parent = chromosome([3, 1, 4], [0.2, 0.5, 0.9], cost=1.0)
-    child = crossover(parent, parent, rng, kind="two-point")
-    np.testing.assert_array_equal(child.selection, parent.selection)
-    np.testing.assert_array_equal(child.raw, parent.raw)
-    assert child.cost is None
+    sel, raw = rows([3, 1, 4], dtype=int), rows([0.2, 0.5, 0.9])
+    child_sel, child_raw = crossover(sel, raw, sel, raw, rng, kind="two-point")
+    np.testing.assert_array_equal(child_sel, sel)
+    np.testing.assert_array_equal(child_raw, raw)
 
 
-def test_crossover_boundary_cuts_copy_parent_b(rng):
-    parent_a = chromosome([0, 1, 2], [0.1, 0.2, 0.3])
-    parent_b = chromosome([3, 4, 5], [0.7, 0.8, 0.9])
-    child = crossover(parent_a, parent_b, rng, kind="two-point", cuts=(0, 3))
-    np.testing.assert_array_equal(child.selection, parent_b.selection)
-    np.testing.assert_array_equal(child.raw, parent_b.raw)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**32 - 1),
+       st.sampled_from(CROSSOVER_KINDS))
+def test_crossover_disjoint_parents_follow_the_cut_pattern(k, c, seed, kind):
+    # Disjoint parents never trigger repair, so each child shows its kind's slot pattern.
+    rng = np.random.default_rng(seed)
+    assets = np.argsort(rng.random((c, 2 * k)), axis=1)
+    sel_a, sel_b = assets[:, :k], assets[:, k:]
+    raw_a, raw_b = rng.random((c, k)), rng.random((c, k))
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind)
+    from_a, from_b = child_sel == sel_a, child_sel == sel_b
+    # every kind: each slot holds A's or B's gene of that same slot
+    assert np.all(from_a ^ from_b)
+    np.testing.assert_array_equal(child_raw, np.where(from_a, raw_a, raw_b))
+    for row in from_a:
+        if kind == "single-point" and k > 1:
+            # A on a prefix of length 1..K-1, B after it
+            cut = int(row.argmin())
+            assert 1 <= cut <= k - 1
+            assert row[:cut].all() and not row[cut:].any()
+        elif kind == "two-point":
+            # B on one contiguous non-empty window [f, s), A elsewhere
+            window = np.flatnonzero(~row)
+            assert len(window) > 0
+            assert not row[window[0]:window[-1] + 1].any()
 
 
 def test_crossover_shared_asset_raw_from_either_parent():
-    parent_a = chromosome([7, 1, 2], [0.25, 0.2, 0.3])
-    parent_b = chromosome([7, 4, 5], [0.75, 0.8, 0.9])
-    rng = np.random.default_rng(11)
-    from_a = 0
     trials = 10_000
-    for _ in range(trials):
-        child = crossover(parent_a, parent_b, rng, kind="two-point")
-        idx = list(child.selection).index(7) if 7 in child.selection else None
-        if idx is None:
-            continue
-        if child.raw[idx] == 0.25:
-            from_a += 1
-        else:
-            assert child.raw[idx] == 0.75
+    sel_a = np.tile([7, 1, 2], (trials, 1))
+    sel_b = np.tile([7, 4, 5], (trials, 1))
+    raw_a = np.tile([0.25, 0.2, 0.3], (trials, 1))
+    raw_b = np.tile([0.75, 0.8, 0.9], (trials, 1))
+    rng = np.random.default_rng(11)
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind="two-point")
+    raw_of_7 = child_raw[child_sel == 7]
+    assert np.all((raw_of_7 == 0.25) | (raw_of_7 == 0.75))
+    from_a = int((raw_of_7 == 0.25).sum())
     assert from_a / trials == pytest.approx(0.5, abs=0.02)
 
 
 def test_crossover_child_subset_size_and_uniqueness(rng):
     for kind in ("single-point", "two-point", "scattered"):
-        for _ in range(300):
-            sel_a = rng.choice(12, size=5, replace=False)
-            sel_b = rng.choice(12, size=5, replace=False)
-            parent_a = chromosome(sel_a, rng.random(5))
-            parent_b = chromosome(sel_b, rng.random(5))
-            child = crossover(parent_a, parent_b, rng, kind=kind)
-            assert len(child.selection) == 5
-            assert len(set(child.selection.tolist())) == 5
-            union = set(sel_a.tolist()) | set(sel_b.tolist())
-            assert set(child.selection.tolist()) <= union
-
-
-def test_crossover_k_mismatch_errors(rng):
-    with pytest.raises(ConfigError):
-        crossover(chromosome([0, 1], [0.5, 0.5]), chromosome([0], [0.5]), rng)
+        sel_a = np.argsort(rng.random((300, 12)), axis=1)[:, :5]
+        sel_b = np.argsort(rng.random((300, 12)), axis=1)[:, :5]
+        child_sel, _ = crossover(sel_a, rng.random((300, 5)), sel_b, rng.random((300, 5)),
+                                 rng, kind=kind)
+        assert child_sel.shape == (300, 5)
+        for child, a, b in zip(child_sel.tolist(), sel_a.tolist(), sel_b.tolist()):
+            assert len(set(child)) == 5
+            assert set(child) <= set(a) | set(b)
 
 
 # ---------------------------------------------------------------- mutation
 
 def test_mutate_zero_step_leaves_raw_unchanged(rng):
-    chrom = chromosome([0, 1, 2], [0.2, 0.5, 0.8])
-    mutated = mutate(chrom, 0.0, rng, n_assets=6, swap_rate=0.0)
-    np.testing.assert_array_equal(mutated.raw, chrom.raw)
-    np.testing.assert_array_equal(mutated.selection, chrom.selection)
+    sel, raw = rows([0, 1, 2], dtype=int), rows([0.2, 0.5, 0.8])
+    new_sel, new_raw = mutate(sel, raw, 0.0, rng, n_assets=6, swap_rate=0.0)
+    np.testing.assert_array_equal(new_raw, raw)
+    np.testing.assert_array_equal(new_sel, sel)
 
 
 def test_adaptive_step_schedule():
@@ -199,20 +193,23 @@ def test_adaptive_step_schedule():
 
 
 def test_mutate_raw_stays_in_unit_box(rng):
-    for _ in range(10_000):
-        k = int(rng.integers(1, 6))
-        chrom = chromosome(rng.choice(10, size=k, replace=False), rng.random(k))
-        mutated = mutate(chrom, float(rng.uniform(0, 0.5)), rng, n_assets=10)
-        assert np.all((mutated.raw >= 0.0) & (mutated.raw <= 1.0))
-        assert len(set(mutated.selection.tolist())) == k
+    # 10,000 rows: 2,000 for each subset size 1..5, at step lengths up to 0.5
+    for k in range(1, 6):
+        selection = np.argsort(rng.random((2000, 10)), axis=1)[:, :k]
+        new_sel, new_raw = mutate(
+            selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), rng, n_assets=10
+        )
+        assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
+        assert all(len(set(row)) == k for row in new_sel.tolist())
 
 
 def test_mutate_swap_introduces_non_member(rng):
-    chrom = chromosome([0, 1, 2], [0.2, 0.5, 0.8])
+    selection = np.tile([0, 1, 2], (2000, 1))
+    new_sel, _ = mutate(selection, np.tile([0.2, 0.5, 0.8], (2000, 1)), 0.0, rng,
+                        n_assets=8, swap_rate=1.0)
     swapped = 0
-    for _ in range(2000):
-        mutated = mutate(chrom, 0.0, rng, n_assets=8, swap_rate=1.0)
-        new = set(mutated.selection.tolist()) - {0, 1, 2}
+    for row in new_sel.tolist():
+        new = set(row) - {0, 1, 2}
         if new:
             swapped += 1
             assert new <= {3, 4, 5, 6, 7}
@@ -243,7 +240,7 @@ BATCH_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 @given(parent_batches(), st.sampled_from(CROSSOVER_KINDS))
 def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
     _, sel_a, raw_a, sel_b, raw_b, rng = batch
-    child_sel, child_raw = crossover_rows(sel_a, raw_a, sel_b, raw_b, rng, kind)
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind)
     assert child_sel.shape == child_raw.shape == sel_a.shape
     for i in range(len(sel_a)):
         raw_of_a = dict(zip(sel_a[i].tolist(), raw_a[i].tolist()))
@@ -259,7 +256,7 @@ def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
 @given(parent_batches(), st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5, 1.0]))
 def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
     n, selection, raw, _, _, rng = batch
-    new_sel, new_raw = mutate_rows(selection, raw, step, rng, n, swap_rate)
+    new_sel, new_raw = mutate(selection, raw, step, rng, n, swap_rate)
     assert new_sel.shape == new_raw.shape == selection.shape
     assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
     for old, new in zip(selection.tolist(), new_sel.tolist()):

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predfolio.errors import ConfigError, DimensionError, InfeasibleBoundsError
+from predfolio.errors import ConfigError, DimensionError
 from predfolio.objective import (
     SKEW_LITERAL,
     SKEW_WEIGHTED,
     Bounds,
     ObjectiveParams,
-    decode_rows,
     decode_weights,
     mvs_cost,
     penalized_cost,
-    penalized_costs,
     portfolio_return,
     portfolio_risk,
 )
@@ -26,6 +24,24 @@ from conftest import random_risk_model
 
 def uniform_bounds(k, eps, dlt):
     return np.full(k, eps), np.full(k, dlt)
+
+
+def decode_one(raw, eps, dlt) -> np.ndarray:
+    """Decode a single chromosome as a batch of one row."""
+    row = [np.asarray(x, dtype=float)[None] for x in (raw, eps, dlt)]
+    return decode_weights(*row)[0]
+
+
+def cost_one(selection, raw, model, params, bounds, penalty_factor=10.0):
+    """``(cost, full-universe weights)`` of one chromosome, as a batch of one row."""
+    selection = np.asarray(selection, dtype=int)
+    costs, weights = penalized_cost(
+        selection[None], np.asarray(raw, dtype=float)[None], model, params, bounds,
+        penalty_factor,
+    )
+    full = np.zeros(model.n_assets)
+    full[selection] = weights[0]
+    return float(costs[0]), full
 
 
 # ------------------------------------------------------------------- bounds
@@ -53,39 +69,32 @@ def test_bounds_selection_slicing():
 
 def test_decode_equal_raws_hand_value():
     eps, dlt = uniform_bounds(5, 0.1, 1.0)
-    weights = decode_weights(np.ones(5), eps, dlt)
+    weights = decode_one(np.ones(5), eps, dlt)
     np.testing.assert_allclose(weights, 0.2, rtol=1e-15)
 
 
 def test_decode_upper_bound_repair_hand_value():
     eps, dlt = uniform_bounds(5, 0.1, 0.3)
-    weights = decode_weights(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), eps, dlt)
+    weights = decode_one(np.array([1.0, 0.0, 0.0, 0.0, 0.0]), eps, dlt)
     np.testing.assert_allclose(weights, [0.3, 0.175, 0.175, 0.175, 0.175], rtol=1e-12)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decode_boundary_feasibility_and_infeasibility():
     eps, dlt = uniform_bounds(10, 0.1, 0.3)
-    weights = decode_weights(np.ones(10), eps, dlt)
+    weights = decode_one(np.ones(10), eps, dlt)
     np.testing.assert_allclose(weights, 0.1, atol=1e-12)
-    eps11, dlt11 = uniform_bounds(11, 0.1, 0.3)
-    with pytest.raises(InfeasibleBoundsError):
-        decode_weights(np.ones(11), eps11, dlt11)
-    with pytest.raises(InfeasibleBoundsError):
-        decode_weights(np.ones(2), *uniform_bounds(2, 0.0, 0.4))
+    # past the boundary no subset admits weights, so the GA refuses upfront
+    assert Bounds(0.1, 0.3).feasible_subset_exists(10, 11)
+    assert not Bounds(0.1, 0.3).feasible_subset_exists(11, 11)
+    assert not Bounds(0.0, 0.4).feasible_subset_exists(2, 2)
 
 
 def test_decode_zero_raws_treated_as_uniform():
     eps, dlt = uniform_bounds(4, 0.05, 0.9)
     np.testing.assert_array_equal(
-        decode_weights(np.zeros(4), eps, dlt), decode_weights(np.ones(4), eps, dlt)
+        decode_one(np.zeros(4), eps, dlt), decode_one(np.ones(4), eps, dlt)
     )
-
-
-def test_decode_rejects_negative_raws():
-    eps, dlt = uniform_bounds(3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        decode_weights(np.array([0.5, -0.1, 0.2]), eps, dlt)
 
 
 def test_decode_random_sweep_respects_constraints(rng):
@@ -95,7 +104,7 @@ def test_decode_random_sweep_respects_constraints(rng):
         eps_val = float(rng.uniform(0.0, 0.9 / k))
         dlt_val = float(rng.uniform(max(1.05 / k, eps_val * 1.5), 1.0))
         eps, dlt = uniform_bounds(k, eps_val, min(dlt_val, 1.0))
-        weights = decode_weights(rng.random(k), eps, dlt)
+        weights = decode_one(rng.random(k), eps, dlt)
         assert abs(weights.sum() - 1.0) <= 1e-9
         assert np.all(weights >= eps - 1e-12)
         assert np.all(weights <= dlt + 1e-12)
@@ -104,7 +113,7 @@ def test_decode_random_sweep_respects_constraints(rng):
 def test_decode_cascading_repair_terminates(rng):
     # strongly skewed raws force several clip passes
     eps, dlt = uniform_bounds(6, 0.0, 0.25)
-    weights = decode_weights(np.array([100.0, 10.0, 1.0, 0.1, 0.01, 0.001]), eps, dlt)
+    weights = decode_one(np.array([100.0, 10.0, 1.0, 0.1, 0.01, 0.001]), eps, dlt)
     assert abs(weights.sum() - 1.0) <= 1e-9
     assert np.all(weights <= 0.25 + 1e-12)
 
@@ -112,10 +121,10 @@ def test_decode_cascading_repair_terminates(rng):
 def test_decode_scale_invariance(rng):
     eps, dlt = uniform_bounds(5, 0.05, 0.5)
     raw = rng.random(5)
-    base = decode_weights(raw, eps, dlt)
-    np.testing.assert_array_equal(decode_weights(raw * 2.0, eps, dlt), base)
-    np.testing.assert_array_equal(decode_weights(raw * 0.5, eps, dlt), base)
-    np.testing.assert_allclose(decode_weights(raw * 3.7, eps, dlt), base, rtol=1e-12)
+    base = decode_one(raw, eps, dlt)
+    np.testing.assert_array_equal(decode_one(raw * 2.0, eps, dlt), base)
+    np.testing.assert_array_equal(decode_one(raw * 0.5, eps, dlt), base)
+    np.testing.assert_allclose(decode_one(raw * 3.7, eps, dlt), base, rtol=1e-12)
 
 
 # ----------------------------------------------------------- portfolio math
@@ -188,7 +197,7 @@ def test_mvs_cost_literal_mode_requires_selection(rng):
     params = ObjectiveParams(lam=0.0, theta=1.0, skew_mode="literal")
     # a selected asset can decode to weight zero, so the weights do not
     # tell which assets were selected
-    weights = decode_weights([0.0, 1.0, 1.0], np.zeros(3), np.ones(3))
+    weights = decode_one([0.0, 1.0, 1.0], np.zeros(3), np.ones(3))
     assert weights[0] == 0.0
     with pytest.raises(ConfigError):
         mvs_cost(weights, model, params)
@@ -238,7 +247,7 @@ def test_penalized_cost_feasible_equals_mvs(rng):
     params = ObjectiveParams(lam=0.5, theta=0.2)
     bounds = Bounds(0.1, 0.3)
     raw = rng.random(5)
-    cost, weights = penalized_cost(np.arange(5), raw, model, params, bounds)
+    cost, weights = cost_one(np.arange(5), raw, model, params, bounds)
     assert cost == mvs_cost(weights, model, params, selection=np.arange(5))
     assert abs(weights.sum() - 1.0) <= 1e-9
 
@@ -249,11 +258,11 @@ def test_penalized_cost_infeasible_is_finite_and_penalized(rng):
     bounds = Bounds(0.1, 0.3)  # 11 assets x 0.1 floor > 1
     selection = np.arange(11)
     raw = rng.random(11)
-    cost10, w = penalized_cost(selection, raw, model, params, bounds, penalty_factor=10.0)
+    cost10, w = cost_one(selection, raw, model, params, bounds, penalty_factor=10.0)
     assert np.isfinite(cost10)
     assert abs(w.sum() - 1.0) <= 1e-9
     # violation magnitude 0.1 at penalty 10 adds exactly 1.0
-    cost0, _ = penalized_cost(selection, raw, model, params, bounds, penalty_factor=0.0)
+    cost0, _ = cost_one(selection, raw, model, params, bounds, penalty_factor=0.0)
     assert cost10 - cost0 == pytest.approx(10.0 * 0.1, rel=1e-9)
 
 
@@ -264,7 +273,7 @@ def test_penalized_cost_monotone_in_penalty_factor(rng):
     selection = np.arange(11)
     raw = rng.random(11)
     costs = [
-        penalized_cost(selection, raw, model, params, bounds, penalty_factor=pf)[0]
+        cost_one(selection, raw, model, params, bounds, penalty_factor=pf)[0]
         for pf in (0.0, 1.0, 10.0, 100.0)
     ]
     assert all(b >= a for a, b in zip(costs, costs[1:]))
@@ -307,7 +316,7 @@ def test_batched_decode_sums_to_one_within_bounds(batch):
     model, bounds, selection, raw = batch
     eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
     ok = _feasible(eps_q, dlt_q)
-    weights = decode_rows(raw[ok], eps_q[ok], dlt_q[ok])
+    weights = decode_weights(raw[ok], eps_q[ok], dlt_q[ok])
     assert weights.shape == raw[ok].shape
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert np.all(weights >= eps_q[ok] - 1e-9)
@@ -320,7 +329,7 @@ def test_batched_decode_sums_to_one_within_bounds(batch):
 def test_batched_cost_is_mvs_cost_plus_penalty(batch, skew_mode, factor):
     model, bounds, selection, raw = batch
     params = ObjectiveParams(lam=0.6, theta=0.3, skew_mode=skew_mode)
-    costs, weights = penalized_costs(selection, raw, model, params, bounds, factor)
+    costs, weights = penalized_cost(selection, raw, model, params, bounds, factor)
     eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
     floor_total, cap_total = eps_q.sum(axis=1), dlt_q.sum(axis=1)
     violation = np.maximum(floor_total - 1.0, 0.0) + np.maximum(1.0 - cap_total, 0.0)

@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfolio.cli import _write_json
 from predfolio.errors import EstimationError
@@ -174,14 +176,32 @@ def test_build_risk_model_mismatched_lengths_error(rng):
         build_risk_model(records, {"A": rng.normal(size=20), "B": rng.normal(size=21)})
 
 
-def test_sigma_symmetric_and_psd(rng):
-    errors = rng.normal(0, 0.02, size=(6, 50))
-    records = [record_with_errors(f"A{i}", errors[i]) for i in range(6)]
-    returns = {f"A{i}": rng.normal(size=50) for i in range(6)}
+@st.composite
+def error_sets(draw):
+    """``(m, n)`` prediction errors at a scale in [1e-4, 1]; often fewer
+    samples than assets, and sometimes two identical assets."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.floats(-4.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    errors = rng.normal(0.0, scale, size=(m, n))
+    if m > 1 and draw(st.booleans()):
+        errors[-1] = errors[0]
+    return errors, rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(error_sets())
+def test_sigma_symmetric_and_psd(error_set):
+    errors, rng = error_set
+    m, n = errors.shape
+    records = [record_with_errors(f"A{i}", errors[i]) for i in range(m)]
+    returns = {f"A{i}": rng.normal(size=max(n, 3)) for i in range(m)}
     model = build_risk_model(records, returns)
     np.testing.assert_array_equal(model.sigma, model.sigma.T)
-    for _ in range(200):
-        w = rng.normal(size=6)
+    model.validate()
+    assert model.diagonal_shift >= 0.0
+    for w in rng.normal(size=(200, m)):
         assert w @ model.sigma @ w >= -1e-9
 
 
