@@ -110,11 +110,12 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
     """Read a daily price file and sample one close per asset per week.
 
     The weekly grid runs on the configured weekday, anchored at the first
-    such weekday on or after the first observation of the first asset in
-    file order. A week with no trade on the sampling day takes the most
-    recent prior close; sampling stops once an asset's last observation is
-    more than a calendar week stale. Assets with no sampled week at all are
-    excluded and reported.
+    such weekday on or after the earliest observation of any asset, so the
+    order of the asset blocks in the file does not change what is sampled.
+    A week with no trade on the sampling day takes the most recent prior
+    close; sampling stops once an asset's last observation is more than a
+    calendar week stale. Assets with no sampled week at all are excluded
+    and reported.
     """
     weekday = _parse_weekday(sampling_weekday)
     observed: dict[str, dict[dt.date, float]] = {}
@@ -158,7 +159,7 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
     if not order:
         raise ParseError("price file contains no data rows")
 
-    first_date = min(observed[order[0]])
+    first_date = min(min(days) for days in observed.values())
     grid_start = first_date + dt.timedelta(days=(weekday - first_date.weekday()) % 7)
     grid_end = max(max(days) for days in observed.values())
 

@@ -3,8 +3,10 @@
 Each asset gets its own network: ``delay`` lagged returns feed a layer of
 tanh hidden units and a single linear output. Training minimizes the sum of
 squared one-step errors on the training slice with damped Gauss-Newton
-steps (Levenberg-Marquardt); the parameter snapshot with the lowest
-validation loss seen is kept, which doubles as early stopping.
+steps (Levenberg-Marquardt). As in MATLAB's ``trainlm``, training stops
+after ``max_fail`` accepted epochs in a row whose validation loss is above
+the best so far, and the parameter snapshot with the lowest validation loss
+seen is what the fit returns.
 
 The damped step ``-(J'J + mu I)^-1 J'r`` is solved in whichever space is
 smaller. With fewer training samples than parameters (126 against 216 at
@@ -44,6 +46,7 @@ class PredictorConfig:
     test_frac: float = 0.15
     lm_initial_damping: float = 1e-3
     lm_damping_factor: float = 10.0
+    max_fail: int = 6
     seed: int | tuple[int, ...] = 0
 
     def validate(self) -> None:
@@ -62,6 +65,8 @@ class PredictorConfig:
             raise ConfigError("lm_initial_damping must be positive")
         if self.lm_damping_factor <= 1:
             raise ConfigError("lm_damping_factor must exceed 1")
+        if self.max_fail < 0:
+            raise ConfigError(f"max_fail must be >= 0, got {self.max_fail}")
 
 
 @dataclass
@@ -90,8 +95,9 @@ class TrainedPredictor:
     output_bias: float
     best_val_loss: float
     epochs_run: int
-    # how training stopped: "gradient", "no-accepted-step", "ftol" or
-    # "max-epochs"; None for dumps written before it was recorded
+    # how training stopped: "gradient", "no-accepted-step", "ftol",
+    # "max-fail" or "max-epochs"; None for dumps written before it was
+    # recorded
     stop_reason: str | None
 
     @property
@@ -317,13 +323,18 @@ def train_arnn(
     rejection. When the training slice has fewer samples than the network
     has parameters, the step is solved in sample space as
     ``J'(JJ' + damping * I)^-1 (-residual)`` from the structured Gram matrix
-    (see :func:`_gauss_newton`); otherwise in parameter space. The returned
-    parameters are the snapshot with the lowest validation SSE, and
-    ``stop_reason`` says why training ended: a vanishing gradient
-    (``gradient``), no step accepted up to the maximum damping
-    (``no-accepted-step``), a relative SSE decrease below ``_FTOL``
-    (``ftol``) or the epoch cap (``max-epochs``). Deterministic for a fixed
-    seed.
+    (see :func:`_gauss_newton`); otherwise in parameter space. An accepted
+    epoch whose validation SSE is above the best so far is a validation
+    failure, a new best resets the count, and an exact tie leaves it as it
+    is (``trainlm``'s rule); ``max_fail`` failures in a row stop training,
+    and ``max_fail = 0`` never stops on them. The returned parameters are
+    the snapshot with the lowest validation SSE, and ``stop_reason`` says
+    why training ended: a vanishing gradient (``gradient``), no step
+    accepted up to the maximum damping (``no-accepted-step``), a relative
+    SSE decrease below ``_FTOL`` (``ftol``), ``max_fail`` validation
+    failures in a row (``max-fail``) or the epoch cap (``max-epochs``).
+    Deterministic for a fixed seed; a run with patience is a prefix of the
+    ``max_fail = 0`` run with the same seed.
 
     ``on_epoch(epoch, train_loss, val_loss)`` is invoked after each
     accepted epoch when supplied.
@@ -356,6 +367,7 @@ def train_arnn(
     damping = config.lm_initial_damping
     factor = config.lm_damping_factor
     epochs_run = 0
+    val_fails = 0
     stop_reason = "max-epochs"
 
     for epoch in range(1, config.max_epochs + 1):
@@ -388,10 +400,16 @@ def train_arnn(
         if val_loss < best_val:
             best_val = val_loss
             best_theta = theta.copy()
+            val_fails = 0
+        elif val_loss > best_val:
+            val_fails += 1
         if on_epoch is not None:
             on_epoch(epoch, loss, val_loss)
         if prev_loss - loss <= _FTOL * (loss + 1e-30):
             stop_reason = "ftol"
+            break
+        if config.max_fail and val_fails == config.max_fail:
+            stop_reason = "max-fail"
             break
 
     w_in, b_h, w_out, b_out = _unpack(best_theta, d, h)

@@ -256,7 +256,7 @@ def test_predict_reports_stop_reasons(pipeline, capsys):
     stops = Counter(dump["stop_reason"] for dump in dumps.values())
     reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
     assert line == f"trained 5 predictors ({reasons})"
-    assert set(stops) <= {"gradient", "no-accepted-step", "ftol", "max-epochs"}
+    assert set(stops) <= {"gradient", "no-accepted-step", "ftol", "max-fail", "max-epochs"}
 
 
 def test_full_pipeline_and_artifacts(pipeline, capsys):

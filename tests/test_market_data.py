@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfolio.errors import AlignmentError, InsufficientDataError, ParseError
 from predfolio.market_data import (
@@ -79,18 +83,81 @@ def test_load_prices_rejects_nonpositive_close(tmp_path):
 
 
 def test_load_prices_excludes_asset_outside_window(tmp_path):
-    # CCC stopped trading weeks before the grid starts, so no week samples it
+    # CCC first trades after the last Monday on the grid, so no week samples it
     path = write_rows(
         tmp_path / "p.csv",
         [
             (MON2.isoformat(), "AAA", 100),
             (MON3.isoformat(), "AAA", 101),
-            ((MON1 - dt.timedelta(days=30)).isoformat(), "CCC", 50),
+            ((MON3 + dt.timedelta(days=3)).isoformat(), "CCC", 50),
         ],
     )
     table = load_prices(path)
     assert table.excluded == ["CCC"]
     assert "CCC" not in table.points
+
+
+def ingest(path, min_length=None):
+    """The ``ingest`` stage's sampling, returns and alignment, as kept
+    series by asset, the common dates and the dropped assets."""
+    table = load_prices(path)
+    dropped = {(a, "no sampled weeks") for a in table.excluded}
+    series = []
+    for asset, points in table.points.items():
+        if len(points) < 2:
+            dropped.add((asset, "fewer than 2 sampled weeks"))
+        else:
+            series.append(compute_returns(points))
+    universe, report = align_universe(series, min_length)
+    kept = {a: (s.returns.tolist(), s.dates) for a, s in universe.series.items()}
+    return kept, universe.dates, dropped | set(report.dropped)
+
+
+def daily_rows(asset, first, n_days, skip=(), close=100.0):
+    return [
+        ((first + dt.timedelta(days=i)).isoformat(), asset, close + i)
+        for i in range(n_days)
+        if i not in skip
+    ]
+
+
+def test_load_prices_grid_starts_at_earliest_observation_of_any_asset(tmp_path):
+    a_rows = daily_rows("A", dt.date(2024, 1, 17), 20)  # starts on a Wednesday
+    b_rows = daily_rows("B", MON1, 80)
+    for rows in (a_rows + b_rows, b_rows + a_rows):
+        kept, dates, dropped = ingest(write_rows(tmp_path / "p.csv", rows), min_length=5)
+        assert list(kept) == ["B"]
+        assert len(dates) == 11 and dates[0] == MON2
+        assert {asset for asset, _ in dropped} == {"A"}
+
+
+@st.composite
+def price_blocks(draw):
+    n_assets = draw(st.integers(2, 4))
+    blocks = []
+    for i in range(n_assets):
+        first = MON1 + dt.timedelta(days=draw(st.integers(0, 40)))
+        n_days = draw(st.integers(1, 60))
+        skip = draw(st.sets(st.integers(0, n_days - 1), max_size=n_days // 3))
+        blocks.append(daily_rows(f"S{i}", first, n_days, skip, close=50.0 + 10 * i))
+    order = draw(st.permutations(range(n_assets)))
+    return blocks, order, draw(st.sampled_from([None, 1, 3, 5]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(price_blocks())
+def test_ingest_does_not_depend_on_asset_block_order(problem):
+    blocks, order, min_length = problem
+
+    def run(ordered):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_rows(Path(tmp) / "p.csv", [row for block in ordered for row in block])
+            try:
+                return ingest(path, min_length)
+            except AlignmentError as exc:
+                return str(exc)
+
+    assert run([blocks[i] for i in order]) == run(blocks)
 
 
 def test_forward_fill_never_fabricates_a_price(tmp_path, rng):

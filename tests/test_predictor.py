@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,12 @@ def test_config_validation():
         PredictorConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2).validate()
     with pytest.raises(ConfigError):
         PredictorConfig(lm_damping_factor=0.5).validate()
+
+
+def test_config_rejects_negative_max_fail():
+    PredictorConfig(max_fail=0).validate()
+    with pytest.raises(ConfigError, match="max_fail"):
+        PredictorConfig(max_fail=-1).validate()
 
 
 # ------------------------------------------------------------------ forward
@@ -256,7 +264,7 @@ def test_train_noise_free_linear_recurrence():
     for _ in range(59):
         returns.append(0.5 * returns[-1])
     returns = np.array(returns)
-    config = PredictorConfig(delay=1, hidden_units=5, max_epochs=500, seed=3)
+    config = PredictorConfig(delay=1, hidden_units=5, max_epochs=500, max_fail=0, seed=3)
     split = split_series(returns, config)
     trained = train_arnn(split, config)
     predictions = _forward_flat(trained.flat(), split.inputs, 1, 5)
@@ -376,22 +384,70 @@ def test_predictor_dump_without_stop_reason_loads(rng):
     "size, config, expected",
     [
         (40, small_config(), "gradient"),  # a zero series is fitted exactly
-        (60, PredictorConfig(delay=1, hidden_units=1, seed=0), "ftol"),
-        (30, PredictorConfig(delay=5, hidden_units=3, seed=0), "no-accepted-step"),
+        (60, PredictorConfig(delay=1, hidden_units=1, max_fail=0, seed=0), "ftol"),
+        (30, PredictorConfig(delay=5, hidden_units=3, max_fail=0, seed=0), "no-accepted-step"),
         # the paper-scale split: 126 training samples for 216 parameters
         (221, PredictorConfig(delay=41, max_epochs=3, seed=0), "max-epochs"),
+        (221, PredictorConfig(delay=41, seed=0), "max-fail"),
     ],
 )
 def test_stop_reason(size, config, expected):
     returns = np.zeros(size) if expected == "gradient" else (
         np.random.default_rng(0).normal(0.0, 0.02, size=size)
     )
-    losses = []
-    trained = train_arnn(
-        split_series(returns, config), config, on_epoch=lambda e, tr, vl: losses.append(tr)
-    )
+    losses, val_losses = [], []
+
+    def record(epoch, train_loss, val_loss):
+        losses.append(train_loss)
+        val_losses.append(val_loss)
+
+    trained = train_arnn(split_series(returns, config), config, on_epoch=record)
     assert trained.stop_reason == expected
     assert len(losses) == trained.epochs_run
     assert (trained.epochs_run == config.max_epochs) == (expected == "max-epochs")
     if expected == "ftol":
         assert losses[-2] - losses[-1] <= 1e-12 * losses[-1]
+    if expected == "max-fail":
+        assert all(v > trained.best_val_loss for v in val_losses[-config.max_fail :])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(3, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 6]),
+)
+def test_max_fail_run_is_a_prefix_of_the_run_without_patience(delay, hidden, extra, seed, max_fail):
+    returns = np.random.default_rng(seed).normal(0.0, 0.02, size=delay + extra)
+    config = PredictorConfig(
+        delay=delay, hidden_units=hidden, max_epochs=60, max_fail=max_fail, seed=seed
+    )
+    split = split_series(returns, config)
+
+    def run(cfg):
+        epochs = []
+        trained = train_arnn(split, cfg, on_epoch=lambda e, tr, vl: epochs.append((tr, vl)))
+        return trained, epochs
+
+    patient, patient_epochs = run(config)
+    full, full_epochs = run(replace(config, max_fail=0))
+    k = patient.epochs_run
+    assert patient_epochs == full_epochs[:k]
+
+    # the fit returns the best-validation snapshot of its prefix: the same
+    # parameters as a run without patience cut at that epoch
+    prefix = full if k == 0 else train_arnn(split, replace(config, max_fail=0, max_epochs=k))
+    np.testing.assert_array_equal(patient.flat(), prefix.flat())
+    assert patient.best_val_loss == prefix.best_val_loss
+    assert all(patient.best_val_loss <= vl for _, vl in patient_epochs)
+
+    if patient.stop_reason == "max-fail":
+        assert k >= max_fail
+        assert all(vl > patient.best_val_loss for _, vl in patient_epochs[-max_fail:])
+        # the failures began right after the best epoch, or at the first epoch
+        assert k == max_fail or patient_epochs[-max_fail - 1][1] == patient.best_val_loss
+    else:
+        assert (patient.stop_reason, k) == (full.stop_reason, full.epochs_run)
+        np.testing.assert_array_equal(patient.flat(), full.flat())
