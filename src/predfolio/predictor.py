@@ -4,9 +4,9 @@ Each asset gets its own network: ``delay`` lagged returns feed a layer of
 tanh hidden units and a single linear output. Training minimizes the sum of
 squared one-step errors on the training slice with damped Gauss-Newton
 steps (Levenberg-Marquardt). As in MATLAB's ``trainlm``, training stops
-after ``max_fail`` accepted epochs in a row whose validation loss is above
-the best so far, and the parameter snapshot with the lowest validation loss
-seen is what the fit returns.
+after ``_MAX_FAIL`` (6) accepted epochs in a row whose validation loss is
+above the best so far, and the parameter snapshot with the lowest
+validation loss seen is what the fit returns.
 
 The damped step ``-(J'J + mu I)^-1 J'r`` is solved in whichever space is
 smaller. With fewer training samples than parameters (126 against 216 at
@@ -34,6 +34,8 @@ _DAMPING_MAX = 1e12
 _DAMPING_MIN = 1e-12
 # Relative improvement below which an LM run is considered converged.
 _FTOL = 1e-12
+# Validation failures in a row that stop an LM run (trainlm's max_fail).
+_MAX_FAIL = 6
 
 
 @dataclass
@@ -46,7 +48,6 @@ class PredictorConfig:
     test_frac: float = 0.15
     lm_initial_damping: float = 1e-3
     lm_damping_factor: float = 10.0
-    max_fail: int = 6
     seed: int | tuple[int, ...] = 0
 
     def validate(self) -> None:
@@ -65,8 +66,6 @@ class PredictorConfig:
             raise ConfigError("lm_initial_damping must be positive")
         if self.lm_damping_factor <= 1:
             raise ConfigError("lm_damping_factor must exceed 1")
-        if self.max_fail < 0:
-            raise ConfigError(f"max_fail must be >= 0, got {self.max_fail}")
 
 
 @dataclass
@@ -326,15 +325,16 @@ def train_arnn(
     (see :func:`_gauss_newton`); otherwise in parameter space. An accepted
     epoch whose validation SSE is above the best so far is a validation
     failure, a new best resets the count, and an exact tie leaves it as it
-    is (``trainlm``'s rule); ``max_fail`` failures in a row stop training,
-    and ``max_fail = 0`` never stops on them. The returned parameters are
-    the snapshot with the lowest validation SSE, and ``stop_reason`` says
-    why training ended: a vanishing gradient (``gradient``), no step
-    accepted up to the maximum damping (``no-accepted-step``), a relative
-    SSE decrease below ``_FTOL`` (``ftol``), ``max_fail`` validation
-    failures in a row (``max-fail``) or the epoch cap (``max-epochs``).
-    Deterministic for a fixed seed; a run with patience is a prefix of the
-    ``max_fail = 0`` run with the same seed.
+    is (``trainlm``'s rule); ``_MAX_FAIL`` failures in a row stop training.
+    The returned parameters are the snapshot with the lowest validation
+    SSE, and ``stop_reason`` says why training ended: a vanishing gradient
+    (``gradient``), no step accepted up to the maximum damping
+    (``no-accepted-step``), a relative SSE decrease below ``_FTOL``
+    (``ftol``), ``_MAX_FAIL`` validation failures in a row (``max-fail``)
+    or the epoch cap (``max-epochs``).
+    Deterministic for a fixed seed; the stop only cuts the run short, so
+    its epochs are a prefix of those of a run that never stops on
+    validation failures.
 
     ``on_epoch(epoch, train_loss, val_loss)`` is invoked after each
     accepted epoch when supplied.
@@ -408,7 +408,7 @@ def train_arnn(
         if prev_loss - loss <= _FTOL * (loss + 1e-30):
             stop_reason = "ftol"
             break
-        if config.max_fail and val_fails == config.max_fail:
+        if val_fails == _MAX_FAIL:
             stop_reason = "max-fail"
             break
 

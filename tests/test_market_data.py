@@ -97,6 +97,23 @@ def test_load_prices_excludes_asset_outside_window(tmp_path):
     assert "CCC" not in table.points
 
 
+def test_load_prices_samples_asset_trading_before_every_other(tmp_path):
+    # CCC stopped trading weeks before AAA starts, and is listed after it:
+    # the grid starts at CCC's first observation, so its last close is sampled
+    path = write_rows(
+        tmp_path / "p.csv",
+        [
+            (MON2.isoformat(), "AAA", 100),
+            (MON3.isoformat(), "AAA", 101),
+            ((MON1 - dt.timedelta(days=30)).isoformat(), "CCC", 50),
+        ],
+    )
+    table = load_prices(path)
+    assert table.excluded == []
+    assert [(p.date, p.close) for p in table.points["CCC"]] == [(dt.date(2023, 12, 4), 50.0)]
+    assert [p.date for p in table.points["AAA"]] == [MON2, MON3]
+
+
 def ingest(path, min_length=None):
     """The ``ingest`` stage's sampling, returns and alignment, as kept
     series by asset, the common dates and the dropped assets."""

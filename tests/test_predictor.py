@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from predfolio import predictor
 from predfolio.errors import (
     ConfigError,
     DimensionError,
@@ -33,6 +35,10 @@ from predfolio.predictor import (
     split_series,
     train_arnn,
 )
+
+
+# A patience no fit reaches: with it, training stops only on its other rules.
+NO_PATIENCE = math.inf
 
 
 def small_config(**kwargs) -> PredictorConfig:
@@ -94,12 +100,6 @@ def test_config_validation():
         PredictorConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2).validate()
     with pytest.raises(ConfigError):
         PredictorConfig(lm_damping_factor=0.5).validate()
-
-
-def test_config_rejects_negative_max_fail():
-    PredictorConfig(max_fail=0).validate()
-    with pytest.raises(ConfigError, match="max_fail"):
-        PredictorConfig(max_fail=-1).validate()
 
 
 # ------------------------------------------------------------------ forward
@@ -259,12 +259,13 @@ def test_train_constant_series_predicts_the_constant():
     np.testing.assert_allclose(predictions, 0.02, atol=1e-6)
 
 
-def test_train_noise_free_linear_recurrence():
+def test_train_noise_free_linear_recurrence(monkeypatch):
+    monkeypatch.setattr(predictor, "_MAX_FAIL", NO_PATIENCE)
     returns = [1.0]
     for _ in range(59):
         returns.append(0.5 * returns[-1])
     returns = np.array(returns)
-    config = PredictorConfig(delay=1, hidden_units=5, max_epochs=500, max_fail=0, seed=3)
+    config = PredictorConfig(delay=1, hidden_units=5, max_epochs=500, seed=3)
     split = split_series(returns, config)
     trained = train_arnn(split, config)
     predictions = _forward_flat(trained.flat(), split.inputs, 1, 5)
@@ -384,14 +385,17 @@ def test_predictor_dump_without_stop_reason_loads(rng):
     "size, config, expected",
     [
         (40, small_config(), "gradient"),  # a zero series is fitted exactly
-        (60, PredictorConfig(delay=1, hidden_units=1, max_fail=0, seed=0), "ftol"),
-        (30, PredictorConfig(delay=5, hidden_units=3, max_fail=0, seed=0), "no-accepted-step"),
+        (60, PredictorConfig(delay=1, hidden_units=1, seed=0), "ftol"),
+        (30, PredictorConfig(delay=5, hidden_units=3, seed=0), "no-accepted-step"),
         # the paper-scale split: 126 training samples for 216 parameters
         (221, PredictorConfig(delay=41, max_epochs=3, seed=0), "max-epochs"),
         (221, PredictorConfig(delay=41, seed=0), "max-fail"),
     ],
 )
-def test_stop_reason(size, config, expected):
+def test_stop_reason(size, config, expected, monkeypatch):
+    if expected in ("ftol", "no-accepted-step"):
+        # on these inputs the validation stop comes first
+        monkeypatch.setattr(predictor, "_MAX_FAIL", NO_PATIENCE)
     returns = np.zeros(size) if expected == "gradient" else (
         np.random.default_rng(0).normal(0.0, 0.02, size=size)
     )
@@ -408,7 +412,7 @@ def test_stop_reason(size, config, expected):
     if expected == "ftol":
         assert losses[-2] - losses[-1] <= 1e-12 * losses[-1]
     if expected == "max-fail":
-        assert all(v > trained.best_val_loss for v in val_losses[-config.max_fail :])
+        assert all(v > trained.best_val_loss for v in val_losses[-predictor._MAX_FAIL :])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -419,26 +423,29 @@ def test_stop_reason(size, config, expected):
     st.integers(0, 2**32 - 1),
     st.sampled_from([1, 2, 6]),
 )
+# inputs where a new best comes between validation failures before the stop
+@example(1, 1, 10, 0, 6)
+@example(1, 3, 20, 0, 2)
 def test_max_fail_run_is_a_prefix_of_the_run_without_patience(delay, hidden, extra, seed, max_fail):
     returns = np.random.default_rng(seed).normal(0.0, 0.02, size=delay + extra)
-    config = PredictorConfig(
-        delay=delay, hidden_units=hidden, max_epochs=60, max_fail=max_fail, seed=seed
-    )
+    config = PredictorConfig(delay=delay, hidden_units=hidden, max_epochs=60, seed=seed)
     split = split_series(returns, config)
 
-    def run(cfg):
+    def run(patience, cfg=config):
         epochs = []
-        trained = train_arnn(split, cfg, on_epoch=lambda e, tr, vl: epochs.append((tr, vl)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictor, "_MAX_FAIL", patience)
+            trained = train_arnn(split, cfg, on_epoch=lambda e, tr, vl: epochs.append((tr, vl)))
         return trained, epochs
 
-    patient, patient_epochs = run(config)
-    full, full_epochs = run(replace(config, max_fail=0))
+    patient, patient_epochs = run(max_fail)
+    full, full_epochs = run(NO_PATIENCE)
     k = patient.epochs_run
     assert patient_epochs == full_epochs[:k]
 
     # the fit returns the best-validation snapshot of its prefix: the same
     # parameters as a run without patience cut at that epoch
-    prefix = full if k == 0 else train_arnn(split, replace(config, max_fail=0, max_epochs=k))
+    prefix = full if k == 0 else run(NO_PATIENCE, replace(config, max_epochs=k))[0]
     np.testing.assert_array_equal(patient.flat(), prefix.flat())
     assert patient.best_val_loss == prefix.best_val_loss
     assert all(patient.best_val_loss <= vl for _, vl in patient_epochs)
