@@ -26,7 +26,7 @@ import numpy as np
 
 from . import eval_metrics, frontier, market_data, predictor, risk_model, taguchi
 from .errors import ConfigError, PredfolioError
-from .ga_solver import GAConfig, evolve
+from .ga_solver import GAConfig, evolve, stop_summary
 from .objective import Bounds, ObjectiveParams
 from .predictor import PredictionRecord, PredictorConfig
 
@@ -411,7 +411,10 @@ def cmd_tune(config: RunConfig) -> int:
         skew_mode=config.str_("skew_mode"),
     )
     base = config.build(GAConfig, seed=config.int_("seed"))
-    runner = taguchi.ga_runner(model, params, config.bounds(), config.int_("k"), base)
+    ga_runs = []
+    runner = taguchi.ga_runner(
+        model, params, config.bounds(), config.int_("k"), base, on_result=ga_runs.append
+    )
     array = taguchi.build_array()
     runs = taguchi.run_experiments(
         array, runner, replicates=config.int_("tune_replicates"), seed=config.int_("seed")
@@ -436,6 +439,7 @@ def cmd_tune(config: RunConfig) -> int:
         ],
         "tuned_ga.cfg": "".join(f"{k} = {v}\n" for k, v in result.best_levels.items()),
     })
+    print(f"{len(ga_runs)} GA runs ({stop_summary(ga_runs)})")
     print("best levels: " + ", ".join(f"{k}={v}" for k, v in result.best_levels.items()))
     return 0
 
@@ -503,7 +507,10 @@ def cmd_frontier(config: RunConfig) -> int:
             "ga_config": asdict(ga_config),
         },
     })
-    print(f"{len(result.points)} frontier points, {len(result.failures)} failures")
+    print(
+        f"{len(result.points)} frontier points, {len(result.failures)} failures"
+        f" ({stop_summary(result.runs)})"
+    )
     if result.failures:
         for failure in result.failures:
             print(

@@ -1,7 +1,8 @@
 """Preference-parameter sweep and efficient-frontier extraction.
 
-One GA run (best of ``repeats``) per (lambda, theta) grid point; the
-frontier itself is read off the theta=0 sub-sweep by dominance filtering.
+One GA run (best of ``repeats``) per (lambda, theta) grid point, all of
+them evolved together in batches; the frontier itself is read off the
+theta=0 sub-sweep by dominance filtering.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PredfolioError
-from .ga_solver import GAConfig, GAResult, evolve
+# ``evolve`` stays bound here because bench/tracing.py wraps ``frontier.evolve`` by name.
+from .ga_solver import GAConfig, GAResult, evolve, evolve_batch  # noqa: F401
 from .objective import Bounds, ObjectiveParams, Portfolio
 from .risk_model import RiskModel
 
@@ -44,6 +46,7 @@ class FrontierPoint:
 class SweepResult:
     points: list[FrontierPoint]
     failures: list[dict]
+    runs: list[GAResult]  # every GA run, point by point and repeat by repeat
 
 
 def _base_seed(config: GAConfig) -> tuple[int, ...]:
@@ -62,46 +65,53 @@ def sweep(
 ) -> SweepResult:
     """Optimize every (lambda, theta) pair; keep each point's best repeat.
 
-    GA failures at a point are recorded and the sweep continues; callers
-    decide how to surface a partially failed sweep.
+    All points' repeats go to one :func:`evolve_batch` call. A GA failure
+    there fails every point (the runs share the model, bounds, K and GA
+    settings that it checks); it is recorded per point and the sweep
+    returns normally, so callers decide how to surface it.
     """
+    base = _base_seed(ga_config)
+    grid = [
+        (lam, theta, base + (li, ti))
+        for li, lam in enumerate(lambda_grid)
+        for ti, theta in enumerate(theta_grid)
+    ]
+    params = [ObjectiveParams(lam=lam, theta=theta, skew_mode=skew_mode) for lam, theta, _ in grid]
+    seeds = [seed + (rep,) for _, _, seed in grid for rep in range(repeats)]
+    error: str | None = None
+    try:
+        runs = evolve_batch(
+            model,
+            [p for p in params for _ in range(repeats)],
+            bounds,
+            k,
+            [replace(ga_config, seed=seed) for seed in seeds],
+        )
+    except PredfolioError as exc:
+        runs, error = [], str(exc)
+
     points: list[FrontierPoint] = []
     failures: list[dict] = []
-    base = _base_seed(ga_config)
-    for li, lam in enumerate(lambda_grid):
-        for ti, theta in enumerate(theta_grid):
-            params = ObjectiveParams(lam=lam, theta=theta, skew_mode=skew_mode)
-            best: GAResult | None = None
-            best_seed: tuple[int, ...] = ()
-            costs: list[float] = []
-            error: str | None = None
-            for rep in range(repeats):
-                seed = base + (li, ti, rep)
-                config = replace(ga_config, seed=seed)
-                try:
-                    result = evolve(model, params, bounds, k, config)
-                except PredfolioError as exc:
-                    error = str(exc)
-                    break
-                costs.append(result.best_cost)
-                if best is None or result.best_cost < best.best_cost:
-                    best, best_seed = result, seed
-            if best is None:
-                failures.append({"lambda": lam, "theta": theta, "error": error})
-                continue
-            points.append(
-                FrontierPoint(
-                    lam=lam,
-                    theta=theta,
-                    portfolio=best.best,
-                    cost=best.best_cost,
-                    seed=best_seed,
-                    stop_reason=best.stop_reason,
-                    generations=best.generations,
-                    spread=max(costs) - min(costs),
-                )
+    for i, (lam, theta, _) in enumerate(grid):
+        repeat_runs = runs[i * repeats:(i + 1) * repeats]
+        if not repeat_runs:
+            failures.append({"lambda": lam, "theta": theta, "error": error})
+            continue
+        costs = [result.best_cost for result in repeat_runs]
+        best = int(np.argmin(costs))
+        points.append(
+            FrontierPoint(
+                lam=lam,
+                theta=theta,
+                portfolio=repeat_runs[best].best,
+                cost=costs[best],
+                seed=seeds[i * repeats + best],
+                stop_reason=repeat_runs[best].stop_reason,
+                generations=repeat_runs[best].generations,
+                spread=max(costs) - min(costs),
             )
-    return SweepResult(points=points, failures=failures)
+        )
+    return SweepResult(points=points, failures=failures, runs=runs)
 
 
 def efficient_filter(points: Sequence[FrontierPoint]) -> list[FrontierPoint]:

@@ -6,12 +6,21 @@ with subset-aware repair, adaptive step mutation in allocation space, all
 applied to a whole generation of children at once, then replace-the-worst
 insertion. Stops on a stalled best cost, a wall-clock limit, or the
 generation cap.
+
+Several runs that share a model, bounds, K and GA settings can evolve
+together (:func:`evolve_batch`): their populations are stacked, so each
+operator runs once per generation over the children of every run. Each
+run keeps its own random generator and draws from it exactly as it would
+alone, so a run's result does not depend on the batch it is in.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,6 +29,7 @@ from .objective import (
     Bounds,
     ObjectiveParams,
     Portfolio,
+    RowParams,
     build_portfolio,
     penalized_cost,
 )
@@ -32,9 +42,22 @@ STOP_STALL = "stall"
 STOP_TIME = "time"
 STOP_GENERATIONS = "generation-limit"
 
+# Population rows (runs x population_size) that evolve together in one
+# batch. It bounds the stacked temporaries, and so the peak memory: a
+# batch of 200-member runs holds 6 of them.
+_BATCH_ROWS = 1200
+
 
 @dataclass
 class GAConfig:
+    """Settings of one GA run.
+
+    ``time_limit_seconds`` is measured from the start of the run's batch:
+    runs that evolve together (see :func:`evolve_batch`) share one start
+    clock, so the limit bounds the wall time of the whole batch. It is the
+    only stop that can differ between machines.
+    """
+
     population_size: int = 200
     crossover_fraction: float = 0.8
     crossover_kind: str = "single-point"
@@ -133,17 +156,35 @@ def selection_probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"no selection probabilities for kind {kind!r}")
 
 
+def tournament_contenders(
+    p: int, n: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(n, size)`` distinct member indices per tournament, sorted per row,
+    for ``size < p``. The j-th contender is drawn uniformly among the
+    ``p - j`` members not yet drawn: a draw below ``p - j`` is shifted past
+    each earlier pick, in ascending order, that it reaches."""
+    picked = np.empty((n, 0), dtype=np.int64)
+    for j in range(size):
+        pick = rng.integers(p - j, size=n)
+        for i in range(j):
+            pick += pick >= picked[:, i]
+        picked = np.sort(np.column_stack([picked, pick]), axis=1)
+    return picked
+
+
 def tournament_select(
     costs: np.ndarray, n: int, rng: np.random.Generator, tournament_size: int = 2
 ) -> np.ndarray:
-    """Indices of ``n`` tournament winners: each tournament draws
-    ``tournament_size`` distinct contenders (the smallest of random keys
-    over the population) and keeps the cheapest."""
-    size = min(tournament_size, len(costs))
-    keys = rng.random((n, len(costs)))
-    contenders = np.argpartition(keys, size - 1, axis=1)[:, :size]
-    cheapest = np.argmin(costs[contenders], axis=1)
-    return contenders[np.arange(n), cheapest]
+    """Indices of ``n`` tournament winners: each tournament holds
+    ``tournament_size`` distinct contenders and keeps the cheapest (the
+    lowest index among equally cheap ones). A tournament as large as the
+    population holds all of it, so the global argmin wins and nothing is
+    drawn."""
+    p = len(costs)
+    if tournament_size >= p:
+        return np.full(n, int(costs.argmin()))
+    contenders = tournament_contenders(p, n, tournament_size, rng)
+    return contenders[np.arange(n), np.argmin(costs[contenders], axis=1)]
 
 
 def select_parents(
@@ -160,19 +201,80 @@ def select_parents(
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(costs) - 1)
 
 
-def _take_a(c: int, k: int, kind: str, rng: np.random.Generator) -> np.ndarray:
+class RunStreams:
+    """The generators of R runs whose rows are stacked run by run.
+
+    Every draw is made run by run, each generator drawing only for its
+    own run's rows and in the shape that run would draw alone, and the
+    parts are stacked, so a run's stream does not depend on its batch.
+    Row counts ``n`` are per run: one number for all runs, or one each.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs = tuple(rngs)
+
+    def _stack(self, parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _sized(self, draw: Callable, n) -> np.ndarray:
+        counts = [n] * len(self.rngs) if isinstance(n, int) else n
+        return self._stack([draw(rng, int(rows)) for rng, rows in zip(self.rngs, counts)])
+
+    def random(self, n, *tail: int) -> np.ndarray:
+        return self._sized(lambda rng, rows: rng.random((rows, *tail)), n)
+
+    def standard_normal(self, n, *tail: int) -> np.ndarray:
+        return self._sized(lambda rng, rows: rng.standard_normal((rows, *tail)), n)
+
+    def integers(self, low: int, high: int, n) -> np.ndarray:
+        return self._sized(lambda rng, rows: rng.integers(low, high, size=rows), n)
+
+    def integers_above(self, low: np.ndarray, high: int) -> np.ndarray:
+        """One integer in ``[low[i], high)`` per stacked row ``i``."""
+        parts = np.split(low, len(self.rngs))
+        return self._stack([rng.integers(part, high) for rng, part in zip(self.rngs, parts)])
+
+
+def _streams(rng) -> RunStreams:
+    return rng if isinstance(rng, RunStreams) else RunStreams([rng])
+
+
+def _take_a(c: int, k: int, kind: str, streams: RunStreams) -> np.ndarray:
     """``(C, K)`` slot masks, True where the gene comes from parent A."""
     slots = np.arange(k)
+    rows = c // len(streams.rngs)
     if kind == "two-point":
-        first = rng.integers(0, k, size=c)
-        second = rng.integers(first + 1, k + 1)
+        first = streams.integers(0, k, rows)
+        second = streams.integers_above(first + 1, k + 1)
         return (slots < first[:, None]) | (slots >= second[:, None])
     if kind == "single-point":
-        cut = rng.integers(1, k, size=c) if k > 1 else rng.integers(0, 2, size=c)
+        cut = streams.integers(1, k, rows) if k > 1 else streams.integers(0, 2, rows)
         return slots < cut[:, None]
     if kind == "scattered":
-        return rng.random((c, k)) < 0.5
+        return streams.random(rows, k) < 0.5
     raise ConfigError(f"unknown crossover kind {kind!r}")
+
+
+def _holds(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mask of ``values`` entries found in the same row of ``members``, for
+    ``(C, N)`` values and ``(C, K)`` members, one comparison per member
+    column."""
+    found = np.zeros(values.shape, dtype=bool)
+    for column in members.T:
+        found |= values == column[:, None]
+    return found
+
+
+def _raw_of(genes: np.ndarray, sel: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per gene, whether a parent holds it and the raw value at the first
+    slot that does (0 where none does)."""
+    value = np.zeros(genes.shape)
+    found = np.zeros(genes.shape, dtype=bool)
+    for j in reversed(range(sel.shape[1])):
+        hit = genes == sel[:, j:j + 1]
+        value = np.where(hit, raw[:, j:j + 1], value)
+        found |= hit
+    return value, found
 
 
 def crossover(
@@ -180,10 +282,11 @@ def crossover(
     raw_a: np.ndarray,
     sel_b: np.ndarray,
     raw_b: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | RunStreams,
     kind: str = "single-point",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows.
+    """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows
+    (the children of several runs when ``rng`` is a :class:`RunStreams`).
 
     Slots up to the cut(s) come from one parent and the rest from the
     other. A slot whose asset already sits in an earlier slot is refilled
@@ -193,30 +296,31 @@ def crossover(
     held by both parents take their raw value from either parent with
     equal probability, the others from the parent that holds them.
     """
+    streams = _streams(rng)
     c, k = sel_a.shape
-    genes = np.where(_take_a(c, k, kind, rng), sel_a, sel_b)
-    earlier = np.triu(np.ones((k, k), dtype=bool), 1)   # slot i precedes slot j
-    repeat = ((genes[:, :, None] == genes[:, None, :]) & earlier).any(axis=1)
+    rows = c // len(streams.rngs)
+    genes = np.where(_take_a(c, k, kind, streams), sel_a, sel_b)
+    repeat = np.zeros((c, k), dtype=bool)
+    for shift in range(1, k):  # slot j repeats slot j - shift
+        repeat[:, shift:] |= genes[:, shift:] == genes[:, :-shift]
 
     union = np.concatenate([sel_a, sel_b], axis=1)
     # Each union asset is a candidate once: B's copies of A's assets are not.
-    twice = np.concatenate(
-        [np.zeros((c, k), dtype=bool), (sel_b[:, :, None] == sel_a[:, None, :]).any(axis=2)],
-        axis=1,
-    )
-    held = (union[:, :, None] == genes[:, None, :]).any(axis=2)
-    order = np.argsort(np.where(twice | held, 2.0, rng.random(union.shape)), axis=1)
-    # The j-th repeated slot of a row takes the candidate with its j-th smallest key.
-    nth = np.maximum(np.cumsum(repeat, axis=1) - 1, 0)
-    refill = np.take_along_axis(union, np.take_along_axis(order, nth, axis=1), axis=1)
-    genes = np.where(repeat, refill, genes)
+    twice = np.concatenate([np.zeros((c, k), dtype=bool), _holds(sel_b, sel_a)], axis=1)
+    keys = streams.random(rows, 2 * k)  # drawn for every row, refilled or not
+    refilled = np.flatnonzero(repeat.any(axis=1))
+    if len(refilled):
+        rep, uni = repeat[refilled], union[refilled]
+        skip = twice[refilled] | _holds(uni, genes[refilled])
+        order = np.argsort(np.where(skip, 2.0, keys[refilled]), axis=1)
+        # The j-th repeated slot of a row takes the candidate with its j-th smallest key.
+        nth = np.maximum(np.cumsum(rep, axis=1) - 1, 0)
+        refill = np.take_along_axis(uni, np.take_along_axis(order, nth, axis=1), axis=1)
+        genes[refilled] = np.where(rep, refill, genes[refilled])
 
-    match_a = genes[:, :, None] == sel_a[:, None, :]
-    match_b = genes[:, :, None] == sel_b[:, None, :]
-    from_a = np.take_along_axis(raw_a, match_a.argmax(axis=2), axis=1)
-    from_b = np.take_along_axis(raw_b, match_b.argmax(axis=2), axis=1)
-    in_a, in_b = match_a.any(axis=2), match_b.any(axis=2)
-    coin = rng.random((c, k)) < 0.5
+    from_a, in_a = _raw_of(genes, sel_a, raw_a)
+    from_b, in_b = _raw_of(genes, sel_b, raw_b)
+    coin = streams.random(rows, k) < 0.5
     take_raw_a = np.where(in_a & in_b, coin, in_a)
     return genes, np.where(take_raw_a, from_a, from_b)
 
@@ -224,29 +328,62 @@ def crossover(
 def mutate(
     selection: np.ndarray,
     raw: np.ndarray,
-    step_length: float,
-    rng: np.random.Generator,
+    step_length: float | np.ndarray,
+    rng: np.random.Generator | RunStreams,
     n_assets: int,
     swap_rate: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step each row along a random unit direction in allocation space and
     clamp to [0, 1]; in a ``swap_rate`` share of rows, swap one selected
-    asset for a uniformly drawn non-member."""
+    asset for a uniformly drawn non-member. ``step_length`` is one number
+    or a ``(C, 1)`` column, one per row."""
+    streams = _streams(rng)
     c, k = raw.shape
-    direction = rng.standard_normal((c, k))
+    rows = c // len(streams.rngs)
+    direction = streams.standard_normal(rows, k)
     norm = np.linalg.norm(direction, axis=1, keepdims=True)
     raw = np.clip(raw + step_length * (direction / np.where(norm > 0.0, norm, 1.0)), 0.0, 1.0)
 
     selection = selection.copy()
     if n_assets > k:
-        rows = np.flatnonzero(rng.random(c) < swap_rate)
-        position = rng.integers(k, size=len(rows))
-        nth = rng.integers(n_assets - k, size=len(rows))
-        outside = np.ones((len(rows), n_assets), dtype=bool)
-        outside[np.arange(len(rows))[:, None], selection[rows]] = False
+        swap = streams.random(rows) < swap_rate
+        swapped = np.flatnonzero(swap)
+        per_run = swap.reshape(len(streams.rngs), rows).sum(axis=1)
+        position = streams.integers(0, k, per_run)
+        nth = streams.integers(0, n_assets - k, per_run)
+        outside = np.ones((len(swapped), n_assets), dtype=bool)
+        outside[np.arange(len(swapped))[:, None], selection[swapped]] = False
         # the nth non-member in index order
-        selection[rows, position] = np.argmax(np.cumsum(outside, axis=1) > nth[:, None], axis=1)
+        selection[swapped, position] = np.argmax(np.cumsum(outside, axis=1) > nth[:, None], axis=1)
     return selection, raw
+
+
+def replace_worst(
+    costs: np.ndarray, child_costs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Insert children in creation order, each replacing the current worst
+    member (the highest cost, the lowest position among equal ones) when
+    strictly cheaper.
+
+    Returns ``(positions, children)``: the members that end up holding a
+    child and the index of the child each holds; ``costs`` is not changed.
+    A max-heap keyed ``(-cost, position)`` tracks the worst member. The
+    worst cost never rises, so no child at or above the starting worst can
+    enter and only the others are visited.
+    """
+    heap = list(zip((-costs).tolist(), range(len(costs))))
+    heapq.heapify(heap)
+    worst = -heap[0][0]
+    visited = np.flatnonzero(child_costs < worst)
+    placed: dict[int, int] = {}
+    for i, cost in zip(visited.tolist(), child_costs[visited].tolist()):
+        if cost < worst:
+            position = heap[0][1]
+            heapq.heapreplace(heap, (-cost, position))
+            placed[position] = i
+            worst = -heap[0][0]
+    return (np.fromiter(placed.keys(), dtype=np.int64, count=len(placed)),
+            np.fromiter(placed.values(), dtype=np.int64, count=len(placed)))
 
 
 def evolve(
@@ -266,9 +403,37 @@ def evolve(
     creation order, each replacing the current worst member when strictly
     cheaper, so the best cost never increases. Deterministic for a fixed
     seed, except that a wall-clock stop can land on different generations
-    across machines.
+    across machines. A batch of one run through :func:`evolve_batch`.
     """
+    return evolve_batch(model, [params], bounds, k, [config])[0]
+
+
+def evolve_batch(
+    model: RiskModel,
+    params: Sequence[ObjectiveParams],
+    bounds: Bounds,
+    k: int,
+    configs: Sequence[GAConfig],
+) -> list[GAResult]:
+    """Run ``evolve(model, params[r], bounds, k, configs[r])`` for every
+    run ``r``, with the runs evolving together.
+
+    The configs must agree on everything but the seed, and the params on
+    the skew mode. Runs go in batches of at most ``_BATCH_ROWS``
+    population rows (at least one run each), in order. Result ``r`` equals
+    the standalone ``evolve`` of run ``r`` field for field, except where a
+    wall-clock stop fires: a batch's runs share one start clock.
+    """
+    if len(params) != len(configs):
+        raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
+    if not configs:
+        return []
+    config = configs[0]
     config.validate()
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ConfigError("GA runs evolved together must share every setting but the seed")
+    if len({p.skew_mode for p in params}) > 1:
+        raise ConfigError("GA runs evolved together must share one skew mode")
     m = model.n_assets
     if k > m or k < 1:
         raise ConfigError(f"subset size {k} invalid for a universe of {m} assets")
@@ -276,81 +441,135 @@ def evolve(
         raise InfeasibleBoundsError(
             f"no subset of {k} assets admits weights within the supplied bounds"
         )
+    runs = max(1, _BATCH_ROWS // config.population_size)
+    results: list[GAResult] = []
+    for first in range(0, len(configs), runs):
+        batch = slice(first, first + runs)
+        results += _evolve_together(model, params[batch], bounds, k, configs[batch])
+    return results
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+
+def _evolve_together(
+    model: RiskModel,
+    params: Sequence[ObjectiveParams],
+    bounds: Bounds,
+    k: int,
+    configs: Sequence[GAConfig],
+) -> list[GAResult]:
+    """The GA loop over the ``(R, P, K)`` populations of a validated batch.
+
+    A run leaves the active set when it stalls; a time stop ends every
+    active run at once, and the rest stop at the generation cap.
+    """
+    config = configs[0]
+    m, n_runs, size = model.n_assets, len(configs), config.population_size
+    rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
     start = time.monotonic()
 
-    def score(selection, raw):
-        return penalized_cost(selection, raw, model, params, bounds, config.penalty_factor)[0]
+    lam = np.array([p.lam for p in params])
+    theta = np.array([p.theta for p in params])
 
-    selection, raw = init_population(m, k, config.population_size, rng)
-    costs = score(selection, raw)
-    evaluations = len(costs)
+    def score(selection, raw, runs, rows):
+        row_params = RowParams(
+            np.repeat(lam[runs], rows), np.repeat(theta[runs], rows), params[0].skew_mode,
+        )
+        return penalized_cost(selection, raw, model, row_params, bounds, config.penalty_factor)
 
-    idx = int(costs.argmin())
-    best_cost = float(costs[idx])
-    best_selection, best_raw = selection[idx].copy(), raw[idx].copy()
-    cost_history = [best_cost]
-    mean_history = [float(costs.mean())]
+    every = list(range(n_runs))
+    populations = [init_population(m, k, size, rng) for rng in rngs]
+    selection = np.stack([sel for sel, _ in populations])
+    raw = np.stack([r for _, r in populations])
+    costs = score(
+        selection.reshape(-1, k), raw.reshape(-1, k), every, size
+    )[0].reshape(n_runs, size)
 
-    step = AdaptiveStep()
+    best_index = costs.argmin(axis=1)
+    best_cost = costs[every, best_index].tolist()
+    best_selection, best_raw = selection[every, best_index], raw[every, best_index]
+    cost_history = [[cost] for cost in best_cost]
+    mean_history = [[float(costs[r].mean())] for r in every]
+    evaluations = [size] * n_runs
+    steps = [AdaptiveStep() for _ in every]
+    stop_reasons = [STOP_GENERATIONS] * n_runs
+    generations = [config.generation_cap] * n_runs
+
     n_children = int(round(config.crossover_fraction * config.population_size))
-    stop_reason = STOP_GENERATIONS
-    generation = 0
-
+    window = config.stall_generations
+    active = every
     for generation in range(1, config.generation_cap + 1):
         if time.monotonic() - start > config.time_limit_seconds:
-            stop_reason = STOP_TIME
-            generation -= 1
+            for r in active:
+                stop_reasons[r], generations[r] = STOP_TIME, generation - 1
             break
 
-        parents = select_parents(
-            costs, config.selection_kind, 2 * n_children, rng, config.tournament_size
-        )
-        a, b = parents[:n_children], parents[n_children:]
+        parents = np.stack([
+            select_parents(costs[r], config.selection_kind, 2 * n_children, rngs[r],
+                           config.tournament_size)
+            for r in active
+        ])
+        a, b = parents[:, :n_children], parents[:, n_children:]
+        runs = np.array(active)[:, None]
+        streams = RunStreams([rngs[r] for r in active])
         child_sel, child_raw = crossover(
-            selection[a], raw[a], selection[b], raw[b], rng, config.crossover_kind
+            selection[runs, a].reshape(-1, k), raw[runs, a].reshape(-1, k),
+            selection[runs, b].reshape(-1, k), raw[runs, b].reshape(-1, k),
+            streams, config.crossover_kind,
         )
+        step_lengths = np.repeat([steps[r].length for r in active], n_children)
         child_sel, child_raw = mutate(
-            child_sel, child_raw, step.length, rng, m, config.mutation_swap_rate
+            child_sel, child_raw, step_lengths[:, None], streams, m, config.mutation_swap_rate
         )
-        child_costs = score(child_sel, child_raw)
-        evaluations += len(child_costs)
+        child_costs = score(child_sel, child_raw, active, n_children)[0]
 
-        for i, cost in enumerate(child_costs.tolist()):
-            worst = int(costs.argmax())
-            if cost < costs[worst]:
-                selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
+        still_active = []
+        for i, r in enumerate(active):
+            first = i * n_children
+            positions, children = replace_worst(costs[r], child_costs[first:first + n_children])
+            children += first
+            selection[r, positions], raw[r, positions] = child_sel[children], child_raw[children]
+            costs[r, positions] = child_costs[children]
+            evaluations[r] += n_children
 
-        previous_best = best_cost
-        idx = int(costs.argmin())
-        if costs[idx] < best_cost:
-            best_cost = float(costs[idx])
-            best_selection, best_raw = selection[idx].copy(), raw[idx].copy()
-        cost_history.append(best_cost)
-        mean_history.append(float(costs.mean()))
-        step.update(best_cost < previous_best)
+            previous_best = best_cost[r]
+            idx = int(costs[r].argmin())
+            if costs[r, idx] < best_cost[r]:
+                best_cost[r] = float(costs[r, idx])
+                best_selection[r], best_raw[r] = selection[r, idx], raw[r, idx]
+            history = cost_history[r]
+            history.append(best_cost[r])
+            mean_history[r].append(float(costs[r].mean()))
+            steps[r].update(best_cost[r] < previous_best)
+            if (generation >= window
+                    and (history[generation - window] - history[generation]) / window
+                    < config.function_tolerance):
+                stop_reasons[r], generations[r] = STOP_STALL, generation
+            else:
+                still_active.append(r)
+        active = still_active
+        if not active:
+            break
 
-        window = config.stall_generations
-        if generation >= window:
-            averaged_gain = (cost_history[generation - window] - cost_history[generation]) / window
-            if averaged_gain < config.function_tolerance:
-                stop_reason = STOP_STALL
-                break
+    _, weights = score(best_selection, best_raw, every, 1)
+    results = []
+    for r in every:
+        full = np.zeros(m)
+        full[best_selection[r]] = weights[r]
+        results.append(GAResult(
+            best=build_portfolio(best_selection[r], full, model),
+            best_cost=best_cost[r],
+            generations=generations[r],
+            cost_history=cost_history[r],
+            mean_history=mean_history[r],
+            stop_reason=stop_reasons[r],
+            evaluations=evaluations[r],
+            config=configs[r],
+        ))
+    return results
 
-    _, weights = penalized_cost(
-        best_selection[None], best_raw[None], model, params, bounds, config.penalty_factor,
-    )
-    full = np.zeros(m)
-    full[best_selection] = weights[0]
-    portfolio = build_portfolio(best_selection, full, model)
-    return GAResult(
-        best=portfolio,
-        best_cost=best_cost,
-        generations=generation,
-        cost_history=cost_history,
-        mean_history=mean_history,
-        stop_reason=stop_reason,
-        evaluations=evaluations,
-        config=config,
-    )
+
+def stop_summary(results: Sequence[GAResult]) -> str:
+    """How a set of GA runs stopped, e.g. ``stall 30, time 6; 36000 evaluations``."""
+    stops = Counter(result.stop_reason for result in results)
+    reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
+    evaluations = f"{sum(result.evaluations for result in results)} evaluations"
+    return f"{reasons}; {evaluations}" if reasons else evaluations

@@ -84,6 +84,18 @@ class ObjectiveParams:
             raise ConfigError(f"unknown skew mode {self.skew_mode!r}")
 
 
+@dataclass(frozen=True)
+class RowParams:
+    """Preference weights per scored row: ``(R,)`` ``lam`` and ``theta``
+    arrays and one skew mode, for the stacked chromosomes of GA runs with
+    different ``ObjectiveParams``. Row ``i`` costs exactly what it would
+    under ``ObjectiveParams(lam[i], theta[i], skew_mode)``."""
+
+    lam: np.ndarray
+    theta: np.ndarray
+    skew_mode: str = SKEW_WEIGHTED
+
+
 @dataclass
 class Portfolio:
     """Decoded holdings: subset, full-universe weights, and evaluated stats."""
@@ -172,7 +184,7 @@ def mvs_cost(
     return _blend(params, risk, ret, skew_term)
 
 
-def _blend(params: ObjectiveParams, risk, ret, skew_term):
+def _blend(params: ObjectiveParams | RowParams, risk, ret, skew_term):
     return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
 
 
@@ -180,11 +192,12 @@ def penalized_cost(
     selection: np.ndarray,
     raw: np.ndarray,
     model: RiskModel,
-    params: ObjectiveParams,
+    params: ObjectiveParams | RowParams,
     bounds: Bounds,
     penalty_factor: float = 10.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitness of each row of ``(R, K)`` chromosomes; finite for finite input.
+    ``params`` holds one set of preference weights, or one per row.
 
     Feasible selections decode normally and pay no penalty. When the
     bounds over a selection are infeasible (floors sum above one or caps

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ExperimentError, PredfolioError
-from .ga_solver import GAConfig, evolve
+from .ga_solver import GAConfig, GAResult, evolve
 from .objective import Bounds, ObjectiveParams
 from .risk_model import RiskModel
 
@@ -121,8 +121,12 @@ def ga_runner(
     bounds: Bounds,
     k: int,
     base_config: GAConfig,
+    on_result: Callable[[GAResult], None] | None = None,
 ) -> Callable[[dict, object], float]:
-    """Build a runner that applies a factor assignment onto a base GA config."""
+    """Build a runner that applies a factor assignment onto a base GA config.
+
+    ``on_result``, when given, sees every run's full result.
+    """
 
     def run(assignment: dict, seed) -> float:
         config = replace(
@@ -134,7 +138,10 @@ def ga_runner(
             penalty_factor=float(assignment["penalty_factor"]),
             seed=tuple(seed) if isinstance(seed, (tuple, list)) else seed,
         )
-        return evolve(model, params, bounds, k, config).best_cost
+        result = evolve(model, params, bounds, k, config)
+        if on_result is not None:
+            on_result(result)
+        return result.best_cost
 
     return run
 

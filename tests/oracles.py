@@ -139,3 +139,22 @@ def pairwise_covariance_loops(errors: np.ndarray) -> np.ndarray:
                 acc += errors[i, t] * errors[j, t]
             sigma[i, j] = acc / (n - 1)
     return sigma
+
+
+def insert_children_by_argmax(selection, raw, costs, child_sel, child_raw, child_costs):
+    """Replace-the-worst insertion by a scan per child: each child, in
+    creation order, replaces the member at ``costs.argmax()`` (the lowest
+    position among equally worst ones) when strictly cheaper.
+
+    Works on copies and returns ``(selection, raw, costs, placed)``, where
+    ``placed`` maps each member position that ends up holding a child to
+    the index of that child.
+    """
+    selection, raw, costs = selection.copy(), raw.copy(), costs.copy()
+    placed = {}
+    for i, cost in enumerate(child_costs.tolist()):
+        worst = int(costs.argmax())
+        if cost < costs[worst]:
+            selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
+            placed[worst] = i
+    return selection, raw, costs, placed

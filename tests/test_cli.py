@@ -291,6 +291,18 @@ def test_full_pipeline_and_artifacts(pipeline, capsys):
     assert report["frontier"]["points"] == 2
 
 
+def test_frontier_reports_ga_stops(pipeline, capsys):
+    config, out = pipeline
+    for stage in ("ingest", "predict", "risk"):
+        assert main([stage, "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["frontier", "--config", config, "--time-limit", "1e-9"]) == 0
+    # 2 points x 1 repeat, each stopped before its first generation
+    assert capsys.readouterr().out.strip() == "2 frontier points, 0 failures (time 2; 80 evaluations)"
+    points = json.loads((out / "frontier.json").read_text())["points"]
+    assert [point["stop_reason"] for point in points] == ["time", "time"]
+
+
 def test_flag_overrides_reach_the_run(pipeline, capsys):
     config, out = pipeline
     assert main(["ingest", "--config", config]) == 0
@@ -309,7 +321,16 @@ def test_tune_stage_with_tiny_budget(tmp_path, capsys):
     config = write_config(tmp_path, prices, out, extra)
     for stage in ("ingest", "predict", "risk"):
         assert main([stage, "--config", config]) == 0
+    capsys.readouterr()
     assert main(["tune", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 27 rows x 1 replicate, each stopped by the stall window or the cap
+    match = re.fullmatch(r"27 GA runs \((.*); (\d+) evaluations\)", lines[0])
+    assert match, lines[0]
+    stops = dict(part.rsplit(" ", 1) for part in match[1].split(", "))
+    assert set(stops) <= {"stall", "generation-limit"}
+    assert sum(int(n) for n in stops.values()) == 27
+    assert lines[1].startswith("best levels: ")
     result = json.loads((out / "tune_result.json").read_text())
     assert set(result["best_levels"]) == {
         "population_size", "selection_kind", "crossover_fraction",

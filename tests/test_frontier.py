@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from predfolio.frontier import FrontierPoint, efficient_filter, sweep
-from predfolio.ga_solver import GAConfig
-from predfolio.objective import Bounds, Portfolio, portfolio_return, portfolio_risk
+from predfolio.ga_solver import GAConfig, evolve
+from predfolio.objective import (
+    Bounds, ObjectiveParams, Portfolio, portfolio_return, portfolio_risk,
+)
 
 from conftest import random_risk_model
 from oracles import dominance_scan
@@ -127,7 +131,8 @@ def test_sweep_records_failures_and_continues(rng):
     )
     assert result.points == []
     assert len(result.failures) == 2
-    assert result.failures
+    assert result.runs == []
+    assert all("no subset of 11 assets" in failure["error"] for failure in result.failures)
 
 
 def test_sweep_theta_zero_endpoints_are_extremal(rng):
@@ -141,3 +146,37 @@ def test_sweep_theta_zero_endpoints_are_extremal(rng):
     mus = [p.mu_p for p in result.points]
     assert by_lam[1.0].sigma_p == pytest.approx(min(sigmas), abs=1e-6)
     assert by_lam[0.0].mu_p == pytest.approx(max(mus), abs=1e-6)
+
+
+def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
+    model = random_risk_model(rng, 7)
+    config = GAConfig(population_size=24, stall_generations=4, generation_cap=30, seed=(5, 1))
+    bounds = Bounds(0.05, 0.6)
+    result = sweep(model, bounds, 3, config, lambda_grid=[1.0, 0.3], theta_grid=[0.0, 0.5],
+                   repeats=3)
+    assert len(result.runs) == 12
+    for i, p in enumerate(result.points):
+        li, ti = divmod(i, 2)
+        alone = [
+            evolve(model, ObjectiveParams(p.lam, p.theta), bounds, 3,
+                   replace(config, seed=(5, 1, li, ti, rep)))
+            for rep in range(3)
+        ]
+        costs = [run.best_cost for run in alone]
+        best = costs.index(min(costs))
+        assert [run.best_cost for run in result.runs[3 * i:3 * i + 3]] == costs
+        assert p.cost == costs[best]
+        assert p.seed == (5, 1, li, ti, best)
+        assert p.portfolio.weights.tobytes() == alone[best].best.weights.tobytes()
+        assert (p.stop_reason, p.generations) == (alone[best].stop_reason, alone[best].generations)
+        assert p.spread == max(costs) - min(costs)
+
+
+def test_sweep_under_a_tiny_time_limit_reports_time_stops(rng):
+    model = random_risk_model(rng, 6)
+    config = GAConfig(population_size=30, time_limit_seconds=1e-9, seed=0)
+    result = sweep(model, Bounds(0.0, 1.0), 3, config, repeats=2)
+    assert len(result.points) == 12
+    assert {p.stop_reason for p in result.points} == {"time"}
+    assert {run.stop_reason for run in result.runs} == {"time"}
+    assert all(run.generations == 0 for run in result.runs)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predfolio import ga_solver
 from predfolio.errors import ConfigError, InfeasibleBoundsError
 from predfolio.ga_solver import (
     CROSSOVER_KINDS,
@@ -13,16 +16,20 @@ from predfolio.ga_solver import (
     GAConfig,
     crossover,
     evolve,
+    evolve_batch,
     init_population,
     mutate,
+    replace_worst,
     selection_probabilities,
+    stop_summary,
+    tournament_contenders,
     tournament_select,
 )
 from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.risk_model import RiskModel
 
 from conftest import random_risk_model
-from oracles import best_linear_portfolio, grid_search_mvs
+from oracles import best_linear_portfolio, grid_search_mvs, insert_children_by_argmax
 
 
 def rows(*values, dtype=float) -> np.ndarray:
@@ -104,6 +111,33 @@ def test_roulette_equal_costs_near_uniform():
 def test_tournament_prefers_cheaper(rng):
     picks = tournament_select(np.array([0.0, 9.0]), 200, rng, tournament_size=2)
     assert np.all(picks == 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12), st.integers(1, 40), st.integers(1, 14), st.integers(0, 2**32 - 1),
+)
+def test_tournament_contenders_are_distinct_and_the_cheapest_wins(p, n, size, seed):
+    # integer costs over few values, so equally cheap contenders are common
+    costs = np.random.default_rng(seed).integers(0, 4, size=p).astype(float)
+    winners = tournament_select(costs, n, np.random.default_rng(seed), tournament_size=size)
+    if size >= p:
+        assert np.all(winners == np.argmin(costs))
+        return
+    contenders = tournament_contenders(p, n, size, np.random.default_rng(seed))
+    assert contenders.shape == (n, size)
+    assert np.all((contenders >= 0) & (contenders < p))
+    assert np.all(np.diff(contenders, axis=1) > 0)  # sorted, hence distinct
+    for row, winner in zip(contenders.tolist(), winners.tolist()):
+        assert winner == min(row, key=lambda i: (costs[i], i))
+
+
+def test_tournament_contenders_are_uniform_pairs():
+    # every unordered pair of 4 members is equally likely
+    contenders = tournament_contenders(4, 60_000, 2, np.random.default_rng(0))
+    _, counts = np.unique(contenders[:, 0] * 4 + contenders[:, 1], return_counts=True)
+    assert len(counts) == 6
+    np.testing.assert_allclose(counts / 60_000, 1 / 6, atol=0.01)
 
 
 # -------------------------------------------------------------- crossover
@@ -265,6 +299,39 @@ def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
         assert set(new) <= set(range(n))
 
 
+@st.composite
+def insertion_cases(draw):
+    """A population and a generation of children with integer-valued costs
+    over a few values, so equal members, and a child equal to the worst
+    member, are common."""
+    p = draw(st.integers(1, 12))
+    c = draw(st.integers(0, 16))
+    top = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.integers(0, top + 1, size=p).astype(float)
+    child_costs = rng.integers(0, top + 1, size=c).astype(float)
+    selection = rng.integers(0, 50, size=(p, 3))
+    child_sel = rng.integers(0, 50, size=(c, 3))
+    return selection, rng.random((p, 3)), costs, child_sel, rng.random((c, 3)), child_costs
+
+
+@BATCH_SETTINGS
+@given(insertion_cases())
+def test_replace_worst_matches_the_argmax_scan(case):
+    selection, raw, costs, child_sel, child_raw, child_costs = case
+    want_sel, want_raw, want_costs, placed = insert_children_by_argmax(*case)
+    before = costs.copy()
+    positions, children = replace_worst(costs, child_costs)
+    np.testing.assert_array_equal(costs, before)
+    assert dict(zip(positions.tolist(), children.tolist())) == placed
+    selection, raw = selection.copy(), raw.copy()
+    selection[positions], raw[positions] = child_sel[children], child_raw[children]
+    costs[positions] = child_costs[children]
+    np.testing.assert_array_equal(selection, want_sel)
+    np.testing.assert_array_equal(raw, want_raw)
+    np.testing.assert_array_equal(costs, want_costs)
+
+
 # ------------------------------------------------------------------- evolve
 
 def test_evolve_inverse_variance_weights():
@@ -374,3 +441,115 @@ def test_evolve_fixed_work_per_generation(selection_kind, crossover_kind):
     assert result.generations == 6
     assert result.evaluations == config.population_size + result.generations * children
     assert len(result.cost_history) == len(result.mean_history) == result.generations + 1
+
+
+# --------------------------------------------------------- batches of runs
+
+def assert_same_run(batched, alone):
+    assert batched.cost_history == alone.cost_history
+    assert batched.mean_history == alone.mean_history
+    assert batched.best_cost == alone.best_cost
+    assert batched.best.weights.tobytes() == alone.best.weights.tobytes()
+    assert batched.best.selection == alone.best.selection
+    assert (batched.best.mu_p, batched.best.sigma_p) == (alone.best.mu_p, alone.best.sigma_p)
+    assert batched.stop_reason == alone.stop_reason
+    assert batched.generations == alone.generations
+    assert batched.evaluations == alone.evaluations
+    assert batched.config == alone.config
+
+
+BATCH_RUNS = [  # (lambda, theta, seed): mixed preferences, so runs stall apart
+    (1.0, 0.0, 3), (0.5, 0.2, (7, 1)), (0.0, 0.8, 11), (0.8, 0.0, (7, 2)),
+    (0.2, 0.2, 5), (1.0, 0.8, 0), (0.5, 0.0, (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("selection_kind,crossover_kind,skew_mode,bounds", [
+    ("roulette", "single-point", "weighted", Bounds(0.05, 0.5)),
+    ("tournament", "scattered", "weighted", Bounds(0.0, 1.0)),
+    ("uniform", "two-point", "literal", Bounds(0.1, 0.3)),
+])
+def test_batched_runs_equal_standalone_runs(selection_kind, crossover_kind, skew_mode, bounds):
+    model = random_risk_model(np.random.default_rng(8), 9)
+    base = GAConfig(
+        population_size=30, selection_kind=selection_kind, crossover_kind=crossover_kind,
+        stall_generations=4, generation_cap=40, mutation_swap_rate=0.3,
+    )
+    params = [ObjectiveParams(lam, theta, skew_mode) for lam, theta, _ in BATCH_RUNS]
+    configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
+    batched = evolve_batch(model, params, bounds, 4, configs)
+    assert len(batched) == len(BATCH_RUNS)
+    for result, p, config in zip(batched, params, configs):
+        assert_same_run(result, evolve(model, p, bounds, 4, config))
+    # the mask matters: the runs stop at different generations
+    assert len({result.generations for result in batched}) > 1
+    assert {result.stop_reason for result in batched} == {"stall"}
+
+
+def test_batched_runs_equal_standalone_runs_at_the_generation_cap():
+    model = random_risk_model(np.random.default_rng(4), 12)
+    base = GAConfig(population_size=20, stall_generations=4, generation_cap=10)
+    params = [ObjectiveParams(lam, theta) for lam, theta, _ in BATCH_RUNS]
+    configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
+    batched = evolve_batch(model, params, Bounds(0.0, 0.4), 5, configs)
+    for result, p, config in zip(batched, params, configs):
+        assert_same_run(result, evolve(model, p, Bounds(0.0, 0.4), 5, config))
+    assert {result.stop_reason for result in batched} == {"stall", "generation-limit"}
+
+
+def test_row_budget_splits_runs_into_batches_without_changing_them(monkeypatch):
+    model = random_risk_model(np.random.default_rng(6), 8)
+    base = GAConfig(population_size=25, stall_generations=5, generation_cap=30)
+    params = [ObjectiveParams(lam, theta) for lam, theta, _ in BATCH_RUNS]
+    configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
+    whole = evolve_batch(model, params, Bounds(0.0, 0.5), 3, configs)
+    sizes = []
+    together = ga_solver._evolve_together
+
+    def spy(model, params, bounds, k, configs):
+        sizes.append(len(configs))
+        return together(model, params, bounds, k, configs)
+
+    monkeypatch.setattr(ga_solver, "_evolve_together", spy)
+    monkeypatch.setattr(ga_solver, "_BATCH_ROWS", 3 * base.population_size)
+    split = evolve_batch(model, params, Bounds(0.0, 0.5), 3, configs)
+    assert sizes == [3, 3, 1]
+    for batched, alone in zip(split, whole):
+        assert_same_run(batched, alone)
+
+
+def test_evolve_batch_refuses_runs_that_differ_beyond_seed_and_preferences():
+    model = random_risk_model(np.random.default_rng(1), 6)
+    params = [ObjectiveParams(0.5, 0.0)] * 2
+    with pytest.raises(ConfigError, match="every setting but the seed"):
+        evolve_batch(model, params, Bounds(), 3,
+                     [fast_config(seed=1), fast_config(seed=2, population_size=40)])
+    with pytest.raises(ConfigError, match="skew mode"):
+        evolve_batch(model, [ObjectiveParams(0.5, 0.0, "literal"), params[0]], Bounds(), 3,
+                     [fast_config(seed=1), fast_config(seed=2)])
+    with pytest.raises(ConfigError):
+        evolve_batch(model, params, Bounds(), 3, [fast_config()])
+    assert evolve_batch(model, [], Bounds(), 3, []) == []
+
+
+def test_batch_shares_one_clock_for_the_time_stop():
+    model = random_risk_model(np.random.default_rng(2), 8)
+    base = GAConfig(population_size=50, time_limit_seconds=0.05,
+                    generation_cap=100_000, stall_generations=100_000 - 1)
+    configs = [replace(base, seed=seed) for seed in range(4)]
+    results = evolve_batch(model, [ObjectiveParams(0.5, 0.1)] * 4, Bounds(), 4, configs)
+    assert {result.stop_reason for result in results} == {"time"}
+    # the clock is checked once per generation for the whole batch
+    assert len({result.generations for result in results}) == 1
+
+
+def test_stop_summary_counts_reasons_and_evaluations():
+    model = diag_model([0.01, 0.02, 0.03])
+    params = ObjectiveParams(lam=1.0, theta=0.0)
+    results = [
+        evolve(model, params, Bounds(), 2, fast_config(seed=1)),
+        evolve(model, params, Bounds(), 2, fast_config(seed=2, generation_cap=3)),
+    ]
+    total = sum(result.evaluations for result in results)
+    assert stop_summary(results) == f"generation-limit 1, stall 1; {total} evaluations"
+    assert stop_summary([]) == "0 evaluations"

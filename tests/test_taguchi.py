@@ -180,3 +180,16 @@ def test_ga_runner_executes_assignment(rng):
     cost_b = runner(assignment, (0, 0, 0))
     assert cost_a == cost_b
     assert np.isfinite(cost_a)
+
+
+def test_ga_runner_hands_every_result_to_on_result(rng):
+    model = random_risk_model(rng, 4)
+    params = ObjectiveParams(lam=0.8, theta=0.2)
+    base = GAConfig(generation_cap=5, stall_generations=4, population_size=30, seed=0)
+    seen = []
+    runner = ga_runner(model, params, Bounds(0.0, 1.0), 3, base, on_result=seen.append)
+    assignment = DEFAULT_FACTORS.assignment((2, 2, 0, 2, 1))
+    costs = [runner(assignment, (0, 0, rep)) for rep in range(2)]
+    assert [result.best_cost for result in seen] == costs
+    assert [result.config.seed for result in seen] == [(0, 0, 0), (0, 0, 1)]
+    assert seen[0].config.selection_kind == "tournament"
