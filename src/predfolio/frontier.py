@@ -65,10 +65,12 @@ def sweep(
 ) -> SweepResult:
     """Optimize every (lambda, theta) pair; keep each point's best repeat.
 
-    All points' repeats go to one :func:`evolve_batch` call. A GA failure
-    there fails every point (the runs share the model, bounds, K and GA
-    settings that it checks); it is recorded per point and the sweep
-    returns normally, so callers decide how to surface it.
+    All points' repeats go to one :func:`evolve_batch` call; they share
+    every GA setting but the seed, so they form one group of batches. A
+    GA failure there fails every point (what it checks, the GA config,
+    skew mode, K and bounds, is the same for every run); it is recorded
+    per point and the sweep returns normally, so callers decide how to
+    surface it.
     """
     base = _base_seed(ga_config)
     grid = [

@@ -7,11 +7,12 @@ applied to a whole generation of children at once, then replace-the-worst
 insertion. Stops on a stalled best cost, a wall-clock limit, or the
 generation cap.
 
-Several runs that share a model, bounds, K and GA settings can evolve
-together (:func:`evolve_batch`): their populations are stacked, so each
-operator runs once per generation over the children of every run. Each
-run keeps its own random generator and draws from it exactly as it would
-alone, so a run's result does not depend on the batch it is in.
+Several runs that share a model, bounds and K can evolve together
+(:func:`evolve_batch`): runs whose GA settings differ only in seed and
+penalty factor are stacked, so each operator runs once per generation
+over the children of every run in the stack. Each run keeps its own
+random generator and draws from it exactly as it would alone, so a run's
+result does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,9 +54,10 @@ class GAConfig:
     """Settings of one GA run.
 
     ``time_limit_seconds`` is measured from the start of the run's batch:
-    runs that evolve together (see :func:`evolve_batch`) share one start
-    clock, so the limit bounds the wall time of the whole batch. It is the
-    only stop that can differ between machines.
+    runs that evolve together (see :func:`evolve_batch`: a frontier's
+    repeats, or tune runs that differ only in seed and penalty factor)
+    share one start clock, so the limit bounds the wall time of the whole
+    batch. It is the only stop that can differ between machines.
     """
 
     population_size: int = 200
@@ -418,20 +420,20 @@ def evolve_batch(
     """Run ``evolve(model, params[r], bounds, k, configs[r])`` for every
     run ``r``, with the runs evolving together.
 
-    The configs must agree on everything but the seed, and the params on
-    the skew mode. Runs go in batches of at most ``_BATCH_ROWS``
-    population rows (at least one run each), in order. Result ``r`` equals
-    the standalone ``evolve`` of run ``r`` field for field, except where a
+    Every config must be valid, and the params must share one skew mode.
+    Runs whose configs agree on everything but the seed and the penalty
+    factor form a group, in order of first appearance; each group goes in
+    batches of at most ``_BATCH_ROWS`` population rows (at least one run
+    each). Results come back in input order. Result ``r`` equals the
+    standalone ``evolve`` of run ``r`` field for field, except where a
     wall-clock stop fires: a batch's runs share one start clock.
     """
     if len(params) != len(configs):
         raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
     if not configs:
         return []
-    config = configs[0]
-    config.validate()
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ConfigError("GA runs evolved together must share every setting but the seed")
+    for config in configs:
+        config.validate()
     if len({p.skew_mode for p in params}) > 1:
         raise ConfigError("GA runs evolved together must share one skew mode")
     m = model.n_assets
@@ -441,11 +443,19 @@ def evolve_batch(
         raise InfeasibleBoundsError(
             f"no subset of {k} assets admits weights within the supplied bounds"
         )
-    runs = max(1, _BATCH_ROWS // config.population_size)
-    results: list[GAResult] = []
-    for first in range(0, len(configs), runs):
-        batch = slice(first, first + runs)
-        results += _evolve_together(model, params[batch], bounds, k, configs[batch])
+    groups: dict[tuple, list[int]] = {}
+    for r, config in enumerate(configs):
+        groups.setdefault(astuple(replace(config, seed=0, penalty_factor=0.0)), []).append(r)
+    results: list[GAResult | None] = [None] * len(configs)
+    for members in groups.values():
+        runs = max(1, _BATCH_ROWS // configs[members[0]].population_size)
+        for first in range(0, len(members), runs):
+            batch = members[first:first + runs]
+            done = _evolve_together(
+                model, [params[r] for r in batch], bounds, k, [configs[r] for r in batch]
+            )
+            for r, result in zip(batch, done):
+                results[r] = result
     return results
 
 
@@ -456,7 +466,8 @@ def _evolve_together(
     k: int,
     configs: Sequence[GAConfig],
 ) -> list[GAResult]:
-    """The GA loop over the ``(R, P, K)`` populations of a validated batch.
+    """The GA loop over the ``(R, P, K)`` populations of a validated batch
+    whose configs differ only in seed and penalty factor.
 
     A run leaves the active set when it stalls; a time stop ends every
     active run at once, and the rest stop at the generation cap.
@@ -468,12 +479,14 @@ def _evolve_together(
 
     lam = np.array([p.lam for p in params])
     theta = np.array([p.theta for p in params])
+    penalty = np.array([c.penalty_factor for c in configs], dtype=float)
 
     def score(selection, raw, runs, rows):
         row_params = RowParams(
             np.repeat(lam[runs], rows), np.repeat(theta[runs], rows), params[0].skew_mode,
         )
-        return penalized_cost(selection, raw, model, row_params, bounds, config.penalty_factor)
+        penalty_factor = np.repeat(penalty[runs], rows)[:, None]
+        return penalized_cost(selection, raw, model, row_params, bounds, penalty_factor)
 
     every = list(range(n_runs))
     populations = [init_population(m, k, size, rng) for rng in rngs]

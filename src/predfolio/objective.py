@@ -194,10 +194,11 @@ def penalized_cost(
     model: RiskModel,
     params: ObjectiveParams | RowParams,
     bounds: Bounds,
-    penalty_factor: float = 10.0,
+    penalty_factor: float | np.ndarray = 10.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitness of each row of ``(R, K)`` chromosomes; finite for finite input.
-    ``params`` holds one set of preference weights, or one per row.
+    ``params`` holds one set of preference weights, or one per row, and
+    ``penalty_factor`` one number or an ``(R, 1)`` column, one per row.
 
     Feasible selections decode normally and pay no penalty. When the
     bounds over a selection are infeasible (floors sum above one or caps

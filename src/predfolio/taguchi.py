@@ -1,8 +1,9 @@
 """Orthogonal-array experiment design over the five GA factors.
 
 Runs a 27-row three-level fractional factorial, then picks the level with
-the lowest mean cost per factor. The run loop takes any ``runner`` callable
-so the GA can be swapped for a stub when calibrating the analysis itself.
+the lowest mean cost per factor. The experiment hands every run to one
+``runner`` call, so the GA runs can evolve together in batches and the GA
+can be swapped for a stub when calibrating the analysis itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ExperimentError, PredfolioError
-from .ga_solver import GAConfig, GAResult, evolve
+# ``evolve`` stays bound here because bench/tracing.py wraps ``taguchi.evolve`` by name.
+from .ga_solver import GAConfig, GAResult, evolve, evolve_batch  # noqa: F401
 from .objective import Bounds, ObjectiveParams
 from .risk_model import RiskModel
 
@@ -87,32 +89,47 @@ def build_array(grid: FactorGrid = DEFAULT_FACTORS) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+Job = tuple[dict, tuple[int, int, int]]
+
+
 def run_experiments(
     array: np.ndarray,
-    runner: Callable[[dict, object], float],
+    runner: Callable[[list[Job]], Sequence[float]],
     grid: FactorGrid = DEFAULT_FACTORS,
     replicates: int = 3,
     seed: int = 0,
 ) -> list[ExperimentRun]:
     """Execute every array row ``replicates`` times with derived seeds.
 
-    ``runner(assignment, seed)`` must return a final cost; failures are
-    re-raised with the offending row identified.
+    ``runner(jobs)`` gets every ``(assignment, (seed, row, replicate))``
+    job at once, row by row, and must return one final cost per job, in
+    order. Failures are re-raised as an :class:`ExperimentError`; one the
+    runner pins to a job (an ``ExperimentError`` with ``job`` set) names
+    the offending row.
     """
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    runs: list[ExperimentRun] = []
-    for row_idx, levels in enumerate(array):
-        assignment = grid.assignment(levels)
-        costs = []
-        for rep in range(replicates):
-            derived_seed = (seed, row_idx, rep)
-            try:
-                costs.append(float(runner(assignment, derived_seed)))
-            except PredfolioError as exc:
-                raise ExperimentError(f"array row {row_idx} failed: {exc}") from exc
-        runs.append(ExperimentRun(row=row_idx, levels=tuple(int(v) for v in levels), costs=costs))
-    return runs
+    jobs = [
+        (grid.assignment(levels), (seed, row, rep))
+        for row, levels in enumerate(array)
+        for rep in range(replicates)
+    ]
+    try:
+        costs = [float(cost) for cost in runner(jobs)]
+    except PredfolioError as exc:
+        job = exc.job if isinstance(exc, ExperimentError) else None
+        failed = "experiment runs" if job is None else f"array row {job // replicates}"
+        raise ExperimentError(f"{failed} failed: {exc}") from exc
+    if len(costs) != len(jobs):
+        raise ExperimentError(f"runner returned {len(costs)} costs for {len(jobs)} jobs")
+    return [
+        ExperimentRun(
+            row=row,
+            levels=tuple(int(v) for v in levels),
+            costs=costs[row * replicates:(row + 1) * replicates],
+        )
+        for row, levels in enumerate(array)
+    ]
 
 
 def ga_runner(
@@ -122,26 +139,38 @@ def ga_runner(
     k: int,
     base_config: GAConfig,
     on_result: Callable[[GAResult], None] | None = None,
-) -> Callable[[dict, object], float]:
-    """Build a runner that applies a factor assignment onto a base GA config.
+) -> Callable[[list[Job]], list[float]]:
+    """Build a runner that applies each job's factor assignment and seed
+    onto a base GA config and evolves all the runs in one
+    :func:`evolve_batch` call.
 
-    ``on_result``, when given, sees every run's full result.
+    Each job's config is validated first, so an invalid one fails naming
+    its job. ``on_result``, when given, sees every run's full result, in
+    job order.
     """
 
-    def run(assignment: dict, seed) -> float:
-        config = replace(
-            base_config,
-            population_size=int(assignment["population_size"]),
-            selection_kind=str(assignment["selection_kind"]),
-            crossover_fraction=float(assignment["crossover_fraction"]),
-            crossover_kind=str(assignment["crossover_kind"]),
-            penalty_factor=float(assignment["penalty_factor"]),
-            seed=tuple(seed) if isinstance(seed, (tuple, list)) else seed,
-        )
-        result = evolve(model, params, bounds, k, config)
+    def run(jobs: list[Job]) -> list[float]:
+        configs = []
+        for job, (assignment, seed) in enumerate(jobs):
+            config = replace(
+                base_config,
+                population_size=int(assignment["population_size"]),
+                selection_kind=str(assignment["selection_kind"]),
+                crossover_fraction=float(assignment["crossover_fraction"]),
+                crossover_kind=str(assignment["crossover_kind"]),
+                penalty_factor=float(assignment["penalty_factor"]),
+                seed=tuple(seed) if isinstance(seed, (tuple, list)) else seed,
+            )
+            try:
+                config.validate()
+            except ConfigError as exc:
+                raise ExperimentError(str(exc), job=job) from exc
+            configs.append(config)
+        results = evolve_batch(model, [params] * len(configs), bounds, k, configs)
         if on_result is not None:
-            on_result(result)
-        return result.best_cost
+            for result in results:
+                on_result(result)
+        return [result.best_cost for result in results]
 
     return run
 

@@ -33,6 +33,12 @@ def random_risk_model(rng: np.random.Generator, n_assets: int) -> RiskModel:
     )
 
 
+def each_job(cost):
+    """A batched experiment runner that prices each ``(assignment, seed)``
+    job with ``cost(assignment, seed)``."""
+    return lambda jobs: [cost(assignment, seed) for assignment, seed in jobs]
+
+
 def write_prices_csv(path, closes_by_asset: dict[str, list[float]], start=dt.date(2024, 1, 1)):
     """Write a weekly Monday price file, one row per asset-week."""
     assert start.weekday() == 0

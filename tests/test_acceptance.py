@@ -40,7 +40,7 @@ from predfolio.predictor import (
 from predfolio.risk_model import RiskModel
 from predfolio.taguchi import DEFAULT_FACTORS, analyze_means, build_array, run_experiments
 
-from conftest import geometric_walk, random_risk_model, write_prices_csv
+from conftest import each_job, geometric_walk, random_risk_model, write_prices_csv
 from oracles import dominance_scan, grid_search_mvs
 from test_cli import write_config
 
@@ -212,10 +212,10 @@ def test_criterion_09_taguchi_recovery_and_array_checks():
         names = DEFAULT_FACTORS.names
         target = DEFAULT_FACTORS.assignment(planted)
 
-        def runner(assignment, seed):
+        def cost(assignment, seed):
             return float(sum(assignment[n] != target[n] for n in names))
 
-        runs = run_experiments(array, runner, replicates=1, seed=0)
+        runs = run_experiments(array, each_job(cost), replicates=1, seed=0)
         result = analyze_means(runs, array=array)
         for f, name in enumerate(names):
             assert result.best_level_indices[name] == planted[f]

@@ -518,17 +518,93 @@ def test_row_budget_splits_runs_into_batches_without_changing_them(monkeypatch):
         assert_same_run(batched, alone)
 
 
-def test_evolve_batch_refuses_runs_that_differ_beyond_seed_and_preferences():
+# Floors of 0.4 on assets 0-3 and caps of 0.3 on assets 4-7: about one
+# 3-subset in seven is infeasible, so the penalty factor shapes the costs.
+MIXED_BOUNDS = Bounds(np.array([0.4] * 4 + [0.0] * 4), np.array([1.0] * 4 + [0.3] * 4))
+
+
+def mixed_run_configs(draw) -> list[GAConfig]:
+    return draw(st.lists(st.builds(
+        GAConfig,
+        population_size=st.sampled_from([10, 16]),
+        selection_kind=st.sampled_from(SELECTION_KINDS),
+        crossover_kind=st.sampled_from(CROSSOVER_KINDS),
+        crossover_fraction=st.sampled_from([0.5, 0.8]),
+        penalty_factor=st.sampled_from([10.0, 100.0]),
+        seed=st.integers(0, 3),
+        stall_generations=st.just(3),
+        generation_cap=st.just(8),
+    ), min_size=1, max_size=8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), batch_rows=st.sampled_from([ga_solver._BATCH_ROWS, 32]))
+def test_mixed_runs_equal_standalone_runs_in_input_order(data, batch_rows):
+    model = random_risk_model(np.random.default_rng(12), 8)
+    configs = mixed_run_configs(data.draw)
+    params = [ObjectiveParams(data.draw(st.sampled_from([0.2, 0.8])), 0.1) for _ in configs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ga_solver, "_BATCH_ROWS", batch_rows)
+        batched = evolve_batch(model, params, MIXED_BOUNDS, 3, configs)
+    assert len(batched) == len(configs)
+    for result, p, config in zip(batched, params, configs):
+        assert_same_run(result, evolve(model, p, MIXED_BOUNDS, 3, config))
+
+
+def test_evolve_batch_groups_runs_by_all_but_seed_and_penalty(monkeypatch):
+    model = random_risk_model(np.random.default_rng(9), 8)
+    small = GAConfig(population_size=10, stall_generations=3, generation_cap=12)
+    large = replace(small, population_size=20, selection_kind="tournament",
+                    crossover_kind="two-point", crossover_fraction=0.6)
+    configs = [  # interleaved, as the tune's array rows are
+        replace(small, seed=0, penalty_factor=10.0),
+        replace(large, seed=0, penalty_factor=10.0),
+        replace(small, seed=0, penalty_factor=100.0),
+        replace(large, seed=1, penalty_factor=50.0),
+        replace(small, seed=1, penalty_factor=50.0),
+        replace(large, seed=2, penalty_factor=100.0),
+        replace(small, seed=2, penalty_factor=10.0),
+    ]
+    params = [ObjectiveParams(0.8, 0.2)] * len(configs)
+    batches = []
+    together = ga_solver._evolve_together
+
+    def spy(model, params, bounds, k, configs):
+        batches.append([(c.population_size, c.seed, c.penalty_factor) for c in configs])
+        return together(model, params, bounds, k, configs)
+
+    monkeypatch.setattr(ga_solver, "_evolve_together", spy)
+    monkeypatch.setattr(ga_solver, "_BATCH_ROWS", 40)
+    batched = evolve_batch(model, params, MIXED_BOUNDS, 3, configs)
+    assert batches == [  # groups in order of first appearance, 4 or 2 runs a batch
+        [(10, 0, 10.0), (10, 0, 100.0), (10, 1, 50.0), (10, 2, 10.0)],
+        [(20, 0, 10.0), (20, 1, 50.0)],
+        [(20, 2, 100.0)],
+    ]
+    monkeypatch.undo()
+    for result, config in zip(batched, configs):
+        assert_same_run(result, evolve(model, params[0], MIXED_BOUNDS, 3, config))
+    # the same run under another penalty factor scores its infeasible members apart
+    assert batched[0].mean_history[0] != batched[2].mean_history[0]
+
+
+def test_evolve_batch_refuses_mixed_skew_modes_and_invalid_configs():
     model = random_risk_model(np.random.default_rng(1), 6)
     params = [ObjectiveParams(0.5, 0.0)] * 2
-    with pytest.raises(ConfigError, match="every setting but the seed"):
-        evolve_batch(model, params, Bounds(), 3,
-                     [fast_config(seed=1), fast_config(seed=2, population_size=40)])
     with pytest.raises(ConfigError, match="skew mode"):
         evolve_batch(model, [ObjectiveParams(0.5, 0.0, "literal"), params[0]], Bounds(), 3,
                      [fast_config(seed=1), fast_config(seed=2)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="2 objective params for 1 GA configs"):
         evolve_batch(model, params, Bounds(), 3, [fast_config()])
+    # An invalid config anywhere in the list is refused up front; a zero
+    # stall window would otherwise run, stopping every run at once.
+    for invalid, message in [({"crossover_kind": "bogus"}, "unknown crossover kind 'bogus'"),
+                             ({"stall_generations": 0}, "stall_generations must be >= 1")]:
+        for position in range(3):
+            configs = [fast_config(seed=seed) for seed in range(3)]
+            configs[position] = replace(configs[position], **invalid)
+            with pytest.raises(ConfigError, match=message):
+                evolve_batch(model, [params[0]] * 3, Bounds(), 3, configs)
     assert evolve_batch(model, [], Bounds(), 3, []) == []
 
 
