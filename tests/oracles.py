@@ -7,7 +7,13 @@ paths under test.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
+
 import numpy as np
+
+from predfolio.errors import ParseError
+from predfolio.market_data import PricePoint, PriceTable
 
 
 def _comp2(total: int) -> np.ndarray:
@@ -158,3 +164,79 @@ def insert_children_by_argmax(selection, raw, costs, child_sel, child_raw, child
             selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
             placed[worst] = i
     return selection, raw, costs, placed
+
+
+def load_prices_rowwise(path, weekday: int, max_stale_days: int = 6) -> PriceTable:
+    """Price-file ingest one record at a time: parse and validate each row
+    in file order, then walk each asset's weekly grid (``weekday`` 0 is
+    Monday) day by day. Faults carry ``reader.line_num``, the line the
+    record ends on.
+    """
+    observed: dict[str, dict[dt.date, float]] = {}
+    order: list[str] = []
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty price file", line=1)
+        cols = [c.strip().lower() for c in header]
+        try:
+            i_date, i_asset, i_close = cols.index("date"), cols.index("asset"), cols.index("close")
+        except ValueError:
+            raise ParseError(f"header must contain date,asset,close (got {header})", line=1)
+        for row in reader:
+            lineno = reader.line_num
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) <= max(i_date, i_asset, i_close):
+                raise ParseError(f"expected {len(cols)} fields, got {len(row)}", line=lineno)
+            try:
+                date = dt.date.fromisoformat(row[i_date].strip())
+            except ValueError:
+                raise ParseError(f"bad date {row[i_date]!r}", line=lineno)
+            asset = row[i_asset].strip()
+            if not asset:
+                raise ParseError("empty asset identifier", line=lineno)
+            try:
+                close = float(row[i_close])
+            except ValueError:
+                raise ParseError(f"non-numeric close {row[i_close]!r}", line=lineno)
+            if not np.isfinite(close) or close <= 0:
+                raise ParseError(f"close must be a positive number, got {row[i_close]!r}", line=lineno)
+            if asset not in observed:
+                observed[asset] = {}
+                order.append(asset)
+            if date in observed[asset]:
+                raise ParseError(f"duplicate row for {asset} on {date.isoformat()}", line=lineno)
+            observed[asset][date] = close
+
+    if not order:
+        raise ParseError("price file contains no data rows")
+
+    first_date = min(min(days) for days in observed.values())
+    grid_start = first_date + dt.timedelta(days=(weekday - first_date.weekday()) % 7)
+    grid_end = max(max(days) for days in observed.values())
+
+    points: dict[str, list[PricePoint]] = {}
+    excluded: list[str] = []
+    for asset in order:
+        days = sorted(observed[asset].items())
+        dates = [d for d, _ in days]
+        closes = [c for _, c in days]
+        first_obs, last_obs = dates[0], dates[-1]
+        sampled: list[PricePoint] = []
+        week = grid_start
+        idx = -1
+        while week <= grid_end:
+            if week >= first_obs and (week - last_obs).days <= max_stale_days:
+                while idx + 1 < len(dates) and dates[idx + 1] <= week:
+                    idx += 1
+                if idx >= 0:
+                    sampled.append(PricePoint(week, asset, closes[idx]))
+            week += dt.timedelta(days=7)
+        if sampled:
+            points[asset] = sampled
+        else:
+            excluded.append(asset)
+    return PriceTable(points=points, excluded=excluded)

@@ -4,12 +4,14 @@ import csv
 import datetime as dt
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predfolio import market_data
 from predfolio.errors import AlignmentError, InsufficientDataError, ParseError
 from predfolio.market_data import (
     PricePoint,
@@ -19,6 +21,7 @@ from predfolio.market_data import (
 )
 
 from conftest import make_return_series, weekly_dates
+from oracles import load_prices_rowwise
 
 MON1 = dt.date(2024, 1, 1)   # a Monday
 MON2 = dt.date(2024, 1, 8)
@@ -78,8 +81,96 @@ def test_load_prices_non_numeric_close_names_the_row(tmp_path):
 
 def test_load_prices_rejects_nonpositive_close(tmp_path):
     path = write_rows(tmp_path / "p.csv", [(MON1.isoformat(), "AAA", -5)])
-    with pytest.raises(ParseError, match="positive"):
+    with pytest.raises(ParseError, match="^line 2: close must be a positive number, got '-5'$"):
         load_prices(path)
+
+
+def write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.fixture(params=[1, 2, market_data._CHUNK_ROWS], ids=lambda n: f"chunk{n}")
+def chunk_rows(request, monkeypatch):
+    """Run the test at a few chunk sizes, so faults fall inside and across chunks."""
+    monkeypatch.setattr(market_data, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+def refusal(path):
+    with pytest.raises(ParseError) as info:
+        load_prices(path)
+    return info.value.line, str(info.value)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2024-02-30,AAA,101", "bad date '2024-02-30'"),
+        ("Jan 8 2024,AAA,101", "bad date 'Jan 8 2024'"),
+        ("2024-01-08,  ,101", "empty asset identifier"),
+        ("2024-01-08,AAA", "expected 3 fields, got 2"),
+        ("2024-01-01,AAA,101", "duplicate row for AAA on 2024-01-01"),
+        ("2024-01-08,AAA,oops", "non-numeric close 'oops'"),
+        ("2024-01-08,AAA,nan", "close must be a positive number, got 'nan'"),
+        ("2024-01-08,AAA, inf", "close must be a positive number, got ' inf'"),
+        ("2024-01-08,AAA,-inf", "close must be a positive number, got '-inf'"),
+        ("2024-01-08,AAA,0", "close must be a positive number, got '0'"),
+    ],
+)
+def test_load_prices_refusal_names_the_faulty_line(tmp_path, chunk_rows, row, message):
+    # header, a valid row and a blank line come first: the fault is on line 4
+    text = f"date,asset,close\n2024-01-01,AAA,100\n\n{row}\n2024-01-15,AAA,102\n"
+    assert refusal(write_text(tmp_path / "p.csv", text)) == (4, f"line 4: {message}")
+
+
+def test_load_prices_refuses_a_header_without_the_columns(tmp_path):
+    path = write_text(tmp_path / "p.csv", "date,ticker,close\n2024-01-01,AAA,100\n")
+    line, message = refusal(path)
+    assert line == 1 and message.startswith("line 1: header must contain date,asset,close")
+
+
+def test_load_prices_refuses_an_empty_file(tmp_path):
+    assert refusal(write_text(tmp_path / "p.csv", "")) == (1, "line 1: empty price file")
+
+
+def test_load_prices_refuses_a_header_with_no_rows(tmp_path):
+    for text in ("date,asset,close\n", "date,asset,close\n\n  \n,,\n"):
+        assert refusal(write_text(tmp_path / "p.csv", text)) == (
+            None, "price file contains no data rows"
+        )
+
+
+def test_load_prices_reads_any_column_order_and_case(tmp_path):
+    text = "Close , ASSET,Note,Date\n100,AAA,x, 2024-01-01\n 110 , AAA ,,2024-01-08\n"
+    points = load_prices(write_text(tmp_path / "p.csv", text)).points["AAA"]
+    assert [(p.date, p.close) for p in points] == [(MON1, 100.0), (MON2, 110.0)]
+
+
+def test_load_prices_names_the_earlier_of_a_duplicate_and_a_bad_close(tmp_path, chunk_rows):
+    valid = "date,asset,close\n2024-01-01,AAA,100\n2024-01-08,AAA,101\n"
+    duplicate, bad_close = "2024-01-01,AAA,102\n", "2024-01-15,AAA,x\n"
+    path = write_text(tmp_path / "p.csv", valid + duplicate + bad_close)
+    assert refusal(path) == (4, "line 4: duplicate row for AAA on 2024-01-01")
+    path = write_text(tmp_path / "p.csv", valid + bad_close + duplicate)
+    assert refusal(path) == (4, "line 4: non-numeric close 'x'")
+
+
+def test_load_prices_names_the_first_repeat_in_file_order(tmp_path, chunk_rows):
+    # AAA's repeat sorts first by asset, but BBB's comes first in the file
+    text = "date,asset,close\n2024-01-01,AAA,1\n2024-01-01,BBB,2\n2024-01-01,BBB,3\n2024-01-01,AAA,4\n"
+    assert refusal(write_text(tmp_path / "p.csv", text)) == (
+        4, "line 4: duplicate row for BBB on 2024-01-01"
+    )
+
+
+def test_load_prices_counts_lines_inside_quoted_fields(tmp_path, chunk_rows):
+    # the first record spans lines 2-3, so the bad close sits on line 4
+    path = write_text(tmp_path / "p.csv", 'date,asset,close\n2024-01-01,"A\nB",1\n2024-01-01,C,x\n')
+    assert refusal(path) == (4, "line 4: non-numeric close 'x'")
+    with pytest.raises(ParseError, match="^line 4: non-numeric close 'x'$"):
+        load_prices_rowwise(path, 0)
 
 
 def test_load_prices_excludes_asset_outside_window(tmp_path):
@@ -175,6 +266,108 @@ def test_ingest_does_not_depend_on_asset_block_order(problem):
                 return str(exc)
 
     assert run([blocks[i] for i in order]) == run(blocks)
+
+
+NOTES = ["", "x", '"a,b"', '"two\nlines"', '"three\r\nline\nnote"']
+
+
+@st.composite
+def price_files(draw, faults=False):
+    """A price file as text, built from asset blocks of daily rows (weekends
+    included) with gaps, a stale tail where a block stops early, and an
+    optional late block after every other one that may yield no sampled
+    week; the rows are shuffled, blank and whitespace-only lines are
+    mixed in, and the header lists its columns in any order and case.
+    With ``faults``, one to three rows are made faulty or repeated.
+    """
+    records = []
+    n_assets = draw(st.integers(1, 4))
+    last = MON1
+    for i in range(n_assets):
+        first = MON1 + dt.timedelta(days=draw(st.integers(0, 40)))
+        n_days = draw(st.integers(1, 50))
+        skip = draw(st.sets(st.integers(0, n_days - 1), max_size=n_days // 2))
+        for day in range(n_days):
+            if day not in skip:
+                date = first + dt.timedelta(days=day)
+                records.append([date.isoformat(), f"S{i}", repr(50.0 + 10 * i + day / 8)])
+                last = max(last, date)
+    if draw(st.booleans()):
+        first = last + dt.timedelta(days=draw(st.integers(1, 6)))
+        for day in range(draw(st.integers(1, 3))):
+            records.append([(first + dt.timedelta(days=day)).isoformat(), "LATE", "7.25"])
+    rnd = draw(st.randoms(use_true_random=False))
+    for record in records:
+        record[0] = rnd.choice(["{}", " {} "]).format(record[0])
+        record[1] = rnd.choice(["{}", " {}", '"{}"']).format(record[1])
+        record[2] = rnd.choice(["{}", " {} ", "{}e0"]).format(record[2])
+        record.append(rnd.choice(NOTES))
+
+    if faults:
+        n_records = len(records)
+        for at in draw(st.lists(st.integers(0, n_records - 1), min_size=1, max_size=3, unique=True)):
+            bad = list(records[at])
+            kind = draw(st.sampled_from(["date", "asset", "short", "text", "value", "repeat"]))
+            if kind == "date":
+                bad[0] = draw(st.sampled_from(["2024-02-30", "x", "", "2024/01/01"]))
+            elif kind == "asset":
+                bad[1] = draw(st.sampled_from(["", "  "]))
+            elif kind == "short":
+                bad = bad[: draw(st.integers(1, 2))]
+            elif kind == "text":
+                bad[2] = draw(st.sampled_from(["oops", '"1,5"', ""]))
+            elif kind == "value":
+                bad[2] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "0", "-3.5", "0e0"]))
+            if kind == "repeat":
+                records.append(bad)
+            else:
+                records[at] = bad
+
+    order = draw(st.permutations(["date", "asset", "close", "note"]))
+    columns = [order.index(name) for name in ("date", "asset", "close", "note")]
+    header = [name.upper() if draw(st.booleans()) else name for name in order]
+    lines = [",".join(header)]
+    rnd.shuffle(records)
+    for record in records:
+        fields = [""] * 4
+        for column, text in zip(columns, record):
+            fields[column] = text
+        lines.append(",".join(fields[: max(columns[: len(record)]) + 1]))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "   ", ",,", " , ,\t", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, draw(st.integers(0, 6)), draw(st.sampled_from([1, 3, 16, 4096]))
+
+
+def load_outcome(load, path, weekday):
+    try:
+        return load(path, weekday)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def assert_matches_rowwise_oracle(case):
+    text, weekday, chunk = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_text(Path(tmp) / "p.csv", text)
+        with mock.patch.object(market_data, "_CHUNK_ROWS", chunk):
+            outcome = load_outcome(load_prices, path, weekday)
+        assert outcome == load_outcome(load_prices_rowwise, path, weekday)
+    return outcome
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(price_files())
+def test_load_prices_matches_rowwise_oracle_on_valid_files(case):
+    assert isinstance(assert_matches_rowwise_oracle(case), market_data.PriceTable)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(price_files(faults=True))
+def test_load_prices_refuses_like_rowwise_oracle_on_faulty_files(case):
+    line, message = assert_matches_rowwise_oracle(case)
+    assert message.startswith(f"line {line}: ")
 
 
 def test_forward_fill_never_fabricates_a_price(tmp_path, rng):
