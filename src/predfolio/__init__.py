@@ -10,20 +10,12 @@ from .errors import PredfolioError
 from .eval_metrics import KsResult, MetricReport, evaluate, ks_normality_test
 from .frontier import FrontierPoint, efficient_filter, sweep
 from .ga_solver import GAConfig, GAResult, evolve
-from .market_data import (
-    AssetUniverse,
-    PricePoint,
-    ReturnSeries,
-    align_universe,
-    compute_returns,
-    load_prices,
-)
+from .market_data import ReturnSeries, align_universe, compute_returns, load_prices
 from .objective import (
     Bounds,
     ObjectiveParams,
     Portfolio,
     decode_weights,
-    mvs_cost,
     penalized_cost,
     portfolio_return,
     portfolio_risk,

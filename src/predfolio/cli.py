@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eval_metrics, frontier, market_data, predictor, risk_model, taguchi
-from .errors import ConfigError, PredfolioError
+from .errors import ConfigError, PredfolioError, undecodable_line
 from .ga_solver import GAConfig, evolve, stop_summary
 from .objective import Bounds, ObjectiveParams
 from .predictor import PredictionRecord, PredictorConfig
@@ -90,14 +90,19 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         values: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = stripped.split("=", 1)
-                values[key.strip()] = value.strip()
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    stripped = line.split("#", 1)[0].strip()
+                    if not stripped:
+                        continue
+                    if "=" not in stripped:
+                        raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                    key, value = stripped.split("=", 1)
+                    values[key.strip()] = value.strip()
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                line = undecodable_line(path)
+                raise ConfigError(f"{path}:{line}: not UTF-8 text (byte 0x{byte:02x})")
         return cls(values)
 
     def override(self, key: str, value) -> None:
@@ -281,22 +286,22 @@ def cmd_ingest(config: RunConfig) -> int:
     table = market_data.load_prices(prices_path, config.str_("sampling_weekday"))
     series = []
     skipped: list[tuple[str, str]] = [(a, "no sampled weeks") for a in table.excluded]
-    for asset, points in table.points.items():
-        if len(points) < 2:
+    for asset, (dates, closes) in table.series.items():
+        if len(dates) < 2:
             skipped.append((asset, "fewer than 2 sampled weeks"))
             continue
-        series.append(market_data.compute_returns(points))
-    universe, report = market_data.align_universe(series, config.optional_int("min_length"))
+        series.append(market_data.compute_returns(asset, dates, closes))
+    matrix, report = market_data.align_universe(series, config.optional_int("min_length"))
     report.dropped = skipped + report.dropped
 
-    matrix = universe.returns_matrix()
-    returns_rows = [["date"] + universe.assets] + [
-        [date.isoformat()] + row for date, row in zip(universe.dates, matrix.tolist())
+    returns_rows = [["date"] + report.kept] + [
+        [dt.date.fromordinal(day).isoformat()] + row
+        for day, row in zip(report.dates.tolist(), matrix.tolist())
     ]
     _write_artifacts(
         out, config, {"returns.csv": returns_rows, "alignment_report.txt": report.as_text()}
     )
-    print(f"{universe.n_assets} assets, {universe.n_weeks} weeks")
+    print(f"{len(report.kept)} assets, {len(report.dates)} weeks")
     return 0
 
 

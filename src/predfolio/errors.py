@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class PredfolioError(Exception):
     """Base class for all predfolio errors."""
@@ -64,3 +66,16 @@ class ExperimentError(PredfolioError):
     def __init__(self, message: str, job: int | None = None):
         super().__init__(message)
         self.job = job
+
+
+def undecodable_line(path) -> int:
+    """The physical line of the first byte of ``path`` that is not UTF-8,
+    counting ``\\n``, ``\\r`` and ``\\r\\n`` line breaks. It reads the whole
+    file as bytes, so call it only once reading the file as text has failed.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1

@@ -5,18 +5,24 @@ dates, one row per asset-day. Prices are sampled once per week on a
 configurable weekday; when the sampling day has no trade for an asset, the
 most recent prior trading day's close is carried forward instead. Returns
 are weekly simple returns ``(P[t+1] - P[t]) / P[t]``.
+
+Ingest stays in numpy arrays from the parser to the aligned returns
+matrix: a date is an int64 proleptic Gregorian ordinal
+(``datetime.date.toordinal``), turned back into a ``datetime.date`` only
+for text.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError, ParseError
+from .errors import AlignmentError, InsufficientDataError, ParseError, undecodable_line
 
 WEEKDAYS = {
     "monday": 0,
@@ -37,65 +43,40 @@ _MAX_STALE_DAYS = 6
 _CHUNK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    date: dt.date
-    asset: str
-    close: float
-
-
 @dataclass
 class ReturnSeries:
-    """Time-ordered weekly simple returns for one asset."""
+    """Weekly simple returns for one asset; ``dates`` holds the ascending
+    date ordinal of the week each return ends on."""
 
     asset: str
     returns: np.ndarray
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
 
     def __len__(self) -> int:
         return len(self.returns)
 
 
 @dataclass
-class AssetUniverse:
-    """Aligned return series over a shared weekly date grid."""
-
-    assets: list[str]
-    series: dict[str, ReturnSeries]
-    dates: tuple[dt.date, ...]
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    @property
-    def n_weeks(self) -> int:
-        return len(self.dates)
-
-    def returns_matrix(self) -> np.ndarray:
-        """Stack returns as an (n_weeks, n_assets) array, column order = assets."""
-        return np.column_stack([self.series[a].returns for a in self.assets])
-
-
-@dataclass
 class PriceTable:
-    """Weekly-sampled price points per asset, plus assets that yielded none."""
+    """Per asset, the date ordinals of its sampled weeks and their closes
+    (two equal-length arrays), plus the assets that yielded no week."""
 
-    points: dict[str, list[PricePoint]]
+    series: dict[str, tuple[np.ndarray, np.ndarray]]
     excluded: list[str]
 
 
 @dataclass
 class AlignmentReport:
+    """The kept assets (the returns matrix's column order), the dropped
+    ones with their reasons, and the common grid of date ordinals."""
+
     kept: list[str]
     dropped: list[tuple[str, str]]  # (asset, reason)
-    n_weeks: int
-    window: tuple[dt.date, dt.date] | None
+    dates: np.ndarray
 
     def as_text(self) -> str:
-        lines = [f"kept {len(self.kept)} assets over {self.n_weeks} weeks"]
-        if self.window is not None:
-            lines[0] += f" ({self.window[0].isoformat()} .. {self.window[1].isoformat()})"
+        first, last = (dt.date.fromordinal(int(day)).isoformat() for day in self.dates[[0, -1]])
+        lines = [f"kept {len(self.kept)} assets over {len(self.dates)} weeks ({first} .. {last})"]
         for asset, reason in self.dropped:
             lines.append(f"dropped {asset}: {reason}")
         return "\n".join(lines) + "\n"
@@ -115,7 +96,7 @@ def _parse_weekday(sampling_weekday: str | int) -> int:
 def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
     """Read a daily price file and sample one close per asset per week.
 
-    The file is comma-separated text whose header names ``date``,
+    The file is comma-separated UTF-8 text whose header names ``date``,
     ``asset`` and ``close`` in any column order and any case; other
     columns are ignored. Dates are ISO-8601 (``datetime.date.fromisoformat``)
     and closes are anything ``float`` accepts. Blank and whitespace-only
@@ -123,16 +104,20 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
     asset, a non-numeric, non-finite or non-positive close, or an asset
     and date already seen is refused with a :class:`ParseError` naming the
     first faulty line in file order (the line a multi-line quoted record
-    ends on). The file is read in chunks of ``_CHUNK_ROWS`` records, so
-    the parser holds only one chunk of text at a time.
+    ends on). A byte that is not UTF-8 is refused, naming its physical
+    line, as soon as the reader reaches it; the reader decodes a few
+    kilobytes ahead of the rows it parses. The file is read in chunks of
+    ``_CHUNK_ROWS`` records, so the parser holds only one chunk of text at
+    a time, and its dates and closes are kept as arrays.
 
     The weekly grid runs on the configured weekday, anchored at the first
     such weekday on or after the earliest observation of any asset, so the
     order of the rows in the file does not change what is sampled. A week
     with no trade on the sampling day takes the most recent prior close;
     sampling stops once an asset's last observation is more than a
-    calendar week stale. Assets with no sampled week at all are excluded
-    and reported.
+    calendar week stale. Each asset's sampled weeks are a slice of that
+    grid, given as date ordinals with their closes. Assets with no sampled
+    week at all are excluded and reported.
     """
     weekday = _parse_weekday(sampling_weekday)
     codes = _AssetCodes()
@@ -142,22 +127,26 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty price file", line=1)
-        cols = [c.strip().lower() for c in header]
         try:
-            columns = cols.index("date"), cols.index("asset"), cols.index("close")
-        except ValueError:
-            raise ParseError(f"header must contain date,asset,close (got {header})", line=1)
-        while fault is None:
-            start = reader.line_num
-            rows = list(islice(reader, _CHUNK_ROWS))
-            if not rows:
-                break
-            lines = _record_lines(rows, start, reader.line_num)
-            part, fault = _parse_chunk(lines, rows, columns, len(cols), codes)
-            parts.append(part)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty price file", line=1)
+            cols = [c.strip().lower() for c in header]
+            try:
+                columns = cols.index("date"), cols.index("asset"), cols.index("close")
+            except ValueError:
+                raise ParseError(f"header must contain date,asset,close (got {header})", line=1)
+            while fault is None:
+                start = reader.line_num
+                rows = list(islice(reader, _CHUNK_ROWS))
+                if not rows:
+                    break
+                lines = _record_lines(rows, start, reader.line_num)
+                part, fault = _parse_chunk(lines, rows, columns, len(cols), codes)
+                parts.append(part)
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise ParseError(f"not UTF-8 text (byte 0x{byte:02x})", line=undecodable_line(path))
 
     # Every row before a chunk's first fault is valid, so a repeat among
     # them comes first in file order.
@@ -172,10 +161,9 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
     first = int(ordinals.min())
     grid_start = first + (weekday - dt.date.fromordinal(first).weekday()) % 7
     weeks = np.arange(grid_start, int(ordinals.max()) + 1, 7)
-    week_dates = list(map(dt.date.fromordinal, weeks.tolist()))
     bounds = np.searchsorted(asset_codes, np.arange(len(codes) + 1))
 
-    points: dict[str, list[PricePoint]] = {}
+    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     excluded: list[str] = []
     for asset, lo, hi in zip(codes, bounds[:-1], bounds[1:]):
         days = ordinals[lo:hi]
@@ -184,14 +172,10 @@ def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
         if first_week >= end_week:
             excluded.append(asset)
             continue
-        held = np.searchsorted(days, weeks[first_week:end_week], side="right") - 1
-        points[asset] = list(map(
-            PricePoint,
-            week_dates[first_week:end_week],
-            repeat(asset, end_week - first_week),
-            closes[lo:hi][held].tolist(),
-        ))
-    return PriceTable(points=points, excluded=excluded)
+        sampled = weeks[first_week:end_week]
+        held = np.searchsorted(days, sampled, side="right") - 1
+        series[asset] = sampled, closes[lo:hi][held]
+    return PriceTable(series=series, excluded=excluded)
 
 
 class _AssetCodes(dict):
@@ -308,32 +292,31 @@ def _sort_refusing_duplicates(lines, ordinals, asset_codes, names) -> np.ndarray
     return order
 
 
-def compute_returns(prices: list[PricePoint]) -> ReturnSeries:
-    """Turn ordered price points into weekly simple returns."""
-    if len(prices) < 2:
+def compute_returns(asset: str, dates: np.ndarray, closes: np.ndarray) -> ReturnSeries:
+    """Turn one asset's sampled week ordinals and closes into weekly simple
+    returns, each dated by the week it ends on."""
+    if len(closes) < 2:
         raise InsufficientDataError(
-            f"need at least 2 price points to form a return, got {len(prices)}"
+            f"need at least 2 price points to form a return, got {len(closes)}"
         )
-    closes = np.array([p.close for p in prices], dtype=float)
+    closes = np.asarray(closes, dtype=float)
     if np.any(closes <= 0):
-        raise ParseError(f"non-positive close in series for {prices[0].asset}")
+        raise ParseError(f"non-positive close in series for {asset}")
     returns = np.diff(closes) / closes[:-1]
-    return ReturnSeries(
-        asset=prices[0].asset,
-        returns=returns,
-        dates=tuple(p.date for p in prices[1:]),
-    )
+    return ReturnSeries(asset=asset, returns=returns, dates=np.asarray(dates)[1:])
 
 
 def align_universe(
     series: list[ReturnSeries], min_length: int | None = None
-) -> tuple[AssetUniverse, AlignmentReport]:
+) -> tuple[np.ndarray, AlignmentReport]:
     """Intersect return series onto their common date grid.
 
     Assets whose own series length falls below ``min_length`` are dropped
     first and reported; the survivors are truncated to the intersection of
-    their return dates. An empty survivor set or empty intersection raises
-    :class:`AlignmentError`.
+    their return dates (``np.intersect1d`` over the ordinal arrays). Returns
+    the ``(n_weeks, n_assets)`` returns matrix, one column per kept asset in
+    input order, and the report holding those assets and the grid. An empty
+    survivor set or empty intersection raises :class:`AlignmentError`.
     """
     if not series:
         raise AlignmentError("no return series supplied")
@@ -348,29 +331,9 @@ def align_universe(
     if not survivors:
         raise AlignmentError("all series fall below the minimum coverage")
 
-    common = set(survivors[0].dates)
-    for s in survivors[1:]:
-        common &= set(s.dates)
-    if not common:
+    grid = functools.reduce(np.intersect1d, [s.dates for s in survivors])
+    if not grid.size:
         raise AlignmentError("return series share no common dates")
-    grid = tuple(sorted(common))
-
-    aligned: dict[str, ReturnSeries] = {}
-    assets: list[str] = []
-    for s in survivors:
-        keep = [i for i, d in enumerate(s.dates) if d in common]
-        aligned[s.asset] = ReturnSeries(
-            asset=s.asset,
-            returns=np.asarray(s.returns, dtype=float)[keep],
-            dates=grid,
-        )
-        assets.append(s.asset)
-
-    universe = AssetUniverse(assets=assets, series=aligned, dates=grid)
-    report = AlignmentReport(
-        kept=assets,
-        dropped=dropped,
-        n_weeks=len(grid),
-        window=(grid[0], grid[-1]) if grid else None,
-    )
-    return universe, report
+    matrix = np.column_stack([s.returns[np.isin(s.dates, grid)] for s in survivors])
+    report = AlignmentReport(kept=[s.asset for s in survivors], dropped=dropped, dates=grid)
+    return matrix, report

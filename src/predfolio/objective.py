@@ -159,35 +159,6 @@ def portfolio_risk(weights, sigma) -> float:
     return float(w @ s @ w)
 
 
-def mvs_cost(
-    weights,
-    model: RiskModel,
-    params: ObjectiveParams,
-    selection=None,
-) -> float:
-    """Mean-Variance-Skewness cost of a full-universe weight vector.
-
-    ``lam * risk - (1 - lam) * return - theta * skew_term``, where the
-    skew term is weight-weighted by default; literal mode sums the raw
-    skewness over ``selection``, which it requires (a selected asset can
-    decode to weight zero, so the weights do not determine it).
-    """
-    w = np.asarray(weights, dtype=float)
-    risk = portfolio_risk(w, model.sigma)
-    ret = portfolio_return(w, model.mu)
-    if params.skew_mode == SKEW_WEIGHTED:
-        skew_term = float(w @ model.skew)
-    else:
-        if selection is None:
-            raise ConfigError("literal skew mode needs the selection")
-        skew_term = float(model.skew[np.asarray(selection, dtype=int)].sum())
-    return _blend(params, risk, ret, skew_term)
-
-
-def _blend(params: ObjectiveParams | RowParams, risk, ret, skew_term):
-    return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
-
-
 def penalized_cost(
     selection: np.ndarray,
     raw: np.ndarray,
@@ -227,7 +198,8 @@ def penalized_cost(
         skew_term = np.einsum("rk,rk->r", weights, model.skew[selection])
     else:
         skew_term = model.skew[selection].sum(axis=1)
-    return _blend(params, risk, ret, skew_term) + penalty, weights
+    cost = params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
+    return cost + penalty, weights
 
 
 def build_portfolio(selection, weights_full, model: RiskModel) -> Portfolio:

@@ -288,7 +288,7 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
     by the configured fractions (each partition gets at least one sample).
     """
     config.validate()
-    returns = np.asarray(getattr(series, "returns", series), dtype=float)
+    returns = np.asarray(series, dtype=float)
     d = config.delay
     t = len(returns)
     if t < d + 3:
@@ -426,10 +426,7 @@ def train_arnn(
 
 
 def rolling_predict(
-    predictor: TrainedPredictor,
-    series,
-    config: PredictorConfig,
-    asset: str | None = None,
+    predictor: TrainedPredictor, series, config: PredictorConfig
 ) -> PredictionRecord:
     """Predict every supervised sample from its true preceding lags.
 
@@ -447,7 +444,7 @@ def rolling_predict(
         predictor.flat(), split.inputs, predictor.delay, predictor.hidden_units
     )
     return PredictionRecord(
-        asset=asset if asset is not None else predictor.asset,
+        asset=predictor.asset,
         real=split.targets,
         predicted=predicted,
         split_labels=split.labels,

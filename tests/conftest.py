@@ -16,7 +16,8 @@ def weekly_dates(start: dt.date, n: int) -> list[dt.date]:
 
 def make_return_series(asset: str, returns, start=dt.date(2024, 1, 8)) -> ReturnSeries:
     returns = np.asarray(returns, dtype=float)
-    return ReturnSeries(asset=asset, returns=returns, dates=tuple(weekly_dates(start, len(returns))))
+    dates = np.array([d.toordinal() for d in weekly_dates(start, len(returns))], dtype=np.int64)
+    return ReturnSeries(asset=asset, returns=returns, dates=dates)
 
 
 def random_risk_model(rng: np.random.Generator, n_assets: int) -> RiskModel:

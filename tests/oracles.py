@@ -12,8 +12,10 @@ import datetime as dt
 
 import numpy as np
 
-from predfolio.errors import ParseError
-from predfolio.market_data import PricePoint, PriceTable
+from predfolio.errors import AlignmentError, ConfigError, ParseError
+from predfolio.market_data import AlignmentReport, PriceTable, ReturnSeries
+from predfolio.objective import SKEW_WEIGHTED, ObjectiveParams, portfolio_return, portfolio_risk
+from predfolio.risk_model import RiskModel
 
 
 def _comp2(total: int) -> np.ndarray:
@@ -79,6 +81,26 @@ def grid_search_mvs(mu, sigma, lams, steps: int = 200):
             if costs[idx] < best[lam][0]:
                 best[lam] = (float(costs[idx]), weights[idx].copy())
     return best
+
+
+def mvs_cost(weights, model: RiskModel, params: ObjectiveParams, selection=None) -> float:
+    """Mean-Variance-Skewness cost of one full-universe weight vector,
+    ``lam * risk - (1 - lam) * return - theta * skew_term``.
+
+    The skew term is weight-weighted by default; literal mode sums the raw
+    skewness over ``selection``, which it requires (a selected asset can
+    decode to weight zero, so the weights do not determine it).
+    """
+    w = np.asarray(weights, dtype=float)
+    risk = portfolio_risk(w, model.sigma)
+    ret = portfolio_return(w, model.mu)
+    if params.skew_mode == SKEW_WEIGHTED:
+        skew_term = float(w @ model.skew)
+    else:
+        if selection is None:
+            raise ConfigError("literal skew mode needs the selection")
+        skew_term = float(model.skew[np.asarray(selection, dtype=int)].sum())
+    return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
 
 
 def bounded_linear_vertices(n: int, eps: float, dlt: float) -> np.ndarray:
@@ -218,14 +240,15 @@ def load_prices_rowwise(path, weekday: int, max_stale_days: int = 6) -> PriceTab
     grid_start = first_date + dt.timedelta(days=(weekday - first_date.weekday()) % 7)
     grid_end = max(max(days) for days in observed.values())
 
-    points: dict[str, list[PricePoint]] = {}
+    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     excluded: list[str] = []
     for asset in order:
         days = sorted(observed[asset].items())
         dates = [d for d, _ in days]
         closes = [c for _, c in days]
         first_obs, last_obs = dates[0], dates[-1]
-        sampled: list[PricePoint] = []
+        sampled_days: list[int] = []
+        sampled_closes: list[float] = []
         week = grid_start
         idx = -1
         while week <= grid_end:
@@ -233,10 +256,43 @@ def load_prices_rowwise(path, weekday: int, max_stale_days: int = 6) -> PriceTab
                 while idx + 1 < len(dates) and dates[idx + 1] <= week:
                     idx += 1
                 if idx >= 0:
-                    sampled.append(PricePoint(week, asset, closes[idx]))
+                    sampled_days.append(week.toordinal())
+                    sampled_closes.append(closes[idx])
             week += dt.timedelta(days=7)
-        if sampled:
-            points[asset] = sampled
+        if sampled_days:
+            series[asset] = np.array(sampled_days, dtype=np.int64), np.array(sampled_closes)
         else:
             excluded.append(asset)
-    return PriceTable(points=points, excluded=excluded)
+    return PriceTable(series=series, excluded=excluded)
+
+
+def align_universe_sets(series: list[ReturnSeries], min_length: int | None = None):
+    """Alignment by Python sets: drop series shorter than ``min_length``,
+    intersect the survivors' dates as sets, and keep each survivor's
+    returns on the sorted common dates. Returns the ``(n_weeks, n_assets)``
+    matrix and the :class:`AlignmentReport`.
+    """
+    if not series:
+        raise AlignmentError("no return series supplied")
+    dropped: list[tuple[str, str]] = []
+    survivors: list[ReturnSeries] = []
+    for s in series:
+        if min_length is not None and len(s) < min_length:
+            dropped.append((s.asset, f"only {len(s)} weeks, below minimum {min_length}"))
+        else:
+            survivors.append(s)
+    if not survivors:
+        raise AlignmentError("all series fall below the minimum coverage")
+
+    common = set(survivors[0].dates.tolist())
+    for s in survivors[1:]:
+        common &= set(s.dates.tolist())
+    if not common:
+        raise AlignmentError("return series share no common dates")
+    columns = []
+    for s in survivors:
+        keep = [i for i, d in enumerate(s.dates.tolist()) if d in common]
+        columns.append(np.asarray(s.returns, dtype=float)[keep])
+    grid = np.array(sorted(common), dtype=np.int64)
+    report = AlignmentReport(kept=[s.asset for s in survivors], dropped=dropped, dates=grid)
+    return np.column_stack(columns), report

@@ -23,7 +23,6 @@ from predfolio.objective import (
     Bounds,
     ObjectiveParams,
     decode_weights,
-    mvs_cost,
     portfolio_return,
     portfolio_risk,
 )
@@ -41,7 +40,7 @@ from predfolio.risk_model import RiskModel
 from predfolio.taguchi import DEFAULT_FACTORS, analyze_means, build_array, run_experiments
 
 from conftest import each_job, geometric_walk, random_risk_model, write_prices_csv
-from oracles import dominance_scan, grid_search_mvs
+from oracles import dominance_scan, grid_search_mvs, mvs_cost
 from test_cli import write_config
 
 

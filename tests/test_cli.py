@@ -147,6 +147,22 @@ def test_ingest_missing_file_fails_with_path(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def test_ingest_refuses_a_price_file_that_is_not_utf8(tmp_path, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(b"date,asset,close\n2024-01-01,AAA,100\n2024-01-08,AAA,1\xff0\n")
+    config = write_config(tmp_path, prices, tmp_path / "out")
+    assert main(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text (byte 0xff)\n"
+    assert not (tmp_path / "out" / "returns.csv").exists()
+
+
+def test_config_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\r\n# caf\xe9\r\nk = 3\r\n")
+    assert main(["optimize", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
+
+
 def test_ingest_paper_scale_echo(tmp_path, capsys):
     rng = np.random.default_rng(0)
     closes = {f"S{i:02d}": list(geometric_walk(rng, 222, vol=0.02)) for i in range(66)}

@@ -13,15 +13,10 @@ from hypothesis import strategies as st
 
 from predfolio import market_data
 from predfolio.errors import AlignmentError, InsufficientDataError, ParseError
-from predfolio.market_data import (
-    PricePoint,
-    align_universe,
-    compute_returns,
-    load_prices,
-)
+from predfolio.market_data import align_universe, compute_returns, load_prices
 
 from conftest import make_return_series, weekly_dates
-from oracles import load_prices_rowwise
+from oracles import align_universe_sets, load_prices_rowwise
 
 MON1 = dt.date(2024, 1, 1)   # a Monday
 MON2 = dt.date(2024, 1, 8)
@@ -36,6 +31,10 @@ def write_rows(path, rows):
     return path
 
 
+def ordinals(*dates):
+    return [d.toordinal() for d in dates]
+
+
 def test_load_prices_passes_monday_closes_through(tmp_path):
     path = write_rows(
         tmp_path / "p.csv",
@@ -46,9 +45,9 @@ def test_load_prices_passes_monday_closes_through(tmp_path):
         ],
     )
     table = load_prices(path, "monday")
-    points = table.points["AAA"]
-    assert [p.close for p in points] == [100.0, 110.0, 99.0]
-    assert [p.date for p in points] == [MON1, MON2, MON3]
+    dates, closes = table.series["AAA"]
+    assert closes.tolist() == [100.0, 110.0, 99.0]
+    assert dates.tolist() == ordinals(MON1, MON2, MON3)
     assert table.excluded == []
 
 
@@ -62,9 +61,9 @@ def test_load_prices_falls_back_to_prior_trading_day(tmp_path):
             (MON3.isoformat(), "AAA", 99),
         ],
     )
-    points = load_prices(path, "monday").points["AAA"]
-    assert [p.date for p in points] == [MON1, MON2, MON3]
-    assert points[1].close == 105.0
+    dates, closes = load_prices(path, "monday").series["AAA"]
+    assert dates.tolist() == ordinals(MON1, MON2, MON3)
+    assert closes[1] == 105.0
 
 
 def test_load_prices_non_numeric_close_names_the_row(tmp_path):
@@ -144,8 +143,8 @@ def test_load_prices_refuses_a_header_with_no_rows(tmp_path):
 
 def test_load_prices_reads_any_column_order_and_case(tmp_path):
     text = "Close , ASSET,Note,Date\n100,AAA,x, 2024-01-01\n 110 , AAA ,,2024-01-08\n"
-    points = load_prices(write_text(tmp_path / "p.csv", text)).points["AAA"]
-    assert [(p.date, p.close) for p in points] == [(MON1, 100.0), (MON2, 110.0)]
+    dates, closes = load_prices(write_text(tmp_path / "p.csv", text)).series["AAA"]
+    assert (dates.tolist(), closes.tolist()) == (ordinals(MON1, MON2), [100.0, 110.0])
 
 
 def test_load_prices_names_the_earlier_of_a_duplicate_and_a_bad_close(tmp_path, chunk_rows):
@@ -173,6 +172,18 @@ def test_load_prices_counts_lines_inside_quoted_fields(tmp_path, chunk_rows):
         load_prices_rowwise(path, 0)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_prices_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, chunk_rows, newline):
+    # asset names hold a two-byte character; the bad byte is far past the
+    # reader's first block of text, on the line of row 855
+    rows = [f"{(MON1 + dt.timedelta(days=i)).isoformat()},\u00c5{i},{100 + i}" for i in range(900)]
+    rows[855] = rows[855][:-1] + "\udcc3"
+    data = newline.join(["date,asset,close"] + rows + [""]).encode(errors="surrogateescape")
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    assert refusal(path) == (857, "line 857: not UTF-8 text (byte 0xc3)")
+
+
 def test_load_prices_excludes_asset_outside_window(tmp_path):
     # CCC first trades after the last Monday on the grid, so no week samples it
     path = write_rows(
@@ -185,7 +196,7 @@ def test_load_prices_excludes_asset_outside_window(tmp_path):
     )
     table = load_prices(path)
     assert table.excluded == ["CCC"]
-    assert "CCC" not in table.points
+    assert "CCC" not in table.series
 
 
 def test_load_prices_samples_asset_trading_before_every_other(tmp_path):
@@ -201,24 +212,25 @@ def test_load_prices_samples_asset_trading_before_every_other(tmp_path):
     )
     table = load_prices(path)
     assert table.excluded == []
-    assert [(p.date, p.close) for p in table.points["CCC"]] == [(dt.date(2023, 12, 4), 50.0)]
-    assert [p.date for p in table.points["AAA"]] == [MON2, MON3]
+    dates, closes = table.series["CCC"]
+    assert (dates.tolist(), closes.tolist()) == (ordinals(dt.date(2023, 12, 4)), [50.0])
+    assert table.series["AAA"][0].tolist() == ordinals(MON2, MON3)
 
 
 def ingest(path, min_length=None):
     """The ``ingest`` stage's sampling, returns and alignment, as kept
-    series by asset, the common dates and the dropped assets."""
+    returns by asset, the common date ordinals and the dropped assets."""
     table = load_prices(path)
     dropped = {(a, "no sampled weeks") for a in table.excluded}
     series = []
-    for asset, points in table.points.items():
-        if len(points) < 2:
+    for asset, (dates, closes) in table.series.items():
+        if len(dates) < 2:
             dropped.add((asset, "fewer than 2 sampled weeks"))
         else:
-            series.append(compute_returns(points))
-    universe, report = align_universe(series, min_length)
-    kept = {a: (s.returns.tolist(), s.dates) for a, s in universe.series.items()}
-    return kept, universe.dates, dropped | set(report.dropped)
+            series.append(compute_returns(asset, dates, closes))
+    matrix, report = align_universe(series, min_length)
+    kept = {a: matrix[:, j].tolist() for j, a in enumerate(report.kept)}
+    return kept, report.dates.tolist(), dropped | set(report.dropped)
 
 
 def daily_rows(asset, first, n_days, skip=(), close=100.0):
@@ -235,7 +247,7 @@ def test_load_prices_grid_starts_at_earliest_observation_of_any_asset(tmp_path):
     for rows in (a_rows + b_rows, b_rows + a_rows):
         kept, dates, dropped = ingest(write_rows(tmp_path / "p.csv", rows), min_length=5)
         assert list(kept) == ["B"]
-        assert len(dates) == 11 and dates[0] == MON2
+        assert len(dates) == 11 and dates[0] == MON2.toordinal()
         assert {asset for asset, _ in dropped} == {"A"}
 
 
@@ -340,9 +352,22 @@ def price_files(draw, faults=False):
     return newline.join(lines) + newline, draw(st.integers(0, 6)), draw(st.sampled_from([1, 3, 16, 4096]))
 
 
+def table_items(table):
+    """A price table as plain values that compare with ``==``: per asset in
+    table order, its name and the dtype and values of each array, and the
+    excluded assets."""
+    return {
+        "series": [
+            (asset, dates.dtype.str, dates.tolist(), closes.dtype.str, closes.tolist())
+            for asset, (dates, closes) in table.series.items()
+        ],
+        "excluded": table.excluded,
+    }
+
+
 def load_outcome(load, path, weekday):
     try:
-        return load(path, weekday)
+        return table_items(load(path, weekday))
     except ParseError as exc:
         return exc.line, str(exc)
 
@@ -360,7 +385,7 @@ def assert_matches_rowwise_oracle(case):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(price_files())
 def test_load_prices_matches_rowwise_oracle_on_valid_files(case):
-    assert isinstance(assert_matches_rowwise_oracle(case), market_data.PriceTable)
+    assert isinstance(assert_matches_rowwise_oracle(case), dict)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -384,52 +409,54 @@ def test_forward_fill_never_fabricates_a_price(tmp_path, rng):
                 observed[asset].add(close)
     write_rows(tmp_path / "p.csv", rows)
     table = load_prices(tmp_path / "p.csv")
-    for asset, points in table.points.items():
-        for point in points:
-            assert point.close in observed[asset]
+    for asset, (_, closes) in table.series.items():
+        for close in closes.tolist():
+            assert close in observed[asset]
+
+
+def weekly_closes(closes, start=MON1):
+    """Week ordinals from ``start`` and the closes as arrays, one asset's
+    entry of a price table."""
+    return np.array(ordinals(*weekly_dates(start, len(closes)))), np.asarray(closes, dtype=float)
 
 
 def test_compute_returns_definitional_cases():
     def series(closes):
-        points = [PricePoint(d, "AAA", c) for d, c in zip(weekly_dates(MON1, len(closes)), closes)]
-        return compute_returns(points)
+        return compute_returns("AAA", *weekly_closes(closes))
 
     np.testing.assert_allclose(series([100, 110]).returns, [0.10])
     np.testing.assert_allclose(series([100, 100, 100]).returns, [0.0, 0.0])
     np.testing.assert_allclose(series([100, 90, 99]).returns, [-0.10, 0.10])
+    assert series([100, 90, 99]).dates.tolist() == ordinals(MON2, MON3)
 
 
 def test_compute_returns_needs_two_points():
     with pytest.raises(InsufficientDataError):
-        compute_returns([PricePoint(MON1, "AAA", 100.0)])
+        compute_returns("AAA", *weekly_closes([100.0]))
 
 
 def test_returns_round_trip_through_prices(rng):
     returns = rng.uniform(-0.2, 0.3, size=60)
     closes = 100.0 * np.concatenate([[1.0], np.cumprod(1.0 + returns)])
-    points = [
-        PricePoint(d, "AAA", float(c))
-        for d, c in zip(weekly_dates(MON1, len(closes)), closes)
-    ]
-    rebuilt = compute_returns(points).returns
+    rebuilt = compute_returns("AAA", *weekly_closes(closes)).returns
     np.testing.assert_allclose(rebuilt, returns, rtol=1e-12)
 
 
 def test_align_universe_identity_case():
     a = make_return_series("AAA", [0.1, 0.2, -0.1])
     b = make_return_series("BBB", [0.0, 0.05, 0.02])
-    universe, report = align_universe([a, b])
-    assert universe.assets == ["AAA", "BBB"]
-    assert universe.n_weeks == 3
-    np.testing.assert_array_equal(universe.series["AAA"].returns, a.returns)
+    matrix, report = align_universe([a, b])
+    assert report.kept == ["AAA", "BBB"]
+    assert report.dates.tolist() == a.dates.tolist()
+    np.testing.assert_array_equal(matrix, np.column_stack([a.returns, b.returns]))
     assert report.dropped == []
 
 
 def test_align_universe_drops_short_series_and_reports():
     a = make_return_series("AAA", np.zeros(221))
     b = make_return_series("BBB", np.zeros(100))
-    universe, report = align_universe([a, b], min_length=180)
-    assert universe.assets == ["AAA"]
+    matrix, report = align_universe([a, b], min_length=180)
+    assert report.kept == ["AAA"] and matrix.shape == (221, 1)
     assert [asset for asset, _ in report.dropped] == ["BBB"]
     assert "BBB" in report.as_text()
 
@@ -453,19 +480,54 @@ def test_align_universe_permutation_invariant(rng):
         make_return_series(f"S{i}", rng.normal(size=30), start=dt.date(2024, 1, 8))
         for i in range(4)
     ]
-    forward, _ = align_universe(series)
-    backward, _ = align_universe(series[::-1])
-    assert set(forward.assets) == set(backward.assets)
-    assert forward.dates == backward.dates
-    for asset in forward.assets:
-        np.testing.assert_array_equal(
-            forward.series[asset].returns, backward.series[asset].returns
-        )
+    forward, forward_report = align_universe(series)
+    backward, backward_report = align_universe(series[::-1])
+    assert forward_report.kept == backward_report.kept[::-1]
+    assert forward_report.dates.tolist() == backward_report.dates.tolist()
+    np.testing.assert_array_equal(forward, backward[:, ::-1])
 
 
 def test_align_universe_truncates_to_common_window():
     long = make_return_series("AAA", np.arange(10, dtype=float), start=MON1)
     short = make_return_series("BBB", np.arange(6, dtype=float), start=MON3)
-    universe, _ = align_universe([long, short])
-    assert universe.n_weeks == 6
-    np.testing.assert_array_equal(universe.series["AAA"].returns, np.arange(2, 8, dtype=float))
+    matrix, report = align_universe([long, short])
+    assert len(report.dates) == 6
+    np.testing.assert_array_equal(matrix[:, 0], np.arange(2, 8, dtype=float))
+    assert report.as_text() == "kept 2 assets over 6 weeks (2024-01-15 .. 2024-02-19)\n"
+
+
+@st.composite
+def return_series_lists(draw):
+    """Up to five return series on a weekly grid, each with its own first
+    and last week and gaps inside, and a ``min_length``."""
+    series = []
+    for i in range(draw(st.integers(0, 5))):
+        first = draw(st.integers(0, 6))
+        n_weeks = draw(st.integers(1, 30))
+        skip = draw(st.sets(st.integers(0, n_weeks - 1), max_size=n_weeks // 4))
+        weeks = [MON1.toordinal() + 7 * (first + w) for w in range(n_weeks) if w not in skip]
+        returns = draw(st.lists(
+            st.floats(-0.5, 0.5, allow_nan=False), min_size=len(weeks), max_size=len(weeks)
+        ))
+        series.append(market_data.ReturnSeries(
+            asset=f"S{i}", returns=np.array(returns), dates=np.array(weeks, dtype=np.int64)
+        ))
+    return series, draw(st.sampled_from([None, 1, 3, 5]))
+
+
+def alignment_outcome(align, series, min_length):
+    try:
+        matrix, report = align(series, min_length)
+    except AlignmentError as exc:
+        return str(exc)
+    assert matrix.shape == (len(report.dates), len(report.kept)) and matrix.dtype == np.float64
+    return matrix.tolist(), report.kept, report.dates.tolist(), report.dropped, report.as_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(return_series_lists())
+def test_align_universe_matches_set_oracle(problem):
+    series, min_length = problem
+    assert alignment_outcome(align_universe, series, min_length) == alignment_outcome(
+        align_universe_sets, series, min_length
+    )

@@ -12,7 +12,6 @@ from predfolio.objective import (
     Bounds,
     ObjectiveParams,
     decode_weights,
-    mvs_cost,
     penalized_cost,
     portfolio_return,
     portfolio_risk,
@@ -20,6 +19,7 @@ from predfolio.objective import (
 from predfolio.risk_model import RiskModel
 
 from conftest import random_risk_model
+from oracles import mvs_cost
 
 
 def uniform_bounds(k, eps, dlt):
