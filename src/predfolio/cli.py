@@ -25,9 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import eval_metrics, frontier, market_data, predictor, risk_model, taguchi
-from .errors import ConfigError, PredfolioError, undecodable_line
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    InsufficientDataError,
+    PredfolioError,
+    undecodable_line,
+)
 from .ga_solver import GAConfig, evolve, stop_summary
-from .objective import Bounds, ObjectiveParams
+from .objective import SKEW_WEIGHTED, Bounds, ObjectiveParams
 from .predictor import PredictionRecord, PredictorConfig
 
 STAGE_ARTIFACTS = {
@@ -45,46 +51,71 @@ def _keyed_fields(cls) -> list:
     return [f for f in fields(cls) if f.name != "seed"]
 
 
-def _field_defaults(cls) -> dict[str, str]:
-    return {f.name: str(f.default) for f in _keyed_fields(cls)}
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in _keyed_fields(cls)}
 
 
+# Every key's default; its type is the type the key's value parses to.
+# ``min_length``'s None stands for an optional integer, unset when empty.
 CONFIG_DEFAULTS = {
     "out_dir": "runs/out",
-    "seed": "0",
+    "seed": 0,
     "sampling_weekday": "monday",
-    "min_length": "",
+    "min_length": None,
     **_field_defaults(PredictorConfig),
-    "mu_mode": "one-step",
-    "centered_covariance": "false",
-    "mape_floor": "1e-12",
-    "ks_alpha": "0.05",
-    "ks_lilliefors": "true",
-    "epsilon": "0.1",
-    "delta": "0.3",
-    "k": "5",
-    "lambda": "0.5",
-    "theta": "0.0",
-    "lambda_grid": "1,0.8,0.2,0",
-    "theta_grid": "0,0.2,0.8",
-    "skew_mode": "weighted",
+    "mu_mode": risk_model.MU_ONE_STEP,
+    "centered_covariance": False,
+    "mape_floor": 1e-12,
+    "ks_alpha": 0.05,
+    "ks_lilliefors": True,
+    "epsilon": (0.1,),
+    "delta": (0.3,),
+    "k": 5,
+    "lambda": 0.5,
+    "theta": 0.0,
+    "lambda_grid": (1.0, 0.8, 0.2, 0.0),
+    "theta_grid": (0.0, 0.2, 0.8),
+    "skew_mode": SKEW_WEIGHTED,
     **_field_defaults(GAConfig),
-    "tune_replicates": "3",
-    "tune_lambda": "0.8",
-    "tune_theta": "0.2",
-    "frontier_repeats": "3",
+    "tune_replicates": 3,
+    "tune_lambda": 0.8,
+    "tune_theta": 0.2,
+    "frontier_repeats": 3,
+}
+
+
+def _boolean(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("true", "yes", "1", "on"):
+        return True
+    if word in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# type of a key's default -> (parser of its text, what the error says it must be)
+_PARSERS = {
+    str: (str, ""),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (_boolean, "boolean"),
+    tuple: (lambda raw: tuple(float(p) for p in raw.split(",") if p.strip() != ""),
+            "a comma list of numbers"),
+    type(None): (lambda raw: int(raw) if raw.strip() else None, "an integer"),
 }
 
 
 class RunConfig:
-    """Flat key=value configuration with typed accessors."""
+    """Flat key=value configuration. Every value is parsed when it is set,
+    by the type of its key's default; ``config[key]`` reads it."""
 
     def __init__(self, values: dict[str, str]):
         unknown = set(values) - set(CONFIG_DEFAULTS) - {"prices_path"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.values = dict(CONFIG_DEFAULTS)
-        self.values.update(values)
+        for key, raw in values.items():
+            self.override(key, raw)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -106,65 +137,39 @@ class RunConfig:
         return cls(values)
 
     def override(self, key: str, value) -> None:
-        if value is not None:
-            self.values[key] = str(value)
+        if value is None:
+            return
+        # prices_path, the one key without a default, is a path string
+        parse, kind = _PARSERS[type(CONFIG_DEFAULTS.get(key, ""))]
+        raw = str(value)
+        try:
+            self.values[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r} must be {kind}, got {raw!r}")
 
-    def str_(self, key: str) -> str:
+    def __getitem__(self, key: str):
         return self.values[key]
 
-    def int_(self, key: str) -> int:
-        try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer, got {self.values[key]!r}")
-
-    def float_(self, key: str) -> float:
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a number, got {self.values[key]!r}")
-
-    def bool_(self, key: str) -> bool:
-        raw = self.values[key].strip().lower()
-        if raw in ("true", "yes", "1", "on"):
-            return True
-        if raw in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"config key {key!r} must be boolean, got {self.values[key]!r}")
-
-    def float_list(self, key: str) -> list[float]:
-        raw = self.values[key]
-        try:
-            return [float(part) for part in raw.split(",") if part.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a comma list of numbers, got {raw!r}")
-
-    def optional_int(self, key: str) -> int | None:
-        return self.int_(key) if self.values[key].strip() else None
-
     def hash(self) -> str:
-        # hash the semantic parameters only, so relocating inputs/outputs
-        # does not change the recorded provenance of identical numbers
-        skip = {"out_dir", "prices_path"}
-        canon = "\n".join(f"{k}={self.values[k]}" for k in sorted(self.values) if k not in skip)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        # hash the parsed semantic parameters only, so neither relocating
+        # inputs/outputs nor respelling a value ("0.80" for "0.8") changes
+        # the recorded provenance of identical numbers
+        semantic = {k: v for k, v in self.values.items() if k not in ("out_dir", "prices_path")}
+        return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
 
     def out_dir(self) -> Path:
-        return Path(self.str_("out_dir"))
+        return Path(self["out_dir"])
 
     def bounds(self) -> Bounds:
-        def parse(key):
-            parts = self.float_list(key)
+        def limit(key):
+            parts = self[key]
             return parts[0] if len(parts) == 1 else np.array(parts)
 
-        return Bounds(epsilon=parse("epsilon"), delta=parse("delta"))
+        return Bounds(epsilon=limit("epsilon"), delta=limit("delta"))
 
     def build(self, cls, seed):
-        """``cls`` (``PredictorConfig`` or ``GAConfig``) from its keys, each
-        parsed by the type of the field's default."""
-        parse = {int: self.int_, float: self.float_, str: self.str_}
-        values = {f.name: parse[type(f.default)](f.name) for f in _keyed_fields(cls)}
-        return cls(**values, seed=seed)
+        """``cls`` (``PredictorConfig`` or ``GAConfig``) from its keys."""
+        return cls(**{f.name: self[f.name] for f in _keyed_fields(cls)}, seed=seed)
 
 
 def _asset_seed(master: int, asset: str) -> tuple[int, int]:
@@ -221,7 +226,7 @@ def _read_manifest(out: Path) -> dict:
 def _update_manifest(out: Path, config: RunConfig, artifacts: list[str]) -> None:
     manifest = _read_manifest(out)
     for name in artifacts:
-        manifest[name] = {"config_hash": config.hash(), "seed": config.int_("seed")}
+        manifest[name] = {"config_hash": config.hash(), "seed": config["seed"]}
     _write_json(out / "manifest.json", manifest)
 
 
@@ -277,13 +282,13 @@ def _read_returns_csv(path: Path) -> tuple[list[str], list[dt.date], np.ndarray]
 def cmd_ingest(config: RunConfig) -> int:
     if "prices_path" not in config.values:
         raise ConfigError("config key 'prices_path' is required for ingest")
-    prices_path = Path(config.str_("prices_path"))
+    prices_path = Path(config["prices_path"])
     if not prices_path.exists():
         raise ConfigError(f"prices file not found: {prices_path}")
     out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
 
-    table = market_data.load_prices(prices_path, config.str_("sampling_weekday"))
+    table = market_data.load_prices(prices_path, config["sampling_weekday"])
     series = []
     skipped: list[tuple[str, str]] = [(a, "no sampled weeks") for a in table.excluded]
     for asset, (dates, closes) in table.series.items():
@@ -291,7 +296,7 @@ def cmd_ingest(config: RunConfig) -> int:
             skipped.append((asset, "fewer than 2 sampled weeks"))
             continue
         series.append(market_data.compute_returns(asset, dates, closes))
-    matrix, report = market_data.align_universe(series, config.optional_int("min_length"))
+    matrix, report = market_data.align_universe(series, config["min_length"])
     report.dropped = skipped + report.dropped
 
     returns_rows = [["date"] + report.kept] + [
@@ -308,7 +313,7 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_predict(config: RunConfig) -> int:
     out = config.out_dir()
     assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
-    master = config.int_("seed")
+    master = config["seed"]
 
     predictor_dumps = {}
     prediction_dumps = {}
@@ -317,7 +322,7 @@ def cmd_predict(config: RunConfig) -> int:
         pconfig = config.build(PredictorConfig, seed=_asset_seed(master, asset))
         split = predictor.split_series(matrix[:, j], pconfig)
         trained = predictor.train_arnn(split, pconfig, asset=asset)
-        record = predictor.rolling_predict(trained, matrix[:, j], pconfig)
+        record = predictor.rolling_predict(trained, split)
         stops[trained.stop_reason] += 1
         predictor_dumps[asset] = trained.to_dict()
         prediction_dumps[asset] = asdict(record)
@@ -359,14 +364,14 @@ def cmd_risk(config: RunConfig) -> int:
     out = config.out_dir()
     assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
     records = _load_stage(out, "predict", _decode_records)
-    _check_records_match(records, assets, matrix, config.int_("delay"))
+    _check_records_match(records, assets, matrix, config["delay"])
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
     model = risk_model.build_risk_model(
         ordered,
         returns_by_asset,
-        mu_mode=config.str_("mu_mode"),
-        centered=config.bool_("centered_covariance"),
+        mu_mode=config["mu_mode"],
+        centered=config["centered_covariance"],
     )
     _write_artifacts(out, config, {"risk_model.json": model.to_dict()})
     print(f"risk model over {model.n_assets} assets, window {model.estimation_window}")
@@ -376,9 +381,9 @@ def cmd_risk(config: RunConfig) -> int:
 def cmd_metrics(config: RunConfig) -> int:
     out = config.out_dir()
     records = _load_stage(out, "predict", _decode_records)
-    floor = config.float_("mape_floor")
-    alpha = config.float_("ks_alpha")
-    lilliefors = config.bool_("ks_lilliefors")
+    floor = config["mape_floor"]
+    alpha = config["ks_alpha"]
+    lilliefors = config["ks_lilliefors"]
 
     reports = {}
     ks_rows = {}
@@ -387,7 +392,7 @@ def cmd_metrics(config: RunConfig) -> int:
         try:
             ks = eval_metrics.ks_normality_test(record.errors, alpha=alpha, lilliefors=lilliefors)
             ks_rows[asset] = asdict(ks)
-        except PredfolioError as exc:
+        except (InsufficientDataError, DegenerateInputError) as exc:
             ks_rows[asset] = {"error": str(exc)}
 
     columns = ["n", "me", "signed_me", "rmse", "mape", "mape_skipped", "hr", "hr_plus", "hr_minus"]
@@ -411,18 +416,18 @@ def cmd_tune(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
     params = ObjectiveParams(
-        lam=config.float_("tune_lambda"),
-        theta=config.float_("tune_theta"),
-        skew_mode=config.str_("skew_mode"),
+        lam=config["tune_lambda"],
+        theta=config["tune_theta"],
+        skew_mode=config["skew_mode"],
     )
-    base = config.build(GAConfig, seed=config.int_("seed"))
+    base = config.build(GAConfig, seed=config["seed"])
     ga_runs = []
     runner = taguchi.ga_runner(
-        model, params, config.bounds(), config.int_("k"), base, on_result=ga_runs.append
+        model, params, config.bounds(), config["k"], base, on_result=ga_runs.append
     )
     array = taguchi.build_array()
     runs = taguchi.run_experiments(
-        array, runner, replicates=config.int_("tune_replicates"), seed=config.int_("seed")
+        array, runner, replicates=config["tune_replicates"], seed=config["seed"]
     )
     result = taguchi.analyze_means(runs, array=array)
 
@@ -453,12 +458,12 @@ def cmd_optimize(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
     params = ObjectiveParams(
-        lam=config.float_("lambda"),
-        theta=config.float_("theta"),
-        skew_mode=config.str_("skew_mode"),
+        lam=config["lambda"],
+        theta=config["theta"],
+        skew_mode=config["skew_mode"],
     )
-    ga_config = config.build(GAConfig, seed=config.int_("seed"))
-    result = evolve(model, params, config.bounds(), config.int_("k"), ga_config)
+    ga_config = config.build(GAConfig, seed=config["seed"])
+    result = evolve(model, params, config.bounds(), config["k"], ga_config)
 
     dump = asdict(result)
     dump["best"]["assets"] = model.assets
@@ -479,16 +484,16 @@ def cmd_optimize(config: RunConfig) -> int:
 def cmd_frontier(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
-    ga_config = config.build(GAConfig, seed=config.int_("seed"))
+    ga_config = config.build(GAConfig, seed=config["seed"])
     result = frontier.sweep(
         model,
         config.bounds(),
-        config.int_("k"),
+        config["k"],
         ga_config,
-        lambda_grid=config.float_list("lambda_grid"),
-        theta_grid=config.float_list("theta_grid"),
-        skew_mode=config.str_("skew_mode"),
-        repeats=config.int_("frontier_repeats"),
+        lambda_grid=config["lambda_grid"],
+        theta_grid=config["theta_grid"],
+        skew_mode=config["skew_mode"],
+        repeats=config["frontier_repeats"],
     )
     curve = frontier.efficient_filter(result.points)
 

@@ -87,7 +87,7 @@ def rmse(real, predicted) -> float:
     return float(np.sqrt(np.mean((r - p) ** 2)))
 
 
-def mape(real, predicted, floor: float = 1e-12) -> MapeResult:
+def mape(real, predicted, floor: float) -> MapeResult:
     """Mean absolute percentage error, skipping near-zero actuals.
 
     Terms with ``|real| < floor`` blow the ratio up and are skipped; the
@@ -117,7 +117,7 @@ def hit_rates(real, predicted) -> HitRates:
     return HitRates(hr, hr_plus, hr_minus)
 
 
-def evaluate(real, predicted, mape_floor: float = 1e-12) -> MetricReport:
+def evaluate(real, predicted, mape_floor: float) -> MetricReport:
     """Compute the full metric set for one real/predicted pair."""
     r, p = _paired(real, predicted)
     mape_value = mape(r, p, floor=mape_floor)
@@ -171,14 +171,14 @@ def _lilliefors_threshold(alpha: float, n: int) -> float:
     return c / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
 
 
-def ks_normality_test(samples, alpha: float = 0.05, lilliefors: bool = True) -> KsResult:
+def ks_normality_test(samples, alpha: float, lilliefors: bool) -> KsResult:
     """Kolmogorov-Smirnov test against a normal fitted to the sample.
 
     D is the sup-distance between the empirical CDF and the normal CDF at
     the sample's mean and standard deviation. Because the parameters are
-    estimated, the default threshold uses the Lilliefors correction (the
-    plain asymptotic ``c(alpha)/sqrt(n)`` is far too conservative here and
-    is kept available via ``lilliefors=False``).
+    estimated, the Lilliefors-corrected threshold is the one to use
+    (``lilliefors=True``); the plain asymptotic ``c(alpha)/sqrt(n)``
+    (``lilliefors=False``) is far too conservative here.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)

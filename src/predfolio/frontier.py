@@ -18,9 +18,6 @@ from .ga_solver import GAConfig, GAResult, evolve, evolve_batch  # noqa: F401
 from .objective import Bounds, ObjectiveParams, Portfolio
 from .risk_model import RiskModel
 
-DEFAULT_LAMBDA_GRID = (1.0, 0.8, 0.2, 0.0)
-DEFAULT_THETA_GRID = (0.0, 0.2, 0.8)
-
 
 @dataclass
 class FrontierPoint:
@@ -58,10 +55,10 @@ def sweep(
     bounds: Bounds,
     k: int,
     ga_config: GAConfig,
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    theta_grid: Sequence[float] = DEFAULT_THETA_GRID,
-    skew_mode: str = "weighted",
-    repeats: int = 3,
+    lambda_grid: Sequence[float],
+    theta_grid: Sequence[float],
+    skew_mode: str,
+    repeats: int,
 ) -> SweepResult:
     """Optimize every (lambda, theta) pair; keep each point's best repeat.
 

@@ -175,7 +175,7 @@ def tournament_contenders(
 
 
 def tournament_select(
-    costs: np.ndarray, n: int, rng: np.random.Generator, tournament_size: int = 2
+    costs: np.ndarray, n: int, rng: np.random.Generator, tournament_size: int
 ) -> np.ndarray:
     """Indices of ``n`` tournament winners: each tournament holds
     ``tournament_size`` distinct contenders and keeps the cheapest (the
@@ -190,8 +190,7 @@ def tournament_select(
 
 
 def select_parents(
-    costs: np.ndarray, kind: str, n: int, rng: np.random.Generator,
-    tournament_size: int = 2,
+    costs: np.ndarray, kind: str, n: int, rng: np.random.Generator, tournament_size: int
 ) -> np.ndarray:
     """Indices of ``n`` parents drawn independently from a population.
 
@@ -285,7 +284,7 @@ def crossover(
     sel_b: np.ndarray,
     raw_b: np.ndarray,
     rng: np.random.Generator | RunStreams,
-    kind: str = "single-point",
+    kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows
     (the children of several runs when ``rng`` is a :class:`RunStreams`).
@@ -333,7 +332,7 @@ def mutate(
     step_length: float | np.ndarray,
     rng: np.random.Generator | RunStreams,
     n_assets: int,
-    swap_rate: float = 0.1,
+    swap_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step each row along a random unit direction in allocation space and
     clamp to [0, 1]; in a ``swap_rate`` share of rows, swap one selected

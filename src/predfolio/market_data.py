@@ -93,7 +93,7 @@ def _parse_weekday(sampling_weekday: str | int) -> int:
     return WEEKDAYS[key]
 
 
-def load_prices(path, sampling_weekday: str | int = "monday") -> PriceTable:
+def load_prices(path, sampling_weekday: str | int) -> PriceTable:
     """Read a daily price file and sample one close per asset per week.
 
     The file is comma-separated UTF-8 text whose header names ``date``,

@@ -165,7 +165,7 @@ def penalized_cost(
     model: RiskModel,
     params: ObjectiveParams | RowParams,
     bounds: Bounds,
-    penalty_factor: float | np.ndarray = 10.0,
+    penalty_factor: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fitness of each row of ``(R, K)`` chromosomes; finite for finite input.
     ``params`` holds one set of preference weights, or one per row, and

@@ -95,9 +95,8 @@ class TrainedPredictor:
     best_val_loss: float
     epochs_run: int
     # how training stopped: "gradient", "no-accepted-step", "ftol",
-    # "max-fail" or "max-epochs"; None for dumps written before it was
-    # recorded
-    stop_reason: str | None
+    # "max-fail" or "max-epochs"
+    stop_reason: str
 
     @property
     def delay(self) -> int:
@@ -127,24 +126,6 @@ class TrainedPredictor:
             "epochs_run": int(self.epochs_run),
             "stop_reason": self.stop_reason,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainedPredictor":
-        if data.get("version") != 1:
-            raise ConfigError(f"unsupported predictor dump version {data.get('version')!r}")
-        d, h = int(data["delay"]), int(data["hidden_units"])
-        theta = np.asarray(data["parameters"], dtype=float)
-        w_in, b_h, w_out, b_out = _unpack(theta, d, h)
-        return cls(
-            asset=data["asset"],
-            input_weights=w_in,
-            hidden_bias=b_h,
-            output_weights=w_out,
-            output_bias=b_out,
-            best_val_loss=float(data["best_val_loss"]),
-            epochs_run=int(data["epochs_run"]),
-            stop_reason=data.get("stop_reason"),
-        )
 
 
 @dataclass
@@ -260,7 +241,8 @@ def _gauss_newton(theta, inputs, targets, lag_gram, delay: int, hidden: int):
     system; otherwise ``J'J`` is formed and solved in parameter space.
     """
     hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
-    residual = _forward_flat(theta, inputs, delay, hidden) - targets
+    _, _, w_out, b_out = _unpack(theta, delay, hidden)
+    residual = hidden_act @ w_out + b_out - targets
     gradient = _jt_dot(hidden_act, gate, inputs, residual)
     if lag_gram is not None:
         gram = _sample_gram(hidden_act, gate, lag_gram)
@@ -425,21 +407,18 @@ def train_arnn(
     )
 
 
-def rolling_predict(
-    predictor: TrainedPredictor, series, config: PredictorConfig
-) -> PredictionRecord:
-    """Predict every supervised sample from its true preceding lags.
+def rolling_predict(predictor: TrainedPredictor, split: SupervisedSplit) -> PredictionRecord:
+    """Predict every sample of ``split`` from its true preceding lags.
 
-    Windows are rebuilt from the raw series (no feedback of predictions),
-    so ``real``, ``predicted`` and ``errors`` all have length
-    ``len(series) - delay``; split labels are carried through from
-    :func:`split_series`.
+    The windows are the split's (no feedback of predictions), so ``real``,
+    ``predicted`` and ``errors`` all have one entry per sample of the
+    split, and its labels are carried through.
     """
-    if config.delay != predictor.delay:
+    if split.inputs.shape[1] != predictor.delay:
         raise DimensionError(
-            f"predictor was trained with delay {predictor.delay}, config says {config.delay}"
+            f"predictor was trained with delay {predictor.delay},"
+            f" split built with delay {split.inputs.shape[1]}"
         )
-    split = split_series(series, config)
     predicted = _forward_flat(
         predictor.flat(), split.inputs, predictor.delay, predictor.hidden_units
     )

@@ -82,7 +82,7 @@ class RiskModel:
             return cls.from_dict(json.load(fh))
 
 
-def expected_return(record: PredictionRecord, mode: str = MU_ONE_STEP) -> float:
+def expected_return(record: PredictionRecord, mode: str) -> float:
     """Per-asset expected weekly return from its prediction record."""
     if len(record) == 0:
         raise EstimationError(f"empty prediction record for {record.asset!r}")
@@ -113,8 +113,8 @@ def asset_skewness(returns) -> SkewResult:
 def build_risk_model(
     records: Sequence[PredictionRecord],
     returns_by_asset: Mapping[str, np.ndarray],
-    mu_mode: str = MU_ONE_STEP,
-    centered: bool = False,
+    mu_mode: str,
+    centered: bool,
 ) -> RiskModel:
     """Assemble the full mu / sigma / skew model from prediction records.
 

@@ -96,8 +96,9 @@ def run_experiments(
     array: np.ndarray,
     runner: Callable[[list[Job]], Sequence[float]],
     grid: FactorGrid = DEFAULT_FACTORS,
-    replicates: int = 3,
-    seed: int = 0,
+    *,
+    replicates: int,
+    seed: int,
 ) -> list[ExperimentRun]:
     """Execute every array row ``replicates`` times with derived seeds.
 

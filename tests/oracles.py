@@ -15,6 +15,7 @@ import numpy as np
 from predfolio.errors import AlignmentError, ConfigError, ParseError
 from predfolio.market_data import AlignmentReport, PriceTable, ReturnSeries
 from predfolio.objective import SKEW_WEIGHTED, ObjectiveParams, portfolio_return, portfolio_risk
+from predfolio.predictor import TrainedPredictor
 from predfolio.risk_model import RiskModel
 
 
@@ -186,6 +187,30 @@ def insert_children_by_argmax(selection, raw, costs, child_sel, child_raw, child
             selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
             placed[worst] = i
     return selection, raw, costs, placed
+
+
+def trained_predictor_from_dict(data: dict) -> TrainedPredictor:
+    """Decode a ``predictors.json`` entry, slicing the flat parameters by
+    the shapes the dump records."""
+    assert data["version"] == 1
+    shapes = data["shapes"]
+    theta = np.asarray(data["parameters"], dtype=float)
+    parts, start = [], 0
+    for name in ("input_weights", "hidden_bias", "output_weights", "output_bias"):
+        size = int(np.prod(shapes[name]))
+        parts.append(theta[start:start + size].reshape(shapes[name]))
+        start += size
+    assert start == len(theta)
+    return TrainedPredictor(
+        asset=data["asset"],
+        input_weights=parts[0],
+        hidden_bias=parts[1],
+        output_weights=parts[2],
+        output_bias=float(parts[3]),
+        best_val_loss=data["best_val_loss"],
+        epochs_run=data["epochs_run"],
+        stop_reason=data["stop_reason"],
+    )
 
 
 def load_prices_rowwise(path, weekday: int, max_stale_days: int = 6) -> PriceTable:

@@ -20,6 +20,7 @@ from predfolio.eval_metrics import hit_rates, ks_normality_test, mape, mean_erro
 from predfolio.frontier import efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
+    SKEW_WEIGHTED,
     Bounds,
     ObjectiveParams,
     decode_weights,
@@ -133,8 +134,8 @@ def test_criterion_05_predictor_learnability():
                 series[t] = 0.8 * series[t - 1] + rng.normal(0.0, 0.01)
             config = PredictorConfig(delay=1, hidden_units=5, max_epochs=1000,
                                      seed=(20250805, seed))
-            trained = train_arnn(split_series(series, config), config)
-            record = rolling_predict(trained, series, config)
+            split = split_series(series, config)
+            record = rolling_predict(train_arnn(split, config), split)
             mask = record.split_labels == TEST
             rates.append(hit_rates(record.real[mask], record.predicted[mask]).hr)
         assert all(r is not None for r in rates)
@@ -171,7 +172,7 @@ def test_criterion_07_metric_oracles():
     with criterion(7, "worked metric examples reproduce their hand values"):
         assert mean_error([0.02, -0.01], [0.01, 0.01]) == pytest.approx(0.015, abs=1e-12)
         assert rmse([0.03, -0.04], [0.0, 0.0]) == pytest.approx(0.035355, abs=1e-6)
-        assert mape([0.02], [0.01]).value == pytest.approx(0.5, abs=1e-12)
+        assert mape([0.02], [0.01], floor=1e-12).value == pytest.approx(0.5, abs=1e-12)
         assert hit_rates([1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0]).hr == 1.0 / 3.0
 
 
@@ -180,14 +181,14 @@ def test_criterion_08_ks_calibration():
         start = time.perf_counter()
         rejected = sum(
             not ks_normality_test(
-                np.random.default_rng([8881, i]).normal(size=100), alpha=0.05
+                np.random.default_rng([8881, i]).normal(size=100), alpha=0.05, lilliefors=True
             ).accepted
             for i in range(200)
         )
         assert 0.02 <= rejected / 200 <= 0.09, f"rejection rate {rejected / 200}"
         rejected_uniform = sum(
             not ks_normality_test(
-                np.random.default_rng([8882, i]).uniform(size=1000), alpha=0.05
+                np.random.default_rng([8882, i]).uniform(size=1000), alpha=0.05, lilliefors=True
             ).accepted
             for i in range(200)
         )
@@ -240,7 +241,8 @@ def test_criterion_10_frontier_behavior():
         model = _frontier_model()
         config = GAConfig(population_size=100, stall_generations=20,
                           generation_cap=200, seed=60601)
-        result = sweep(model, Bounds(0.0, 1.0), 5, config, repeats=2)
+        result = sweep(model, Bounds(0.0, 1.0), 5, config, lambda_grid=(1.0, 0.8, 0.2, 0.0),
+                       theta_grid=(0.0, 0.2, 0.8), skew_mode=SKEW_WEIGHTED, repeats=2)
         assert not result.failures
         assert len(result.points) == 12
 

@@ -63,11 +63,35 @@ def test_run_config_parsing_and_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("seed = 7\nk = 4  # inline comment\n\n# full comment\n", encoding="utf-8")
     config = RunConfig.from_file(path)
-    assert config.int_("seed") == 7
-    assert config.int_("k") == 4
+    assert config["seed"] == 7
+    assert config["k"] == 4
     config.override("seed", 11)
-    assert config.int_("seed") == 11
-    assert config.float_list("lambda_grid") == [1.0, 0.8, 0.2, 0.0]
+    assert config["seed"] == 11
+    assert config["lambda_grid"] == (1.0, 0.8, 0.2, 0.0)
+    assert config["min_length"] is None
+    assert RunConfig({"min_length": "30"})["min_length"] == 30
+    assert RunConfig({"ks_lilliefors": "off"})["ks_lilliefors"] is False
+    # the hash is over parsed values: a respelled number is the same config
+    assert RunConfig({"lambda": "0.80"}).hash() == RunConfig({"lambda": "0.8"}).hash()
+    assert RunConfig({"lambda": "0.7"}).hash() != RunConfig({"lambda": "0.8"}).hash()
+    assert RunConfig({"out_dir": "elsewhere"}).hash() == RunConfig({}).hash()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("k", "five", "must be an integer, got 'five'"),
+        ("min_length", "3.5", "must be an integer, got '3.5'"),
+        ("lambda", "high", "must be a number, got 'high'"),
+        ("ks_lilliefors", "maybe", "must be boolean, got 'maybe'"),
+        ("lambda_grid", "1,x", "must be a comma list of numbers, got '1,x'"),
+    ],
+)
+def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' {message}$"):
+        RunConfig({key: value})
+    with pytest.raises(ConfigError, match=f"^config key '{key}' {message}$"):
+        RunConfig({}).override(key, value)
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
@@ -121,11 +145,7 @@ def test_readme_defaults_match_config_defaults():
     assert set(counts) == set(CONFIG_DEFAULTS)
     assert max(counts.values()) == 1
     for key, value in documented:
-        default = CONFIG_DEFAULTS[key]
-        try:
-            assert float(value) == float(default), key
-        except ValueError:
-            assert value == default, key
+        assert RunConfig({key: value})[key] == CONFIG_DEFAULTS[key], key
 
 
 def test_ingest_summary_and_artifacts(tmp_path, capsys):
@@ -229,6 +249,65 @@ def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, c
     assert err.startswith("error: predictions.json does not match returns.csv (")
     assert err.rstrip().endswith("re-run the `predict` stage")
     assert not (out / "risk_model.json").exists()
+
+
+STAGES = ("ingest", "predict", "risk", "metrics", "tune", "optimize", "frontier", "report")
+
+
+def snapshot(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def finished_pipeline(tmp_path_factory):
+    """A pipeline run through every stage but ``tune``, shared read-only."""
+    tmp_path = tmp_path_factory.mktemp("finished")
+    prices = make_demo_prices(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, prices, out)
+    for stage in STAGES:
+        if stage != "tune":
+            assert main([stage, "--config", config]) == 0, stage
+    return tmp_path, prices, out
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("k", "five", "an integer"),
+    ("ks_lilliefors", "maybe", "boolean"),
+    ("frontier_repeats", "x", "an integer"),
+])
+@pytest.mark.parametrize("stage", STAGES)
+def test_every_stage_refuses_a_malformed_key_before_it_writes(
+    finished_pipeline, capsys, stage, key, value, kind
+):
+    tmp_path, prices, out = finished_pipeline
+    config = tmp_path / f"bad-{key}.cfg"
+    config.write_text(
+        f"prices_path = {prices}\nout_dir = {out}\n{PIPELINE_KEYS}{key} = {value}\n",
+        encoding="utf-8",
+    )
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} must be {kind}, got {value!r}\n"
+    assert snapshot(out) == before
+
+
+def test_metrics_refuses_an_alpha_outside_the_lilliefors_table(pipeline, capsys):
+    config, out = pipeline
+    for stage in ("ingest", "predict"):
+        assert main([stage, "--config", config]) == 0
+    Path(config).write_text(
+        Path(config).read_text(encoding="utf-8") + "ks_alpha = 0.5\n", encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["metrics", "--config", config]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: alpha 0.5 outside the tabulated range")
+    assert not list(out.glob("metrics*"))
 
 
 def test_malformed_manifest_is_a_clean_error(pipeline, capsys):

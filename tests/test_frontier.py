@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from predfolio.cli import CONFIG_DEFAULTS
 from predfolio.frontier import FrontierPoint, efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
-    Bounds, ObjectiveParams, Portfolio, portfolio_return, portfolio_risk,
+    SKEW_WEIGHTED, Bounds, ObjectiveParams, Portfolio, portfolio_return, portfolio_risk,
 )
 
 from conftest import random_risk_model
@@ -27,6 +28,10 @@ def point(sigma_p, mu_p, theta=0.0) -> FrontierPoint:
         generations=1,
         spread=0.0,
     )
+
+
+# the run config's default (lambda, theta) grid, a 4 x 3 sweep
+DEFAULT_GRIDS = {key: CONFIG_DEFAULTS[key] for key in ("lambda_grid", "theta_grid")}
 
 
 def small_ga_config(seed=0) -> GAConfig:
@@ -93,7 +98,8 @@ def test_sweep_default_grids_give_12_points(rng):
     config = GAConfig(
         population_size=30, stall_generations=5, generation_cap=15, seed=0
     )
-    result = sweep(model, Bounds(0.0, 1.0), 3, config, repeats=1)
+    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, skew_mode=SKEW_WEIGHTED,
+                   repeats=1)
     assert len(result.points) == 12
     assert not result.failures
     grid = {(p.lam, p.theta) for p in result.points}
@@ -104,7 +110,7 @@ def test_sweep_degenerate_single_point(rng):
     model = random_risk_model(rng, 3)
     result = sweep(
         model, Bounds(0.0, 1.0), 3, small_ga_config(), lambda_grid=[1.0], theta_grid=[0.0],
-        repeats=1,
+        skew_mode=SKEW_WEIGHTED, repeats=1,
     )
     assert len(result.points) == 1
     assert result.points[0].lam == 1.0
@@ -114,7 +120,8 @@ def test_sweep_points_recompute_exactly(rng):
     model = random_risk_model(rng, 4)
     result = sweep(
         model, Bounds(0.05, 0.6), 3, small_ga_config(3),
-        lambda_grid=[1.0, 0.0], theta_grid=[0.0], repeats=2,
+        lambda_grid=[1.0, 0.0], theta_grid=[0.0], skew_mode=SKEW_WEIGHTED,
+        repeats=2,
     )
     for p in result.points:
         assert p.mu_p == portfolio_return(p.portfolio.weights, model.mu)
@@ -127,7 +134,8 @@ def test_sweep_records_failures_and_continues(rng):
     # K=11 floors sum above 1: every GA run refuses upfront
     result = sweep(
         model, Bounds(0.1, 0.3), 11, small_ga_config(),
-        lambda_grid=[1.0, 0.0], theta_grid=[0.0], repeats=1,
+        lambda_grid=[1.0, 0.0], theta_grid=[0.0], skew_mode=SKEW_WEIGHTED,
+        repeats=1,
     )
     assert result.points == []
     assert len(result.failures) == 2
@@ -139,7 +147,8 @@ def test_sweep_theta_zero_endpoints_are_extremal(rng):
     model = random_risk_model(np.random.default_rng(123), 4)
     result = sweep(
         model, Bounds(0.0, 1.0), 4, small_ga_config(9),
-        lambda_grid=[1.0, 0.5, 0.0], theta_grid=[0.0], repeats=2,
+        lambda_grid=[1.0, 0.5, 0.0], theta_grid=[0.0],
+        skew_mode=SKEW_WEIGHTED, repeats=2,
     )
     by_lam = {p.lam: p for p in result.points}
     sigmas = [p.sigma_p for p in result.points]
@@ -153,7 +162,7 @@ def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
     config = GAConfig(population_size=24, stall_generations=4, generation_cap=30, seed=(5, 1))
     bounds = Bounds(0.05, 0.6)
     result = sweep(model, bounds, 3, config, lambda_grid=[1.0, 0.3], theta_grid=[0.0, 0.5],
-                   repeats=3)
+                   skew_mode=SKEW_WEIGHTED, repeats=3)
     assert len(result.runs) == 12
     for i, p in enumerate(result.points):
         li, ti = divmod(i, 2)
@@ -175,7 +184,8 @@ def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
 def test_sweep_under_a_tiny_time_limit_reports_time_stops(rng):
     model = random_risk_model(rng, 6)
     config = GAConfig(population_size=30, time_limit_seconds=1e-9, seed=0)
-    result = sweep(model, Bounds(0.0, 1.0), 3, config, repeats=2)
+    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, skew_mode=SKEW_WEIGHTED,
+                   repeats=2)
     assert len(result.points) == 12
     assert {p.stop_reason for p in result.points} == {"time"}
     assert {run.stop_reason for run in result.runs} == {"time"}

@@ -231,7 +231,8 @@ def test_mutate_raw_stays_in_unit_box(rng):
     for k in range(1, 6):
         selection = np.argsort(rng.random((2000, 10)), axis=1)[:, :k]
         new_sel, new_raw = mutate(
-            selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), rng, n_assets=10
+            selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), rng, n_assets=10,
+            swap_rate=0.1,
         )
         assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
         assert all(len(set(row)) == k for row in new_sel.tolist())

@@ -75,13 +75,13 @@ def test_load_prices_non_numeric_close_names_the_row(tmp_path):
         ],
     )
     with pytest.raises(ParseError, match="line 3"):
-        load_prices(path)
+        load_prices(path, "monday")
 
 
 def test_load_prices_rejects_nonpositive_close(tmp_path):
     path = write_rows(tmp_path / "p.csv", [(MON1.isoformat(), "AAA", -5)])
     with pytest.raises(ParseError, match="^line 2: close must be a positive number, got '-5'$"):
-        load_prices(path)
+        load_prices(path, "monday")
 
 
 def write_text(path, text):
@@ -99,7 +99,7 @@ def chunk_rows(request, monkeypatch):
 
 def refusal(path):
     with pytest.raises(ParseError) as info:
-        load_prices(path)
+        load_prices(path, "monday")
     return info.value.line, str(info.value)
 
 
@@ -143,7 +143,7 @@ def test_load_prices_refuses_a_header_with_no_rows(tmp_path):
 
 def test_load_prices_reads_any_column_order_and_case(tmp_path):
     text = "Close , ASSET,Note,Date\n100,AAA,x, 2024-01-01\n 110 , AAA ,,2024-01-08\n"
-    dates, closes = load_prices(write_text(tmp_path / "p.csv", text)).series["AAA"]
+    dates, closes = load_prices(write_text(tmp_path / "p.csv", text), "monday").series["AAA"]
     assert (dates.tolist(), closes.tolist()) == (ordinals(MON1, MON2), [100.0, 110.0])
 
 
@@ -194,7 +194,7 @@ def test_load_prices_excludes_asset_outside_window(tmp_path):
             ((MON3 + dt.timedelta(days=3)).isoformat(), "CCC", 50),
         ],
     )
-    table = load_prices(path)
+    table = load_prices(path, "monday")
     assert table.excluded == ["CCC"]
     assert "CCC" not in table.series
 
@@ -210,7 +210,7 @@ def test_load_prices_samples_asset_trading_before_every_other(tmp_path):
             ((MON1 - dt.timedelta(days=30)).isoformat(), "CCC", 50),
         ],
     )
-    table = load_prices(path)
+    table = load_prices(path, "monday")
     assert table.excluded == []
     dates, closes = table.series["CCC"]
     assert (dates.tolist(), closes.tolist()) == (ordinals(dt.date(2023, 12, 4)), [50.0])
@@ -220,7 +220,7 @@ def test_load_prices_samples_asset_trading_before_every_other(tmp_path):
 def ingest(path, min_length=None):
     """The ``ingest`` stage's sampling, returns and alignment, as kept
     returns by asset, the common date ordinals and the dropped assets."""
-    table = load_prices(path)
+    table = load_prices(path, "monday")
     dropped = {(a, "no sampled weeks") for a in table.excluded}
     series = []
     for asset, (dates, closes) in table.series.items():
@@ -408,7 +408,7 @@ def test_forward_fill_never_fabricates_a_price(tmp_path, rng):
                 rows.append((date.isoformat(), asset, close))
                 observed[asset].add(close)
     write_rows(tmp_path / "p.csv", rows)
-    table = load_prices(tmp_path / "p.csv")
+    table = load_prices(tmp_path / "p.csv", "monday")
     for asset, (_, closes) in table.series.items():
         for close in closes.tolist():
             assert close in observed[asset]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -36,6 +37,8 @@ from predfolio.predictor import (
     train_arnn,
 )
 
+from oracles import trained_predictor_from_dict
+
 
 # A patience no fit reaches: with it, training stops only on its other rules.
 NO_PATIENCE = math.inf
@@ -57,7 +60,7 @@ def predictor_from_flat(theta, delay, hidden, asset="X") -> TrainedPredictor:
         output_bias=b_out,
         best_val_loss=0.0,
         epochs_run=0,
-        stop_reason=None,
+        stop_reason="max-epochs",
     )
 
 
@@ -331,8 +334,8 @@ def test_train_requires_validation_samples():
 def test_rolling_predict_perfect_on_constant_series():
     returns = np.full(40, 0.02)
     config = small_config()
-    trained = train_arnn(split_series(returns, config), config, asset="C")
-    record = rolling_predict(trained, returns, config)
+    split = split_series(returns, config)
+    record = rolling_predict(train_arnn(split, config, asset="C"), split)
     np.testing.assert_allclose(record.errors, 0.0, atol=1e-6)
 
 
@@ -340,7 +343,7 @@ def test_rolling_predict_zero_network_errors_equal_real():
     returns = np.linspace(-0.1, 0.1, 30)
     config = small_config()
     zero = predictor_from_flat(np.zeros(3 * 2 + 3 + 3 + 1), delay=2, hidden=3)
-    record = rolling_predict(zero, returns, config)
+    record = rolling_predict(zero, split_series(returns, config))
     np.testing.assert_array_equal(record.predicted, np.zeros(28))
     np.testing.assert_array_equal(record.errors, record.real)
 
@@ -348,8 +351,8 @@ def test_rolling_predict_zero_network_errors_equal_real():
 def test_rolling_predict_record_count_and_identity():
     returns = np.sin(np.linspace(0, 20, 221)) * 0.05
     config = PredictorConfig(delay=41, hidden_units=2, max_epochs=5, seed=0)
-    trained = train_arnn(split_series(returns, config), config)
-    record = rolling_predict(trained, returns, config)
+    split = split_series(returns, config)
+    record = rolling_predict(train_arnn(split, config), split)
     assert len(record) == 180
     # errors are exactly the stored real-minus-predicted recomputation
     np.testing.assert_array_equal(record.errors, record.real - record.predicted)
@@ -359,26 +362,19 @@ def test_rolling_predict_delay_mismatch_errors():
     config = small_config()
     trained = train_arnn(split_series(np.zeros(40), config), config)
     with pytest.raises(DimensionError):
-        rolling_predict(trained, np.zeros(40), small_config(delay=4))
+        rolling_predict(trained, split_series(np.zeros(40), small_config(delay=4)))
 
 
 def test_predictor_dump_round_trip(rng):
     returns = rng.normal(0.0, 0.02, size=60)
     config = small_config(seed=5)
     trained = train_arnn(split_series(returns, config), config, asset="RT")
-    loaded = TrainedPredictor.from_dict(trained.to_dict())
+    loaded = trained_predictor_from_dict(json.loads(json.dumps(trained.to_dict())))
     np.testing.assert_array_equal(loaded.flat(), trained.flat())
     assert loaded.asset == "RT"
     assert loaded.best_val_loss == trained.best_val_loss
+    assert loaded.epochs_run == trained.epochs_run
     assert loaded.stop_reason == trained.stop_reason
-
-
-def test_predictor_dump_without_stop_reason_loads(rng):
-    returns = rng.normal(0.0, 0.02, size=60)
-    config = small_config(seed=5)
-    dump = train_arnn(split_series(returns, config), config).to_dict()
-    del dump["stop_reason"]
-    assert TrainedPredictor.from_dict(dump).stop_reason is None
 
 
 @pytest.mark.parametrize(
