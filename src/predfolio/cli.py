@@ -19,7 +19,7 @@ import sys
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,13 @@ CONFIG_DEFAULTS = {
 }
 
 
+def _numbers(raw: str) -> tuple:
+    numbers = tuple(float(p) for p in raw.split(",") if p.strip() != "")
+    if not numbers:
+        raise ValueError(raw)
+    return numbers
+
+
 def _boolean(raw: str) -> bool:
     word = raw.strip().lower()
     if word in ("true", "yes", "1", "on"):
@@ -99,53 +106,78 @@ _PARSERS = {
     int: (int, "an integer"),
     float: (float, "a number"),
     bool: (_boolean, "boolean"),
-    tuple: (lambda raw: tuple(float(p) for p in raw.split(",") if p.strip() != ""),
-            "a comma list of numbers"),
+    tuple: (_numbers, "a comma list of numbers"),
     type(None): (lambda raw: int(raw) if raw.strip() else None, "an integer"),
 }
 
 
-class RunConfig:
-    """Flat key=value configuration. Every value is parsed when it is set,
-    by the type of its key's default; ``config[key]`` reads it."""
+def _read_config_file(path) -> dict[str, str]:
+    values: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, value = stripped.split("=", 1)
+                values[key.strip()] = value.strip()
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            line = undecodable_line(path)
+            raise ConfigError(f"{path}:{line}: not UTF-8 text (byte 0x{byte:02x})")
+    return values
 
-    def __init__(self, values: dict[str, str]):
+
+class RunConfig:
+    """Flat key=value configuration, checked once, when it is built.
+
+    Every value is parsed by the type of its key's default (``config[key]``
+    reads it), then checked against its range or value set. Building the
+    settings the stages use checks most keys: ``predictor`` and ``ga``
+    (seeded with the master ``seed``), ``bounds``, ``params``
+    (``lambda``/``theta``), ``tune_params`` (``tune_lambda``/``tune_theta``)
+    and each frontier grid point; the rest are checked against the
+    constants of the modules that own them.
+    """
+
+    def __init__(self, values: dict):
         unknown = set(values) - set(CONFIG_DEFAULTS) - {"prices_path"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         self.values = dict(CONFIG_DEFAULTS)
-        for key, raw in values.items():
-            self.override(key, raw)
+        for key, value in values.items():
+            # prices_path, the one key without a default, is a path string
+            parse, kind = _PARSERS[type(CONFIG_DEFAULTS.get(key, ""))]
+            raw = str(value)
+            try:
+                self.values[key] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"config key {key!r} must be {kind}, got {raw!r}")
+
+        self.predictor, self.ga = (
+            cls(**{f.name: self[f.name] for f in _keyed_fields(cls)}, seed=self["seed"])
+            for cls in (PredictorConfig, GAConfig)
+        )
+        self.bounds = Bounds(epsilon=self._limit("epsilon"), delta=self._limit("delta"))
+        skew_mode = self["skew_mode"]
+        self.params = ObjectiveParams(self["lambda"], self["theta"], skew_mode)
+        self.tune_params = ObjectiveParams(self["tune_lambda"], self["tune_theta"], skew_mode)
+        for lam in self["lambda_grid"]:
+            for theta in self["theta_grid"]:
+                ObjectiveParams(lam, theta, skew_mode)
+        if self["mu_mode"] not in risk_model.MU_MODES:
+            raise ConfigError(f"unknown expected-return mode {self['mu_mode']!r}")
+        market_data.parse_weekday(self["sampling_weekday"])
+        eval_metrics.check_alpha(self["ks_alpha"], self["ks_lilliefors"])
+        for key, low in (("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1)):
+            if self[key] < low:
+                raise ConfigError(f"{key} must be >= {low}, got {self[key]}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        values: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            try:
-                for lineno, line in enumerate(fh, start=1):
-                    stripped = line.split("#", 1)[0].strip()
-                    if not stripped:
-                        continue
-                    if "=" not in stripped:
-                        raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                    key, value = stripped.split("=", 1)
-                    values[key.strip()] = value.strip()
-            except UnicodeDecodeError as exc:
-                byte = exc.object[exc.start]
-                line = undecodable_line(path)
-                raise ConfigError(f"{path}:{line}: not UTF-8 text (byte 0x{byte:02x})")
-        return cls(values)
-
-    def override(self, key: str, value) -> None:
-        if value is None:
-            return
-        # prices_path, the one key without a default, is a path string
-        parse, kind = _PARSERS[type(CONFIG_DEFAULTS.get(key, ""))]
-        raw = str(value)
-        try:
-            self.values[key] = parse(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be {kind}, got {raw!r}")
+        return cls(_read_config_file(path))
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -160,16 +192,9 @@ class RunConfig:
     def out_dir(self) -> Path:
         return Path(self["out_dir"])
 
-    def bounds(self) -> Bounds:
-        def limit(key):
-            parts = self[key]
-            return parts[0] if len(parts) == 1 else np.array(parts)
-
-        return Bounds(epsilon=limit("epsilon"), delta=limit("delta"))
-
-    def build(self, cls, seed):
-        """``cls`` (``PredictorConfig`` or ``GAConfig``) from its keys."""
-        return cls(**{f.name: self[f.name] for f in _keyed_fields(cls)}, seed=seed)
+    def _limit(self, key: str):
+        parts = self[key]
+        return parts[0] if len(parts) == 1 else np.array(parts)
 
 
 def _asset_seed(master: int, asset: str) -> tuple[int, int]:
@@ -256,7 +281,7 @@ def _load_stage(out: Path, stage: str, decode):
         raise ConfigError(f"missing {artifact.name}; run the `{stage}` stage first")
     try:
         return decode(artifact)
-    except (ValueError, LookupError, StopIteration) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:
         raise ConfigError(
             f"malformed {artifact} ({exc!r}); re-run the `{stage}` stage"
         ) from exc
@@ -313,13 +338,11 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_predict(config: RunConfig) -> int:
     out = config.out_dir()
     assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
-    master = config["seed"]
-
     predictor_dumps = {}
     prediction_dumps = {}
     stops: Counter[str] = Counter()
     for j, asset in enumerate(assets):
-        pconfig = config.build(PredictorConfig, seed=_asset_seed(master, asset))
+        pconfig = replace(config.predictor, seed=_asset_seed(config["seed"], asset))
         split = predictor.split_series(matrix[:, j], pconfig)
         trained = predictor.train_arnn(split, pconfig, asset=asset)
         record = predictor.rolling_predict(trained, split)
@@ -415,15 +438,9 @@ def cmd_metrics(config: RunConfig) -> int:
 def cmd_tune(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
-    params = ObjectiveParams(
-        lam=config["tune_lambda"],
-        theta=config["tune_theta"],
-        skew_mode=config["skew_mode"],
-    )
-    base = config.build(GAConfig, seed=config["seed"])
     ga_runs = []
     runner = taguchi.ga_runner(
-        model, params, config.bounds(), config["k"], base, on_result=ga_runs.append
+        model, config.tune_params, config.bounds, config["k"], config.ga, on_result=ga_runs.append
     )
     array = taguchi.build_array()
     runs = taguchi.run_experiments(
@@ -431,10 +448,10 @@ def cmd_tune(config: RunConfig) -> int:
     )
     result = taguchi.analyze_means(runs, array=array)
 
-    names = taguchi.DEFAULT_FACTORS.names
+    names = list(taguchi.FACTORS)
     run_rows = [["row"] + names + ["replicate", "cost"]]
     for run in runs:
-        assignment = taguchi.DEFAULT_FACTORS.assignment(run.levels)
+        assignment = taguchi.assignment(run.levels)
         run_rows += [
             [run.row] + [assignment[name] for name in names] + [rep, cost]
             for rep, cost in enumerate(run.costs)
@@ -457,13 +474,8 @@ def cmd_tune(config: RunConfig) -> int:
 def cmd_optimize(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
-    params = ObjectiveParams(
-        lam=config["lambda"],
-        theta=config["theta"],
-        skew_mode=config["skew_mode"],
-    )
-    ga_config = config.build(GAConfig, seed=config["seed"])
-    result = evolve(model, params, config.bounds(), config["k"], ga_config)
+    params = config.params
+    result = evolve(model, params, config.bounds, config["k"], config.ga)
 
     dump = asdict(result)
     dump["best"]["assets"] = model.assets
@@ -484,12 +496,11 @@ def cmd_optimize(config: RunConfig) -> int:
 def cmd_frontier(config: RunConfig) -> int:
     out = config.out_dir()
     model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
-    ga_config = config.build(GAConfig, seed=config["seed"])
     result = frontier.sweep(
         model,
-        config.bounds(),
+        config.bounds,
         config["k"],
-        ga_config,
+        config.ga,
         lambda_grid=config["lambda_grid"],
         theta_grid=config["theta_grid"],
         skew_mode=config["skew_mode"],
@@ -514,7 +525,7 @@ def cmd_frontier(config: RunConfig) -> int:
             "version": 1,
             "points": point_dumps,
             "failures": result.failures,
-            "ga_config": asdict(ga_config),
+            "ga_config": asdict(config.ga),
         },
     })
     print(
@@ -563,6 +574,8 @@ REPORT_SECTIONS = {
 
 def cmd_report(config: RunConfig) -> int:
     out = config.out_dir()
+    if not out.is_dir():
+        raise ConfigError(f"output directory not found: {out}")
     summary: dict = {"artifacts": _read_manifest(out)}
     for section, (stage, summarize) in REPORT_SECTIONS.items():
         if (out / STAGE_ARTIFACTS[stage]).exists():
@@ -591,28 +604,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="path to a key=value run config file")
+    # each flag's dest is the config key it overrides
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--lambda", dest="lam", type=float, help="override lambda")
+    parser.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="override the output directory"
+    )
+    parser.add_argument(
+        "--lambda", dest="lambda", metavar="LAM", type=float, help="override lambda"
+    )
     parser.add_argument("--theta", type=float, help="override theta")
     parser.add_argument("--k", type=int, help="override the subset size K")
     parser.add_argument(
-        "--time-limit", type=float, help="override the GA time limit in seconds"
+        "--time-limit", dest="time_limit_seconds", metavar="TIME_LIMIT", type=float,
+        help="override the GA time limit in seconds",
     )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
     try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig({})
-        config.override("seed", args.seed)
-        config.override("out_dir", args.out)
-        config.override("lambda", args.lam)
-        config.override("theta", args.theta)
-        config.override("k", args.k)
-        config.override("time_limit_seconds", args.time_limit)
-        return COMMANDS[args.command](config)
+        values = _read_config_file(path) if path else {}
+        values.update({key: value for key, value in args.items() if value is not None})
+        return COMMANDS[command](RunConfig(values))
     except (PredfolioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

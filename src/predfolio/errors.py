@@ -60,12 +60,7 @@ class ConfigError(PredfolioError):
 
 
 class ExperimentError(PredfolioError):
-    """A designed-experiment run table is incomplete or a run failed; a
-    failure pinned to one job of a batch of runs carries the job's index."""
-
-    def __init__(self, message: str, job: int | None = None):
-        super().__init__(message)
-        self.job = job
+    """A designed-experiment run table is incomplete or a run failed."""
 
 
 def undecodable_line(path) -> int:

@@ -158,13 +158,21 @@ def _ks_coefficient(alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 
-def _lilliefors_threshold(alpha: float, n: int) -> float:
+def check_alpha(alpha: float, lilliefors: bool) -> None:
+    """Refuse a KS ``alpha`` outside (0, 1) or, for the Lilliefors
+    threshold, outside the tabulated range."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     alphas = sorted(_LILLIEFORS_C)
-    if not alphas[0] <= alpha <= alphas[-1]:
+    if lilliefors and not alphas[0] <= alpha <= alphas[-1]:
         raise ConfigError(
             f"alpha {alpha} outside the tabulated range "
             f"[{alphas[0]}, {alphas[-1]}] for the corrected threshold"
         )
+
+
+def _lilliefors_threshold(alpha: float, n: int) -> float:
+    alphas = sorted(_LILLIEFORS_C)
     # log-linear interpolation of the tabulated coefficients
     c = float(np.interp(math.log(alpha), [math.log(a) for a in alphas],
                         [_LILLIEFORS_C[a] for a in alphas]))
@@ -184,8 +192,7 @@ def ks_normality_test(samples, alpha: float, lilliefors: bool) -> KsResult:
     n = len(x)
     if n < 8:
         raise InsufficientDataError(f"need at least 8 samples for the KS test, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha, lilliefors)
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std <= 1e-12 * (1.0 + abs(mean)):

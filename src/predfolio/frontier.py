@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PredfolioError
+from .errors import ConfigError, PredfolioError
 # ``evolve`` stays bound here because bench/tracing.py wraps ``frontier.evolve`` by name.
 from .ga_solver import GAConfig, GAResult, evolve, evolve_batch  # noqa: F401
 from .objective import Bounds, ObjectiveParams, Portfolio
@@ -64,11 +64,12 @@ def sweep(
 
     All points' repeats go to one :func:`evolve_batch` call; they share
     every GA setting but the seed, so they form one group of batches. A
-    GA failure there fails every point (what it checks, the GA config,
-    skew mode, K and bounds, is the same for every run); it is recorded
-    per point and the sweep returns normally, so callers decide how to
-    surface it.
+    GA failure there fails every point (what it checks, K and the bounds,
+    is the same for every run); it is recorded per point and the sweep
+    returns normally, so callers decide how to surface it.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     base = _base_seed(ga_config)
     grid = [
         (lam, theta, base + (li, ti))

@@ -49,9 +49,9 @@ STOP_GENERATIONS = "generation-limit"
 _BATCH_ROWS = 1200
 
 
-@dataclass
+@dataclass(frozen=True)
 class GAConfig:
-    """Settings of one GA run.
+    """Settings of one GA run; checked when built or ``replace``d.
 
     ``time_limit_seconds`` is measured from the start of the run's batch:
     runs that evolve together (see :func:`evolve_batch`: a frontier's
@@ -73,7 +73,7 @@ class GAConfig:
     tournament_size: int = 2
     seed: int | tuple[int, ...] = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.crossover_fraction <= 1.0:
@@ -419,7 +419,7 @@ def evolve_batch(
     """Run ``evolve(model, params[r], bounds, k, configs[r])`` for every
     run ``r``, with the runs evolving together.
 
-    Every config must be valid, and the params must share one skew mode.
+    The params must share one skew mode.
     Runs whose configs agree on everything but the seed and the penalty
     factor form a group, in order of first appearance; each group goes in
     batches of at most ``_BATCH_ROWS`` population rows (at least one run
@@ -431,8 +431,6 @@ def evolve_batch(
         raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
     if not configs:
         return []
-    for config in configs:
-        config.validate()
     if len({p.skew_mode for p in params}) > 1:
         raise ConfigError("GA runs evolved together must share one skew mode")
     m = model.n_assets

@@ -82,7 +82,8 @@ class AlignmentReport:
         return "\n".join(lines) + "\n"
 
 
-def _parse_weekday(sampling_weekday: str | int) -> int:
+def parse_weekday(sampling_weekday: str | int) -> int:
+    """Index (Monday 0) of a weekday given by index or case-insensitive name."""
     if isinstance(sampling_weekday, int):
         if not 0 <= sampling_weekday <= 6:
             raise ParseError(f"weekday index out of range: {sampling_weekday}")
@@ -119,7 +120,7 @@ def load_prices(path, sampling_weekday: str | int) -> PriceTable:
     grid, given as date ordinals with their closes. Assets with no sampled
     week at all are excluded and reported.
     """
-    weekday = _parse_weekday(sampling_weekday)
+    weekday = parse_weekday(sampling_weekday)
     codes = _AssetCodes()
     # Per chunk: line numbers, date ordinals, asset codes and closes.
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]

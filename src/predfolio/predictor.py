@@ -38,8 +38,10 @@ _FTOL = 1e-12
 _MAX_FAIL = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictorConfig:
+    """Settings of one asset's network; checked when built or ``replace``d."""
+
     delay: int = 41
     hidden_units: int = 5
     max_epochs: int = 1000
@@ -50,7 +52,7 @@ class PredictorConfig:
     lm_damping_factor: float = 10.0
     seed: int | tuple[int, ...] = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.delay < 1:
             raise ConfigError(f"delay must be >= 1, got {self.delay}")
         if self.hidden_units < 1:
@@ -269,7 +271,6 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
     samples are labelled chronologically train, then validation, then test
     by the configured fractions (each partition gets at least one sample).
     """
-    config.validate()
     returns = np.asarray(series, dtype=float)
     d = config.delay
     t = len(returns)
@@ -321,7 +322,6 @@ def train_arnn(
     ``on_epoch(epoch, train_loss, val_loss)`` is invoked after each
     accepted epoch when supplied.
     """
-    config.validate()
     d, h = config.delay, config.hidden_units
     if split.inputs.shape[1] != d:
         raise DimensionError(

@@ -19,6 +19,7 @@ from .predictor import PredictionRecord
 
 MU_ONE_STEP = "one-step"
 MU_MEAN = "mean"
+MU_MODES = (MU_ONE_STEP, MU_MEAN)
 
 _PSD_TOL = 1e-9
 

@@ -20,39 +20,19 @@ from .objective import Bounds, ObjectiveParams
 from .risk_model import RiskModel
 
 
-@dataclass(frozen=True)
-class FactorGrid:
-    """Ordered (name, three levels) factors."""
-
-    factors: tuple[tuple[str, tuple], ...]
-
-    def __post_init__(self):
-        if len(self.factors) != 5:
-            raise ConfigError(f"expected 5 factors, got {len(self.factors)}")
-        for name, levels in self.factors:
-            if len(levels) != 3:
-                raise ConfigError(f"factor {name!r} must have exactly 3 levels")
-
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _ in self.factors]
-
-    def assignment(self, level_indices: Sequence[int]) -> dict:
-        return {
-            name: levels[level_indices[i]]
-            for i, (name, levels) in enumerate(self.factors)
-        }
+# Factor name -> its three levels, in the array's column order.
+FACTORS = {
+    "population_size": (50, 100, 200),
+    "selection_kind": ("uniform", "roulette", "tournament"),
+    "crossover_fraction": (0.9, 0.6, 0.8),
+    "crossover_kind": ("scattered", "single-point", "two-point"),
+    "penalty_factor": (10, 50, 100),
+}
 
 
-DEFAULT_FACTORS = FactorGrid(
-    factors=(
-        ("population_size", (50, 100, 200)),
-        ("selection_kind", ("uniform", "roulette", "tournament")),
-        ("crossover_fraction", (0.9, 0.6, 0.8)),
-        ("crossover_kind", ("scattered", "single-point", "two-point")),
-        ("penalty_factor", (10, 50, 100)),
-    )
-)
+def assignment(level_indices: Sequence[int]) -> dict:
+    """Each factor's level at the given indices."""
+    return {name: levels[i] for (name, levels), i in zip(FACTORS.items(), level_indices)}
 
 
 @dataclass
@@ -71,7 +51,7 @@ class TuneResult:
     runs: list[ExperimentRun]
 
 
-def build_array(grid: FactorGrid = DEFAULT_FACTORS) -> np.ndarray:
+def build_array() -> np.ndarray:
     """First five columns of the standard 27-row three-level array.
 
     Rows enumerate (a, b, c) over GF(3)^3 in lexicographic order; the
@@ -79,8 +59,6 @@ def build_array(grid: FactorGrid = DEFAULT_FACTORS) -> np.ndarray:
     appears 9 times per column and every ordered level pair 3 times for
     any two columns.
     """
-    if len(grid.factors) != 5:
-        raise ConfigError(f"array supports exactly 5 factors, got {len(grid.factors)}")
     rows = []
     for a in range(3):
         for b in range(3):
@@ -95,7 +73,6 @@ Job = tuple[dict, tuple[int, int, int]]
 def run_experiments(
     array: np.ndarray,
     runner: Callable[[list[Job]], Sequence[float]],
-    grid: FactorGrid = DEFAULT_FACTORS,
     *,
     replicates: int,
     seed: int,
@@ -104,23 +81,19 @@ def run_experiments(
 
     ``runner(jobs)`` gets every ``(assignment, (seed, row, replicate))``
     job at once, row by row, and must return one final cost per job, in
-    order. Failures are re-raised as an :class:`ExperimentError`; one the
-    runner pins to a job (an ``ExperimentError`` with ``job`` set) names
-    the offending row.
+    order. Failures are re-raised as an :class:`ExperimentError`.
     """
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     jobs = [
-        (grid.assignment(levels), (seed, row, rep))
+        (assignment(levels), (seed, row, rep))
         for row, levels in enumerate(array)
         for rep in range(replicates)
     ]
     try:
         costs = [float(cost) for cost in runner(jobs)]
     except PredfolioError as exc:
-        job = exc.job if isinstance(exc, ExperimentError) else None
-        failed = "experiment runs" if job is None else f"array row {job // replicates}"
-        raise ExperimentError(f"{failed} failed: {exc}") from exc
+        raise ExperimentError(f"experiment runs failed: {exc}") from exc
     if len(costs) != len(jobs):
         raise ExperimentError(f"runner returned {len(costs)} costs for {len(jobs)} jobs")
     return [
@@ -145,28 +118,11 @@ def ga_runner(
     onto a base GA config and evolves all the runs in one
     :func:`evolve_batch` call.
 
-    Each job's config is validated first, so an invalid one fails naming
-    its job. ``on_result``, when given, sees every run's full result, in
-    job order.
+    ``on_result``, when given, sees every run's full result, in job order.
     """
 
     def run(jobs: list[Job]) -> list[float]:
-        configs = []
-        for job, (assignment, seed) in enumerate(jobs):
-            config = replace(
-                base_config,
-                population_size=int(assignment["population_size"]),
-                selection_kind=str(assignment["selection_kind"]),
-                crossover_fraction=float(assignment["crossover_fraction"]),
-                crossover_kind=str(assignment["crossover_kind"]),
-                penalty_factor=float(assignment["penalty_factor"]),
-                seed=tuple(seed) if isinstance(seed, (tuple, list)) else seed,
-            )
-            try:
-                config.validate()
-            except ConfigError as exc:
-                raise ExperimentError(str(exc), job=job) from exc
-            configs.append(config)
+        configs = [replace(base_config, **levels, seed=seed) for levels, seed in jobs]
         results = evolve_batch(model, [params] * len(configs), bounds, k, configs)
         if on_result is not None:
             for result in results:
@@ -176,17 +132,13 @@ def ga_runner(
     return run
 
 
-def analyze_means(
-    runs: list[ExperimentRun],
-    grid: FactorGrid = DEFAULT_FACTORS,
-    array: np.ndarray | None = None,
-) -> TuneResult:
+def analyze_means(runs: list[ExperimentRun], array: np.ndarray | None = None) -> TuneResult:
     """Mean cost per (factor, level); the best level minimizes it.
 
     Ties break toward the lower-index level and are flagged.
     """
     if array is None:
-        array = build_array(grid)
+        array = build_array()
     if len(runs) != len(array):
         raise ExperimentError(f"expected {len(array)} runs, got {len(runs)}")
     by_row = {run.row: run for run in runs}
@@ -199,7 +151,7 @@ def analyze_means(
     best_levels: dict[str, object] = {}
     best_level_indices: dict[str, int] = {}
     ties: dict[str, bool] = {}
-    for f, (name, levels) in enumerate(grid.factors):
+    for f, (name, levels) in enumerate(FACTORS.items()):
         means = []
         for level in range(3):
             costs = [

@@ -38,7 +38,7 @@ from predfolio.predictor import (
     train_arnn,
 )
 from predfolio.risk_model import RiskModel
-from predfolio.taguchi import DEFAULT_FACTORS, analyze_means, build_array, run_experiments
+from predfolio.taguchi import FACTORS, analyze_means, assignment, build_array, run_experiments
 
 from conftest import each_job, geometric_walk, random_risk_model, write_prices_csv
 from oracles import dominance_scan, grid_search_mvs, mvs_cost
@@ -209,8 +209,8 @@ def test_criterion_09_taguchi_recovery_and_array_checks():
                         assert int(np.sum((array[:, c1] == l1) & (array[:, c2] == l2))) == 3
 
         planted = (2, 0, 1, 2, 0)
-        names = DEFAULT_FACTORS.names
-        target = DEFAULT_FACTORS.assignment(planted)
+        names = list(FACTORS)
+        target = assignment(planted)
 
         def cost(assignment, seed):
             return float(sum(assignment[n] != target[n] for n in names))

@@ -65,8 +65,8 @@ def test_run_config_parsing_and_overrides(tmp_path):
     config = RunConfig.from_file(path)
     assert config["seed"] == 7
     assert config["k"] == 4
-    config.override("seed", 11)
-    assert config["seed"] == 11
+    # a flag's value arrives typed and is parsed like the file's text
+    assert RunConfig({"seed": 11})["seed"] == 11
     assert config["lambda_grid"] == (1.0, 0.8, 0.2, 0.0)
     assert config["min_length"] is None
     assert RunConfig({"min_length": "30"})["min_length"] == 30
@@ -90,8 +90,6 @@ def test_run_config_parsing_and_overrides(tmp_path):
 def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message):
     with pytest.raises(ConfigError, match=f"^config key '{key}' {message}$"):
         RunConfig({key: value})
-    with pytest.raises(ConfigError, match=f"^config key '{key}' {message}$"):
-        RunConfig({}).override(key, value)
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
@@ -103,19 +101,40 @@ def test_run_config_rejects_unknown_keys(tmp_path):
 
 def test_run_config_defaults_are_the_dataclass_defaults():
     config = RunConfig({})
-    assert config.build(GAConfig, seed=0) == GAConfig(seed=0)
-    assert config.build(PredictorConfig, seed=0) == PredictorConfig(seed=0)
+    assert config.ga == GAConfig(seed=0)
+    assert config.predictor == PredictorConfig(seed=0)
+
+
+# Valid values other than the defaults, one change per entry; a split
+# fraction moves with another one so that the three still sum to one.
+CHANGED_FIELDS = {
+    PredictorConfig: [
+        {"delay": 7}, {"hidden_units": 3}, {"max_epochs": 20},
+        {"train_frac": 0.6, "test_frac": 0.25}, {"val_frac": 0.1, "test_frac": 0.2},
+        {"test_frac": 0.1, "train_frac": 0.75},
+        {"lm_initial_damping": 0.01}, {"lm_damping_factor": 4.0},
+    ],
+    GAConfig: [
+        {"population_size": 60}, {"crossover_fraction": 0.6}, {"crossover_kind": "two-point"},
+        {"selection_kind": "tournament"}, {"penalty_factor": 50.0}, {"stall_generations": 20},
+        {"function_tolerance": 1e-4}, {"time_limit_seconds": 30.0}, {"generation_cap": 100},
+        {"mutation_swap_rate": 0.3}, {"tournament_size": 3},
+    ],
+}
 
 
 @pytest.mark.parametrize("cls", [GAConfig, PredictorConfig])
 def test_run_config_every_dataclass_field_is_read(cls):
-    for field in fields(cls):
-        if field.name == "seed":
-            continue
-        default = field.default
-        changed = f"not-{default}" if isinstance(default, str) else default * 2 + 3
-        built = RunConfig({field.name: str(changed)}).build(cls, seed=5)
-        assert built == replace(cls(seed=5), **{field.name: changed}), field.name
+    attr = {GAConfig: "ga", PredictorConfig: "predictor"}[cls]
+    changes = CHANGED_FIELDS[cls]
+    keyed = {field.name for field in fields(cls)} - {"seed"}
+    assert {name for change in changes for name in change} == keyed
+    default = cls(seed=5)
+    for change in changes:
+        assert all(getattr(default, name) != value for name, value in change.items()), change
+        values = {name: str(value) for name, value in change.items()}
+        built = getattr(RunConfig({**values, "seed": "5"}), attr)
+        assert built == replace(default, **change), change
 
 
 def readme_config_section() -> str:
@@ -212,6 +231,10 @@ def test_stage_order_enforced(pipeline, capsys):
         ("predict", "returns.csv", "date,AST0\n"),
         ("predict", "returns.csv", "date,AST0,AST1\n2024-01-08,0.01\n"),
         ("report", "portfolio.json", "{"),
+        ("risk", "predictions.json", '{"records": []}'),
+        ("metrics", "predictions.json", "[]"),
+        ("metrics", "predictions.json", '{"records": {"STK0": 5}}'),
+        ("optimize", "risk_model.json", "[]"),
     ],
 )
 def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, text):
@@ -271,27 +294,56 @@ def finished_pipeline(tmp_path_factory):
     return tmp_path, prices, out
 
 
-@pytest.mark.parametrize("key, value, kind", [
-    ("k", "five", "an integer"),
-    ("ks_lilliefors", "maybe", "boolean"),
-    ("frontier_repeats", "x", "an integer"),
+@pytest.mark.parametrize("lines, message", [
+    pytest.param("k = five", "config key 'k' must be an integer, got 'five'",
+                 id="k-five-an integer"),
+    pytest.param("ks_lilliefors = maybe", "config key 'ks_lilliefors' must be boolean, got 'maybe'",
+                 id="ks_lilliefors-maybe-boolean"),
+    pytest.param("frontier_repeats = x", "config key 'frontier_repeats' must be an integer, got 'x'",
+                 id="frontier_repeats-x-an integer"),
+    *[
+        pytest.param(f"{key} = bogus", message, id=f"{key}-bogus")
+        for key, message in [
+            ("skew_mode", "unknown skew mode 'bogus'"),
+            ("mu_mode", "unknown expected-return mode 'bogus'"),
+            ("sampling_weekday", "unknown weekday name: 'bogus'"),
+            ("selection_kind", "unknown selection kind 'bogus'"),
+            ("crossover_kind", "unknown crossover kind 'bogus'"),
+        ]
+    ],
+    pytest.param("delay = 0", "delay must be >= 1, got 0", id="delay-0"),
+    pytest.param("lambda = 1.5", "lambda must lie in [0, 1], got 1.5", id="lambda-1.5"),
+    pytest.param("lambda_grid = 1,1.5", "lambda must lie in [0, 1], got 1.5",
+                 id="lambda_grid-1,1.5"),
+    pytest.param("tune_theta = -1", "theta must be >= 0, got -1.0", id="tune_theta--1"),
+    pytest.param("lambda_grid =", "config key 'lambda_grid' must be a comma list of numbers,"
+                 " got ''", id="lambda_grid-empty"),
+    pytest.param("epsilon = 0.6\ndelta = 0.5", "every lower limit must be below its upper limit",
+                 id="epsilon-0.6-delta-0.5"),
+    pytest.param("tune_replicates = 0", "tune_replicates must be >= 1, got 0",
+                 id="tune_replicates-0"),
+    pytest.param("frontier_repeats = 0", "frontier_repeats must be >= 1, got 0",
+                 id="frontier_repeats-0"),
+    pytest.param("seed = -1", "seed must be >= 0, got -1", id="seed--1"),
+    pytest.param("k = 0", "k must be >= 1, got 0", id="k-0"),
+    pytest.param("ks_alpha = 0.5", "alpha 0.5 outside the tabulated range [0.01, 0.2] for the"
+                 " corrected threshold", id="ks_alpha-0.5"),
 ])
 @pytest.mark.parametrize("stage", STAGES)
 def test_every_stage_refuses_a_malformed_key_before_it_writes(
-    finished_pipeline, capsys, stage, key, value, kind
+    finished_pipeline, capsys, stage, lines, message
 ):
     tmp_path, prices, out = finished_pipeline
-    config = tmp_path / f"bad-{key}.cfg"
+    config = tmp_path / "bad.cfg"
     config.write_text(
-        f"prices_path = {prices}\nout_dir = {out}\n{PIPELINE_KEYS}{key} = {value}\n",
-        encoding="utf-8",
+        f"prices_path = {prices}\nout_dir = {out}\n{PIPELINE_KEYS}{lines}\n", encoding="utf-8"
     )
     before = snapshot(out)
     capsys.readouterr()
     assert main([stage, "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: config key {key!r} must be {kind}, got {value!r}\n"
+    assert captured.err == f"error: {message}\n"
     assert snapshot(out) == before
 
 
@@ -329,6 +381,13 @@ def test_manifest_must_be_an_object(pipeline, capsys):
     capsys.readouterr()
     assert main(["report", "--config", config]) == 1
     assert capsys.readouterr().err.startswith("error: malformed manifest.json (")
+
+
+def test_report_names_a_missing_output_directory(tmp_path, capsys):
+    out = tmp_path / "nowhere"
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output directory not found: {out}\n"
+    assert not out.exists()
 
 
 def test_failed_write_leaves_the_old_file(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from predfolio.cli import CONFIG_DEFAULTS
+from predfolio.errors import ConfigError
 from predfolio.frontier import FrontierPoint, efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
@@ -141,6 +142,14 @@ def test_sweep_records_failures_and_continues(rng):
     assert len(result.failures) == 2
     assert result.runs == []
     assert all("no subset of 11 assets" in failure["error"] for failure in result.failures)
+
+
+def test_sweep_refuses_zero_repeats(rng):
+    # with no repeats every point would be a failure without an error
+    model = random_risk_model(rng, 4)
+    with pytest.raises(ConfigError, match="^repeats must be >= 1, got 0$"):
+        sweep(model, Bounds(0.0, 1.0), 3, small_ga_config(), lambda_grid=[1.0, 0.0],
+              theta_grid=[0.0], skew_mode=SKEW_WEIGHTED, repeats=0)
 
 
 def test_sweep_theta_zero_endpoints_are_extremal(rng):

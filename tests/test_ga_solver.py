@@ -597,15 +597,15 @@ def test_evolve_batch_refuses_mixed_skew_modes_and_invalid_configs():
                      [fast_config(seed=1), fast_config(seed=2)])
     with pytest.raises(ConfigError, match="2 objective params for 1 GA configs"):
         evolve_batch(model, params, Bounds(), 3, [fast_config()])
-    # An invalid config anywhere in the list is refused up front; a zero
-    # stall window would otherwise run, stopping every run at once.
+    # An invalid config cannot reach the batch: building or replacing one
+    # refuses it. A zero stall window would otherwise run, stopping every
+    # run at once.
     for invalid, message in [({"crossover_kind": "bogus"}, "unknown crossover kind 'bogus'"),
                              ({"stall_generations": 0}, "stall_generations must be >= 1")]:
-        for position in range(3):
-            configs = [fast_config(seed=seed) for seed in range(3)]
-            configs[position] = replace(configs[position], **invalid)
-            with pytest.raises(ConfigError, match=message):
-                evolve_batch(model, [params[0]] * 3, Bounds(), 3, configs)
+        with pytest.raises(ConfigError, match=message):
+            fast_config(**invalid)
+        with pytest.raises(ConfigError, match=message):
+            replace(fast_config(), **invalid)
     assert evolve_batch(model, [], Bounds(), 3, []) == []
 
 

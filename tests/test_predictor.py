@@ -98,11 +98,14 @@ def test_split_series_too_short_errors():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        PredictorConfig(delay=0).validate()
+        PredictorConfig(delay=0)
     with pytest.raises(ConfigError):
-        PredictorConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2).validate()
+        PredictorConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2)
     with pytest.raises(ConfigError):
-        PredictorConfig(lm_damping_factor=0.5).validate()
+        PredictorConfig(lm_damping_factor=0.5)
+    # replace re-runs the check
+    with pytest.raises(ConfigError, match="^delay must be >= 1, got 0$"):
+        replace(PredictorConfig(), delay=0)
 
 
 # ------------------------------------------------------------------ forward

@@ -11,9 +11,8 @@ from predfolio.errors import ConfigError, ExperimentError
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.taguchi import (
-    DEFAULT_FACTORS,
+    FACTORS,
     ExperimentRun,
-    FactorGrid,
     analyze_means,
     build_array,
     ga_runner,
@@ -45,23 +44,8 @@ def test_array_pairwise_orthogonality_3_per_pair():
                 assert count == 3, (c1, c2, l1, l2)
 
 
-def test_factor_grid_validation():
-    with pytest.raises(ConfigError):
-        FactorGrid(factors=(("only", (1, 2, 3)),))
-    with pytest.raises(ConfigError):
-        FactorGrid(
-            factors=(
-                ("a", (1, 2)),
-                ("b", (1, 2, 3)),
-                ("c", (1, 2, 3)),
-                ("d", (1, 2, 3)),
-                ("e", (1, 2, 3)),
-            )
-        )
-
-
 def test_default_factor_levels_match_tuning_table():
-    grid = dict(DEFAULT_FACTORS.factors)
+    grid = dict(FACTORS)
     assert grid["population_size"] == (50, 100, 200)
     assert grid["selection_kind"] == ("uniform", "roulette", "tournament")
     assert grid["crossover_fraction"] == (0.9, 0.6, 0.8)
@@ -73,10 +57,9 @@ def test_default_factor_levels_match_tuning_table():
 
 def planted_runner(planted_indices):
     """Cost = number of factors off the planted optimum."""
-    names = DEFAULT_FACTORS.names
-    planted = DEFAULT_FACTORS.assignment(planted_indices)
+    planted = taguchi.assignment(planted_indices)
     return each_job(lambda assignment, seed: float(
-        sum(assignment[name] != planted[name] for name in names)
+        sum(assignment[name] != planted[name] for name in FACTORS)
     ))
 
 
@@ -126,30 +109,10 @@ def failing_runner(error):
 
 def test_run_experiments_identifies_failing_row():
     array = build_array()
-    with pytest.raises(ExperimentError, match="row 0"):
-        run_experiments(array, failing_runner(ExperimentError("boom", job=0)),
-                        replicates=1, seed=0)
-    # job 5 of two replicates a row is row 2's second replicate
-    with pytest.raises(ExperimentError, match="^array row 2 failed: boom$"):
-        run_experiments(array, failing_runner(ExperimentError("boom", job=5)),
-                        replicates=2, seed=0)
     with pytest.raises(ExperimentError, match="^experiment runs failed: boom$"):
         run_experiments(array, failing_runner(ConfigError("boom")), replicates=1, seed=0)
     with pytest.raises(ExperimentError, match="26 costs for 27 jobs"):
         run_experiments(array, lambda jobs: [1.0] * 26, replicates=1, seed=0)
-
-
-def test_ga_runner_names_the_row_whose_level_is_invalid(rng):
-    model = random_risk_model(rng, 5)
-    factors = dict(DEFAULT_FACTORS.factors)
-    factors["crossover_kind"] = ("scattered", "single-point", "bogus")
-    grid = FactorGrid(factors=tuple(factors.items()))
-    array = build_array(grid)
-    assert array[:3, 3].tolist() == [0, 0, 0] and array[3, 3] == 2
-    runner = ga_runner(model, ObjectiveParams(0.8, 0.2), Bounds(0.0, 1.0), 3,
-                       GAConfig(generation_cap=2, population_size=10))
-    with pytest.raises(ExperimentError, match="^array row 3 failed: unknown crossover kind 'bogus'$"):
-        run_experiments(array, runner, grid=grid, replicates=2, seed=0)
 
 
 # ----------------------------------------------------------------- analysis
@@ -159,7 +122,7 @@ def test_analyze_means_recovers_planted_optimum():
     array = build_array()
     runs = run_experiments(array, planted_runner(planted), replicates=1, seed=0)
     result = analyze_means(runs, array=array)
-    for f, name in enumerate(DEFAULT_FACTORS.names):
+    for f, name in enumerate(FACTORS):
         assert result.best_level_indices[name] == planted[f]
         assert not result.ties[name]
 
@@ -168,7 +131,7 @@ def test_analyze_means_constant_response_ties_flagged():
     array = build_array()
     runs = run_experiments(array, each_job(lambda a, s: 3.5), replicates=1, seed=0)
     result = analyze_means(runs, array=array)
-    for name in DEFAULT_FACTORS.names:
+    for name in FACTORS:
         assert result.ties[name]
         assert result.best_level_indices[name] == 0
 
@@ -202,7 +165,7 @@ def test_ga_runner_executes_assignment(rng):
     params = ObjectiveParams(lam=0.8, theta=0.2)
     base = GAConfig(generation_cap=5, stall_generations=4, population_size=30, seed=0)
     runner = ga_runner(model, params, Bounds(0.0, 1.0), 3, base)
-    assignment = DEFAULT_FACTORS.assignment((0, 1, 2, 1, 0))
+    assignment = taguchi.assignment((0, 1, 2, 1, 0))
     [cost_a] = runner([(assignment, (0, 0, 0))])
     [cost_b] = runner([(assignment, (0, 0, 0))])
     assert cost_a == cost_b
@@ -215,7 +178,7 @@ def test_ga_runner_evolves_every_job_in_one_batch_as_it_would_alone(rng, monkeyp
     bounds = Bounds(0.1, 0.5)
     base = GAConfig(generation_cap=6, stall_generations=3, seed=0)
     jobs = [
-        (DEFAULT_FACTORS.assignment(levels), (0, row, rep))
+        (taguchi.assignment(levels), (0, row, rep))
         for row, levels in enumerate(build_array()[::4])
         for rep in range(2)
     ]
@@ -246,7 +209,7 @@ def test_ga_runner_hands_every_result_to_on_result(rng):
     base = GAConfig(generation_cap=5, stall_generations=4, population_size=30, seed=0)
     seen = []
     runner = ga_runner(model, params, Bounds(0.0, 1.0), 3, base, on_result=seen.append)
-    assignment = DEFAULT_FACTORS.assignment((2, 2, 0, 2, 1))
+    assignment = taguchi.assignment((2, 2, 0, 2, 1))
     costs = runner([(assignment, (0, 0, rep)) for rep in range(2)])
     assert [result.best_cost for result in seen] == costs
     assert [result.config.seed for result in seen] == [(0, 0, 0), (0, 0, 1)]
