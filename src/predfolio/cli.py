@@ -310,8 +310,6 @@ def cmd_ingest(config: RunConfig) -> int:
     prices_path = Path(config["prices_path"])
     if not prices_path.exists():
         raise ConfigError(f"prices file not found: {prices_path}")
-    out = config.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
 
     table = market_data.load_prices(prices_path, config["sampling_weekday"])
     series = []
@@ -323,6 +321,9 @@ def cmd_ingest(config: RunConfig) -> int:
         series.append(market_data.compute_returns(asset, dates, closes))
     matrix, report = market_data.align_universe(series, config["min_length"])
     report.dropped = skipped + report.dropped
+    # only now, so a refused price file leaves no output directory behind
+    out = config.out_dir()
+    out.mkdir(parents=True, exist_ok=True)
 
     returns_rows = [["date"] + report.kept] + [
         [dt.date.fromordinal(day).isoformat()] + row
@@ -348,7 +349,8 @@ def cmd_predict(config: RunConfig) -> int:
         record = predictor.rolling_predict(trained, split)
         stops[trained.stop_reason] += 1
         predictor_dumps[asset] = trained.to_dict()
-        prediction_dumps[asset] = asdict(record)
+        # vars, not asdict, which would deep-copy the record's arrays
+        prediction_dumps[asset] = vars(record)
     _write_artifacts(out, config, {
         "predictors.json": {"version": 1, "predictors": predictor_dumps},
         "predictions.json": {"version": 1, "records": prediction_dumps},

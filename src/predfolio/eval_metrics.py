@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -23,6 +22,22 @@ from .errors import (
 
 # Lilliefors large-sample coefficients (normal, estimated mean and variance).
 _LILLIEFORS_C = {0.20: 0.736, 0.15: 0.768, 0.10: 0.805, 0.05: 0.886, 0.01: 1.031}
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF, branched as cephes' ``ndtr`` is on
+    ``x = z / sqrt(2)``: ``erf`` for ``|x| < 1/sqrt(2)``, else ``erfc(|x|)``,
+    which keeps the small tail value that ``1 + erf`` would cancel away."""
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
+
+
+# elementwise over an array; the result has dtype object
+_normal_cdf_array = np.frompyfunc(_normal_cdf, 1, 1)
 
 
 class MapeResult(NamedTuple):
@@ -198,7 +213,7 @@ def ks_normality_test(samples, alpha: float, lilliefors: bool) -> KsResult:
     if std <= 1e-12 * (1.0 + abs(mean)):
         raise DegenerateInputError("sample variance is zero; KS test undefined")
 
-    cdf = ndtr((x - mean) / std)
+    cdf = _normal_cdf_array((x - mean) / std).astype(float)
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - cdf))
     d_minus = float(np.max(cdf - (grid - 1.0 / n)))

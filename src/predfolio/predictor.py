@@ -205,9 +205,12 @@ def _jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: in
     Jacobian; column order matches :func:`_pack`. Row ``i`` is
     ``[gate_i (x) inputs_i, gate_i, hidden_act_i, 1]``.
     """
-    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    return _jacobian_rows(*_hidden_layer(theta, inputs, delay, hidden), inputs)
+
+
+def _jacobian_rows(hidden_act, gate, inputs) -> np.ndarray:
     n = inputs.shape[0]
-    j_w_in = np.einsum("nh,nd->nhd", gate, inputs).reshape(n, hidden * delay)
+    j_w_in = np.einsum("nh,nd->nhd", gate, inputs).reshape(n, -1)
     return np.concatenate([j_w_in, gate, hidden_act, np.ones((n, 1))], axis=1)
 
 
@@ -233,8 +236,9 @@ def _lag_gram(inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray | None:
     return None
 
 
-def _gauss_newton(theta, inputs, targets, lag_gram, delay: int, hidden: int):
-    """Linearize the residual ``prediction - targets`` at ``theta``.
+def _gauss_newton(hidden_act, gate, residual, inputs, lag_gram):
+    """Linearize at a network given by its hidden layer on ``inputs`` (see
+    :func:`_hidden_layer`) and its residual ``r = prediction - targets``.
 
     Returns ``(gradient, step)``: ``gradient`` is ``J'r`` and
     ``step(damping)`` solves ``(J'J + damping I) s = -J'r``. With a
@@ -242,24 +246,18 @@ def _gauss_newton(theta, inputs, targets, lag_gram, delay: int, hidden: int):
     ``J'(JJ' + damping I)^-1 (-r)``, the same vector from an ``n x n``
     system; otherwise ``J'J`` is formed and solved in parameter space.
     """
-    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
-    _, _, w_out, b_out = _unpack(theta, delay, hidden)
-    residual = hidden_act @ w_out + b_out - targets
     gradient = _jt_dot(hidden_act, gate, inputs, residual)
     if lag_gram is not None:
-        gram = _sample_gram(hidden_act, gate, lag_gram)
-        eye = np.eye(len(residual))
-
-        def step(damping: float) -> np.ndarray:
-            dual = np.linalg.solve(gram + damping * eye, -residual)
-            return _jt_dot(hidden_act, gate, inputs, dual)
+        system, rhs = _sample_gram(hidden_act, gate, lag_gram), -residual
     else:
-        jac = _jacobian_flat(theta, inputs, delay, hidden)
-        hessian = jac.T @ jac
-        eye = np.eye(hessian.shape[0])
+        jac = _jacobian_rows(hidden_act, gate, inputs)
+        system, rhs = jac.T @ jac, -gradient
+    diagonal = system.diagonal().copy()
 
-        def step(damping: float) -> np.ndarray:
-            return np.linalg.solve(hessian + damping * eye, -gradient)
+    def step(damping: float) -> np.ndarray:
+        np.fill_diagonal(system, diagonal + damping)
+        solution = np.linalg.solve(system, rhs)
+        return solution if lag_gram is None else _jt_dot(hidden_act, gate, inputs, solution)
 
     return gradient, step
 
@@ -336,14 +334,16 @@ def train_arnn(
     theta = _init_flat(d, h, rng)
     lag_gram = _lag_gram(x_train, d, h)
 
-    def sse(params, x, y):
-        r = _forward_flat(params, x, d, h) - y
-        return float(r @ r)
+    def evaluate(params, x, y):
+        hidden_act, gate = _hidden_layer(params, x, d, h)
+        _, _, w_out, b_out = _unpack(params, d, h)
+        r = hidden_act @ w_out + b_out - y
+        return (hidden_act, gate, r), float(r @ r)
 
-    loss = sse(theta, x_train, y_train)
+    network, loss = evaluate(theta, x_train, y_train)
     if not np.isfinite(loss):
         raise TrainingError("non-finite training loss on initial parameters", epoch=0)
-    val_loss = sse(theta, x_val, y_val)
+    _, val_loss = evaluate(theta, x_val, y_val)
     best_theta, best_val = theta.copy(), val_loss
 
     damping = config.lm_initial_damping
@@ -353,7 +353,7 @@ def train_arnn(
     stop_reason = "max-epochs"
 
     for epoch in range(1, config.max_epochs + 1):
-        gradient, step = _gauss_newton(theta, x_train, y_train, lag_gram, d, h)
+        gradient, step = _gauss_newton(*network, x_train, lag_gram)
         if np.max(np.abs(gradient)) < 1e-14:
             stop_reason = "gradient"
             break
@@ -361,10 +361,10 @@ def train_arnn(
         accepted = False
         while damping <= _DAMPING_MAX:
             trial = theta + step(damping)
-            trial_loss = sse(trial, x_train, y_train)
+            trial_network, trial_loss = evaluate(trial, x_train, y_train)
             if np.isfinite(trial_loss) and trial_loss < loss:
                 prev_loss = loss
-                theta, loss = trial, trial_loss
+                theta, network, loss = trial, trial_network, trial_loss
                 damping = max(damping / factor, _DAMPING_MIN)
                 accepted = True
                 break
@@ -376,7 +376,7 @@ def train_arnn(
         if not np.isfinite(loss):
             raise TrainingError("training loss became non-finite", epoch=epoch)
 
-        val_loss = sse(theta, x_val, y_val)
+        _, val_loss = evaluate(theta, x_val, y_val)
         if not np.isfinite(val_loss):
             raise TrainingError("validation loss became non-finite", epoch=epoch)
         if val_loss < best_val:

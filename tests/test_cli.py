@@ -195,6 +195,19 @@ def test_ingest_refuses_a_price_file_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out" / "returns.csv").exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("2024-01-01,AAA,100\n2024-01-08,AAA,x\n", "error: line 3: non-numeric close 'x'\n"),
+    ("2024-01-01,AAA,100\n", "error: no return series supplied\n"),
+], ids=["non-numeric close", "no returns"])
+def test_a_refused_price_file_leaves_no_output_directory(tmp_path, capsys, rows, message):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,asset,close\n" + rows, encoding="utf-8")
+    config = write_config(tmp_path, prices, tmp_path / "new" / "out")
+    assert main(["ingest", "--config", config]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "new").exists()
+
+
 def test_config_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"seed = 1\r\n# caf\xe9\r\nk = 3\r\n")

@@ -1,8 +1,18 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr  # the reference normal CDF; the package itself runs without scipy
 
+import predfolio
 from predfolio.errors import (
     ConfigError,
     DegenerateInputError,
@@ -10,6 +20,7 @@ from predfolio.errors import (
     MetricError,
 )
 from predfolio.eval_metrics import (
+    _normal_cdf,
     evaluate,
     hit_rates,
     ks_normality_test,
@@ -121,6 +132,59 @@ def test_summarize_reports_drops_undefined(rng):
 
 
 # ------------------------------------------------------------------ KS test
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(predfolio.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = "import sys, predfolio.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+# cephes switches from erf to erfc at |z| = 1; the examples sit on and
+# beside that branch, at the centre and in both tails
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.floats(-40.0, 40.0))
+@example(0.0)
+@example(1.0)
+@example(-1.0)
+@example(math.nextafter(1.0, 0.0))
+@example(math.nextafter(-1.0, 0.0))
+@example(40.0)
+@example(-40.0)
+@example(-37.5)
+@example(8.3)
+def test_normal_cdf_matches_scipy_ndtr(z):
+    assert abs(_normal_cdf(z) - float(ndtr(z))) <= 2.3e-16
+
+
+def test_ks_decisions_match_an_ndtr_based_test():
+    rng = np.random.default_rng(2024)
+    draws = (
+        lambda n: rng.normal(size=n),
+        lambda n: rng.standard_t(5.0, size=n),
+        lambda n: rng.uniform(size=n),
+        lambda n: rng.laplace(size=n),
+    )
+    accepted = []
+    for i in range(400):
+        n = int(rng.integers(8, 300))
+        x = draws[i % 4](n)
+        result = ks_normality_test(x, alpha=0.05, lilliefors=True)
+
+        ordered = np.sort(x)
+        cdf = ndtr((ordered - ordered.mean()) / ordered.std(ddof=1))
+        grid = np.arange(1, n + 1) / n
+        d_ref = max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n)))
+        # the CDF's tolerance plus the rounding of one subtraction below 1
+        assert abs(result.d_statistic - d_ref) <= 2.3e-16 + 2.0**-53
+        assert result.accepted == (d_ref <= result.threshold)
+        accepted.append(result.accepted)
+    assert 0 < sum(accepted) < len(accepted)
+
 
 def test_ks_accepts_seeded_normal_samples():
     accepted = 0

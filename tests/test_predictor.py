@@ -239,10 +239,11 @@ def test_lm_step_matches_parameter_space_solve(problem, damping):
     theta, inputs, targets, delay, hidden = problem
     lag_gram = _lag_gram(inputs, delay, hidden)
     assert (lag_gram is not None) == (len(targets) < len(theta))
-    gradient, step = _gauss_newton(theta, inputs, targets, lag_gram, delay, hidden)
+    residual = _forward_flat(theta, inputs, delay, hidden) - targets
+    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    gradient, step = _gauss_newton(hidden_act, gate, residual, inputs, lag_gram)
 
     jac = _jacobian_flat(theta, inputs, delay, hidden)
-    residual = _forward_flat(theta, inputs, delay, hidden) - targets
     dense_gradient = jac.T @ residual
     expected = np.linalg.solve(jac.T @ jac + damping * np.eye(len(theta)), -dense_gradient)
     np.testing.assert_allclose(
