@@ -34,6 +34,6 @@ from .risk_model import (
     build_risk_model,
     expected_return,
 )
-from .taguchi import TuneResult, analyze_means, build_array, run_experiments
+from .taguchi import ARRAY, TuneResult, analyze_means, run_experiments
 
 __version__ = "0.1.0"

@@ -64,10 +64,7 @@ CONFIG_DEFAULTS = {
     "min_length": None,
     **_field_defaults(PredictorConfig),
     "mu_mode": risk_model.MU_ONE_STEP,
-    "centered_covariance": False,
-    "mape_floor": 1e-12,
     "ks_alpha": 0.05,
-    "ks_lilliefors": True,
     "epsilon": (0.1,),
     "delta": (0.3,),
     "k": 5,
@@ -91,21 +88,11 @@ def _numbers(raw: str) -> tuple:
     return numbers
 
 
-def _boolean(raw: str) -> bool:
-    word = raw.strip().lower()
-    if word in ("true", "yes", "1", "on"):
-        return True
-    if word in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
-
-
 # type of a key's default -> (parser of its text, what the error says it must be)
 _PARSERS = {
     str: (str, ""),
     int: (int, "an integer"),
     float: (float, "a number"),
-    bool: (_boolean, "boolean"),
     tuple: (_numbers, "a comma list of numbers"),
     type(None): (lambda raw: int(raw) if raw.strip() else None, "an integer"),
 }
@@ -170,7 +157,7 @@ class RunConfig:
         if self["mu_mode"] not in risk_model.MU_MODES:
             raise ConfigError(f"unknown expected-return mode {self['mu_mode']!r}")
         market_data.parse_weekday(self["sampling_weekday"])
-        eval_metrics.check_alpha(self["ks_alpha"], self["ks_lilliefors"])
+        eval_metrics.check_alpha(self["ks_alpha"])
         for key, low in (("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1)):
             if self[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {self[key]}")
@@ -275,13 +262,16 @@ def _write_artifacts(out: Path, config: RunConfig, artifacts: dict) -> None:
 
 def _load_stage(out: Path, stage: str, decode):
     """``decode`` the artifact of ``stage``; a missing or malformed file
-    raises an error naming the stage to run."""
+    (one ``decode`` cannot read, or that fails its checks) raises an error
+    naming the stage to run."""
     artifact = out / STAGE_ARTIFACTS[stage]
     if not artifact.exists():
         raise ConfigError(f"missing {artifact.name}; run the `{stage}` stage first")
     try:
         return decode(artifact)
-    except (ValueError, LookupError, TypeError, AttributeError, StopIteration) as exc:
+    except (
+        ValueError, LookupError, TypeError, AttributeError, StopIteration, PredfolioError
+    ) as exc:
         raise ConfigError(
             f"malformed {artifact} ({exc!r}); re-run the `{stage}` stage"
         ) from exc
@@ -392,12 +382,7 @@ def cmd_risk(config: RunConfig) -> int:
     _check_records_match(records, assets, matrix, config["delay"])
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
-    model = risk_model.build_risk_model(
-        ordered,
-        returns_by_asset,
-        mu_mode=config["mu_mode"],
-        centered=config["centered_covariance"],
-    )
+    model = risk_model.build_risk_model(ordered, returns_by_asset, mu_mode=config["mu_mode"])
     _write_artifacts(out, config, {"risk_model.json": model.to_dict()})
     print(f"risk model over {model.n_assets} assets, window {model.estimation_window}")
     return 0
@@ -406,16 +391,14 @@ def cmd_risk(config: RunConfig) -> int:
 def cmd_metrics(config: RunConfig) -> int:
     out = config.out_dir()
     records = _load_stage(out, "predict", _decode_records)
-    floor = config["mape_floor"]
     alpha = config["ks_alpha"]
-    lilliefors = config["ks_lilliefors"]
 
     reports = {}
     ks_rows = {}
     for asset, record in records.items():
-        reports[asset] = eval_metrics.evaluate(record.real, record.predicted, mape_floor=floor)
+        reports[asset] = eval_metrics.evaluate(record.real, record.predicted)
         try:
-            ks = eval_metrics.ks_normality_test(record.errors, alpha=alpha, lilliefors=lilliefors)
+            ks = eval_metrics.ks_normality_test(record.errors, alpha=alpha)
             ks_rows[asset] = asdict(ks)
         except (InsufficientDataError, DegenerateInputError) as exc:
             ks_rows[asset] = {"error": str(exc)}
@@ -444,11 +427,10 @@ def cmd_tune(config: RunConfig) -> int:
     runner = taguchi.ga_runner(
         model, config.tune_params, config.bounds, config["k"], config.ga, on_result=ga_runs.append
     )
-    array = taguchi.build_array()
     runs = taguchi.run_experiments(
-        array, runner, replicates=config["tune_replicates"], seed=config["seed"]
+        runner, replicates=config["tune_replicates"], seed=config["seed"]
     )
-    result = taguchi.analyze_means(runs, array=array)
+    result = taguchi.analyze_means(runs)
 
     names = list(taguchi.FACTORS)
     run_rows = [["row"] + names + ["replicate", "cost"]]

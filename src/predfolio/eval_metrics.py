@@ -22,6 +22,8 @@ from .errors import (
 
 # Lilliefors large-sample coefficients (normal, estimated mean and variance).
 _LILLIEFORS_C = {0.20: 0.736, 0.15: 0.768, 0.10: 0.805, 0.05: 0.886, 0.01: 1.031}
+# |real| below which a MAPE term is skipped rather than divided by.
+_MAPE_FLOOR = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -102,15 +104,15 @@ def rmse(real, predicted) -> float:
     return float(np.sqrt(np.mean((r - p) ** 2)))
 
 
-def mape(real, predicted, floor: float) -> MapeResult:
+def mape(real, predicted) -> MapeResult:
     """Mean absolute percentage error, skipping near-zero actuals.
 
-    Terms with ``|real| < floor`` blow the ratio up and are skipped; the
+    Terms with ``|real| < _MAPE_FLOOR`` blow the ratio up and are skipped; the
     skip count is reported, and a series with every term skipped yields an
     undefined marker (``value=None``) rather than an error.
     """
     r, p = _paired(real, predicted)
-    keep = np.abs(r) >= floor
+    keep = np.abs(r) >= _MAPE_FLOOR
     skipped = int(np.sum(~keep))
     if not keep.any():
         return MapeResult(None, skipped)
@@ -132,10 +134,10 @@ def hit_rates(real, predicted) -> HitRates:
     return HitRates(hr, hr_plus, hr_minus)
 
 
-def evaluate(real, predicted, mape_floor: float) -> MetricReport:
+def evaluate(real, predicted) -> MetricReport:
     """Compute the full metric set for one real/predicted pair."""
     r, p = _paired(real, predicted)
-    mape_value = mape(r, p, floor=mape_floor)
+    mape_value = mape(r, p)
     rates = hit_rates(r, p)
     return MetricReport(
         me=mean_error(r, p),
@@ -168,18 +170,10 @@ def summarize_reports(reports: Mapping[str, MetricReport]) -> list[tuple[str, fl
     return rows
 
 
-def _ks_coefficient(alpha: float) -> float:
-    """Asymptotic Kolmogorov coefficient c(alpha) = sqrt(-ln(alpha/2)/2)."""
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0)
-
-
-def check_alpha(alpha: float, lilliefors: bool) -> None:
-    """Refuse a KS ``alpha`` outside (0, 1) or, for the Lilliefors
-    threshold, outside the tabulated range."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+def check_alpha(alpha: float) -> None:
+    """Refuse a KS ``alpha`` outside the Lilliefors table's range."""
     alphas = sorted(_LILLIEFORS_C)
-    if lilliefors and not alphas[0] <= alpha <= alphas[-1]:
+    if not alphas[0] <= alpha <= alphas[-1]:
         raise ConfigError(
             f"alpha {alpha} outside the tabulated range "
             f"[{alphas[0]}, {alphas[-1]}] for the corrected threshold"
@@ -194,20 +188,19 @@ def _lilliefors_threshold(alpha: float, n: int) -> float:
     return c / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
 
 
-def ks_normality_test(samples, alpha: float, lilliefors: bool) -> KsResult:
+def ks_normality_test(samples, alpha: float) -> KsResult:
     """Kolmogorov-Smirnov test against a normal fitted to the sample.
 
     D is the sup-distance between the empirical CDF and the normal CDF at
     the sample's mean and standard deviation. Because the parameters are
-    estimated, the Lilliefors-corrected threshold is the one to use
-    (``lilliefors=True``); the plain asymptotic ``c(alpha)/sqrt(n)``
-    (``lilliefors=False``) is far too conservative here.
+    estimated, the threshold is Lilliefors'; the plain asymptotic
+    ``c(alpha)/sqrt(n)`` would be far too conservative here.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 8:
         raise InsufficientDataError(f"need at least 8 samples for the KS test, got {n}")
-    check_alpha(alpha, lilliefors)
+    check_alpha(alpha)
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std <= 1e-12 * (1.0 + abs(mean)):
@@ -219,10 +212,7 @@ def ks_normality_test(samples, alpha: float, lilliefors: bool) -> KsResult:
     d_minus = float(np.max(cdf - (grid - 1.0 / n)))
     d_stat = max(d_plus, d_minus)
 
-    if lilliefors:
-        threshold = _lilliefors_threshold(alpha, n)
-    else:
-        threshold = _ks_coefficient(alpha) / math.sqrt(n)
+    threshold = _lilliefors_threshold(alpha, n)
     return KsResult(
         d_statistic=d_stat,
         threshold=threshold,

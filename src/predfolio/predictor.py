@@ -30,6 +30,11 @@ from .errors import (
 
 TRAIN, VAL, TEST = "train", "val", "test"
 
+# LM damping: its start (trainlm's mu), the factor it is multiplied by on a
+# rejected step and divided by on an accepted one (mu_inc, 1 / mu_dec), and
+# its range.
+_DAMPING_INITIAL = 1e-3
+_DAMPING_FACTOR = 10.0
 _DAMPING_MAX = 1e12
 _DAMPING_MIN = 1e-12
 # Relative improvement below which an LM run is considered converged.
@@ -47,9 +52,6 @@ class PredictorConfig:
     max_epochs: int = 1000
     train_frac: float = 0.70
     val_frac: float = 0.15
-    test_frac: float = 0.15
-    lm_initial_damping: float = 1e-3
-    lm_damping_factor: float = 10.0
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
@@ -59,15 +61,12 @@ class PredictorConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(not 0.0 < f < 1.0 for f in fracs):
-            raise ConfigError(f"split fractions must lie in (0, 1), got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)!r}")
-        if self.lm_initial_damping <= 0:
-            raise ConfigError("lm_initial_damping must be positive")
-        if self.lm_damping_factor <= 1:
-            raise ConfigError("lm_damping_factor must exceed 1")
+        # the test slice takes the rest, 1 - train_frac - val_frac
+        fracs = (self.train_frac, self.val_frac)
+        if not (min(fracs) > 0.0 and sum(fracs) < 1.0):
+            raise ConfigError(
+                f"train_frac and val_frac must be positive with a sum below 1, got {fracs}"
+            )
 
 
 @dataclass
@@ -299,7 +298,7 @@ def train_arnn(
 
     Each epoch solves ``(J'J + damping * I) step = -J' residual`` and only
     accepts steps that strictly decrease the training SSE; the damping is
-    divided by ``lm_damping_factor`` on acceptance and multiplied on
+    divided by ``_DAMPING_FACTOR`` on acceptance and multiplied on
     rejection. When the training slice has fewer samples than the network
     has parameters, the step is solved in sample space as
     ``J'(JJ' + damping * I)^-1 (-residual)`` from the structured Gram matrix
@@ -346,8 +345,7 @@ def train_arnn(
     _, val_loss = evaluate(theta, x_val, y_val)
     best_theta, best_val = theta.copy(), val_loss
 
-    damping = config.lm_initial_damping
-    factor = config.lm_damping_factor
+    damping = _DAMPING_INITIAL
     epochs_run = 0
     val_fails = 0
     stop_reason = "max-epochs"
@@ -365,10 +363,10 @@ def train_arnn(
             if np.isfinite(trial_loss) and trial_loss < loss:
                 prev_loss = loss
                 theta, network, loss = trial, trial_network, trial_loss
-                damping = max(damping / factor, _DAMPING_MIN)
+                damping = max(damping / _DAMPING_FACTOR, _DAMPING_MIN)
                 accepted = True
                 break
-            damping *= factor
+            damping *= _DAMPING_FACTOR
         if not accepted:
             stop_reason = "no-accepted-step"
             break

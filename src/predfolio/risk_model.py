@@ -115,7 +115,6 @@ def build_risk_model(
     records: Sequence[PredictionRecord],
     returns_by_asset: Mapping[str, np.ndarray],
     mu_mode: str,
-    centered: bool,
 ) -> RiskModel:
     """Assemble the full mu / sigma / skew model from prediction records.
 
@@ -135,8 +134,6 @@ def build_risk_model(
 
     assets = [r.asset for r in records]
     errors = np.vstack([np.asarray(r.errors, dtype=float) for r in records])
-    if centered:
-        errors = errors - errors.mean(axis=1, keepdims=True)
     sigma = (errors @ errors.T) / (n - 1)
     sigma = (sigma + sigma.T) / 2.0
 

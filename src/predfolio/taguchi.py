@@ -29,6 +29,21 @@ FACTORS = {
     "penalty_factor": (10, 50, 100),
 }
 
+# First five columns of the standard 27-row three-level array, read-only.
+# Rows enumerate (a, b, c) over GF(3)^3 in lexicographic order; the columns
+# are the functionals a, b, a+b, a+2b, c (mod 3), so every level appears 9
+# times per column and every ordered level pair 3 times for any two columns.
+ARRAY = np.array(
+    [
+        [a, b, (a + b) % 3, (a + 2 * b) % 3, c]
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+    ],
+    dtype=int,
+)
+ARRAY.flags.writeable = False
+
 
 def assignment(level_indices: Sequence[int]) -> dict:
     """Each factor's level at the given indices."""
@@ -51,33 +66,16 @@ class TuneResult:
     runs: list[ExperimentRun]
 
 
-def build_array() -> np.ndarray:
-    """First five columns of the standard 27-row three-level array.
-
-    Rows enumerate (a, b, c) over GF(3)^3 in lexicographic order; the
-    columns are the functionals a, b, a+b, a+2b, c (mod 3), so every level
-    appears 9 times per column and every ordered level pair 3 times for
-    any two columns.
-    """
-    rows = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                rows.append([a, b, (a + b) % 3, (a + 2 * b) % 3, c])
-    return np.array(rows, dtype=int)
-
-
 Job = tuple[dict, tuple[int, int, int]]
 
 
 def run_experiments(
-    array: np.ndarray,
     runner: Callable[[list[Job]], Sequence[float]],
     *,
     replicates: int,
     seed: int,
 ) -> list[ExperimentRun]:
-    """Execute every array row ``replicates`` times with derived seeds.
+    """Execute every :data:`ARRAY` row ``replicates`` times with derived seeds.
 
     ``runner(jobs)`` gets every ``(assignment, (seed, row, replicate))``
     job at once, row by row, and must return one final cost per job, in
@@ -87,7 +85,7 @@ def run_experiments(
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     jobs = [
         (assignment(levels), (seed, row, rep))
-        for row, levels in enumerate(array)
+        for row, levels in enumerate(ARRAY)
         for rep in range(replicates)
     ]
     try:
@@ -102,7 +100,7 @@ def run_experiments(
             levels=tuple(int(v) for v in levels),
             costs=costs[row * replicates:(row + 1) * replicates],
         )
-        for row, levels in enumerate(array)
+        for row, levels in enumerate(ARRAY)
     ]
 
 
@@ -132,17 +130,16 @@ def ga_runner(
     return run
 
 
-def analyze_means(runs: list[ExperimentRun], array: np.ndarray | None = None) -> TuneResult:
-    """Mean cost per (factor, level); the best level minimizes it.
+def analyze_means(runs: list[ExperimentRun]) -> TuneResult:
+    """Mean cost per (factor, level) over the :data:`ARRAY` rows; the best
+    level minimizes it.
 
     Ties break toward the lower-index level and are flagged.
     """
-    if array is None:
-        array = build_array()
-    if len(runs) != len(array):
-        raise ExperimentError(f"expected {len(array)} runs, got {len(runs)}")
+    if len(runs) != len(ARRAY):
+        raise ExperimentError(f"expected {len(ARRAY)} runs, got {len(runs)}")
     by_row = {run.row: run for run in runs}
-    if sorted(by_row) != list(range(len(array))):
+    if sorted(by_row) != list(range(len(ARRAY))):
         raise ExperimentError("run table is missing rows or has duplicates")
     if any(not run.costs for run in runs):
         raise ExperimentError("every run needs at least one replicate cost")
@@ -156,8 +153,8 @@ def analyze_means(runs: list[ExperimentRun], array: np.ndarray | None = None) ->
         for level in range(3):
             costs = [
                 c
-                for row_idx in range(len(array))
-                if array[row_idx, f] == level
+                for row_idx in range(len(ARRAY))
+                if ARRAY[row_idx, f] == level
                 for c in by_row[row_idx].costs
             ]
             means.append(float(np.mean(costs)))

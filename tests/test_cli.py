@@ -70,7 +70,6 @@ def test_run_config_parsing_and_overrides(tmp_path):
     assert config["lambda_grid"] == (1.0, 0.8, 0.2, 0.0)
     assert config["min_length"] is None
     assert RunConfig({"min_length": "30"})["min_length"] == 30
-    assert RunConfig({"ks_lilliefors": "off"})["ks_lilliefors"] is False
     # the hash is over parsed values: a respelled number is the same config
     assert RunConfig({"lambda": "0.80"}).hash() == RunConfig({"lambda": "0.8"}).hash()
     assert RunConfig({"lambda": "0.7"}).hash() != RunConfig({"lambda": "0.8"}).hash()
@@ -83,7 +82,6 @@ def test_run_config_parsing_and_overrides(tmp_path):
         ("k", "five", "must be an integer, got 'five'"),
         ("min_length", "3.5", "must be an integer, got '3.5'"),
         ("lambda", "high", "must be a number, got 'high'"),
-        ("ks_lilliefors", "maybe", "must be boolean, got 'maybe'"),
         ("lambda_grid", "1,x", "must be a comma list of numbers, got '1,x'"),
     ],
 )
@@ -92,11 +90,27 @@ def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message)
         RunConfig({key: value})
 
 
-def test_run_config_rejects_unknown_keys(tmp_path):
+# Keys that configs once accepted: the split's test fraction (the rest of
+# train and validation), the LM damping schedule, centered error covariance,
+# the plain KS threshold and the MAPE zero guard.
+RETIRED_KEYS = {
+    "test_frac": "0.15", "lm_initial_damping": "1e-3", "lm_damping_factor": "10",
+    "centered_covariance": "false", "ks_lilliefors": "true", "mape_floor": "1e-12",
+}
+
+
+def test_run_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_text("no_such_key = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         RunConfig.from_file(path)
+    prices = make_demo_prices(tmp_path, n_assets=2, n_weeks=30)
+    for key, value in {"no_such_key": "1", **RETIRED_KEYS}.items():
+        config = write_config(tmp_path, prices, tmp_path / "out", f"{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["ingest", "--config", config]) == 1, key
+        assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_config_defaults_are_the_dataclass_defaults():
@@ -105,14 +119,11 @@ def test_run_config_defaults_are_the_dataclass_defaults():
     assert config.predictor == PredictorConfig(seed=0)
 
 
-# Valid values other than the defaults, one change per entry; a split
-# fraction moves with another one so that the three still sum to one.
+# Valid values other than the defaults, one change per entry.
 CHANGED_FIELDS = {
     PredictorConfig: [
         {"delay": 7}, {"hidden_units": 3}, {"max_epochs": 20},
-        {"train_frac": 0.6, "test_frac": 0.25}, {"val_frac": 0.1, "test_frac": 0.2},
-        {"test_frac": 0.1, "train_frac": 0.75},
-        {"lm_initial_damping": 0.01}, {"lm_damping_factor": 4.0},
+        {"train_frac": 0.6}, {"val_frac": 0.1},
     ],
     GAConfig: [
         {"population_size": 60}, {"crossover_fraction": 0.6}, {"crossover_kind": "two-point"},
@@ -159,7 +170,9 @@ def readme_default(text: str) -> str:
 
 def test_readme_defaults_match_config_defaults():
     pairs = re.findall(r"`([a-z_]+)`\s+\(([^()]*)\)", readme_config_section())
-    documented = [(key, readme_default(text)) for key, text in pairs if key in CONFIG_DEFAULTS]
+    # every documented key is a config key; prices_path has no default
+    assert {key for key, _ in pairs} <= set(CONFIG_DEFAULTS) | {"prices_path"}
+    documented = [(key, readme_default(text)) for key, text in pairs if key != "prices_path"]
     counts = Counter(key for key, _ in documented)
     assert set(counts) == set(CONFIG_DEFAULTS)
     assert max(counts.values()) == 1
@@ -248,6 +261,18 @@ def test_stage_order_enforced(pipeline, capsys):
         ("metrics", "predictions.json", "[]"),
         ("metrics", "predictions.json", '{"records": {"STK0": 5}}'),
         ("optimize", "risk_model.json", "[]"),
+        *[
+            ("optimize", "risk_model.json", json.dumps({
+                "version": 1, "assets": ["A", "B"], "mu": [0.01, 0.02],
+                "sigma": [1e-3, 0.0, 0.0, 1e-3], "skew": [0.0, 0.0], "estimation_window": 10,
+                **change,
+            }))
+            for change in (
+                {"sigma": [1e-3, 2e-4, 0.0, 1e-3]},  # not symmetric
+                {"version": 2},
+                {"mu": [0.01]},  # sizes disagree
+            )
+        ],
     ],
 )
 def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, text):
@@ -310,8 +335,8 @@ def finished_pipeline(tmp_path_factory):
 @pytest.mark.parametrize("lines, message", [
     pytest.param("k = five", "config key 'k' must be an integer, got 'five'",
                  id="k-five-an integer"),
-    pytest.param("ks_lilliefors = maybe", "config key 'ks_lilliefors' must be boolean, got 'maybe'",
-                 id="ks_lilliefors-maybe-boolean"),
+    pytest.param("ks_lilliefors = false", "unknown config keys: ['ks_lilliefors']",
+                 id="ks_lilliefors-retired"),
     pytest.param("frontier_repeats = x", "config key 'frontier_repeats' must be an integer, got 'x'",
                  id="frontier_repeats-x-an integer"),
     *[

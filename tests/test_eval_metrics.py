@@ -65,15 +65,15 @@ def test_length_mismatch_raises():
 
 
 def test_mape_hand_value_and_guard():
-    assert mape([0.02], [0.01], floor=1e-12).value == pytest.approx(0.5, abs=1e-12)
-    assert mape([0.1, 0.2], [0.1, 0.2], floor=1e-12) == (0.0, 0)
-    undefined = mape([0.0], [0.01], floor=1e-12)
+    assert mape([0.02], [0.01]).value == pytest.approx(0.5, abs=1e-12)
+    assert mape([0.1, 0.2], [0.1, 0.2]) == (0.0, 0)
+    undefined = mape([0.0], [0.01])
     assert undefined.value is None
     assert undefined.skipped == 1
 
 
 def test_mape_skips_only_near_zero_terms():
-    result = mape([0.0, 0.02], [0.05, 0.01], floor=1e-12)
+    result = mape([0.0, 0.02], [0.05, 0.01])
     assert result.skipped == 1
     assert result.value == pytest.approx(0.5, abs=1e-12)
 
@@ -102,8 +102,8 @@ def test_metrics_permutation_invariant(rng):
     real = rng.normal(size=25)
     predicted = rng.normal(size=25)
     perm = rng.permutation(25)
-    base = evaluate(real, predicted, mape_floor=1e-12)
-    shuffled = evaluate(real[perm], predicted[perm], mape_floor=1e-12)
+    base = evaluate(real, predicted)
+    shuffled = evaluate(real[perm], predicted[perm])
     assert base.me == pytest.approx(shuffled.me, rel=1e-12)
     assert base.rmse == pytest.approx(shuffled.rmse, rel=1e-12)
     assert base.mape == pytest.approx(shuffled.mape, rel=1e-12)
@@ -123,8 +123,8 @@ def test_hit_rate_bounds(rng):
 
 def test_summarize_reports_drops_undefined(rng):
     reports = {
-        "A": evaluate([0.01, -0.02], [0.02, -0.01], mape_floor=1e-12),
-        "B": evaluate([0.0, 0.0], [0.01, 0.02], mape_floor=1e-12),  # mape undefined, hr undefined
+        "A": evaluate([0.01, -0.02], [0.02, -0.01]),
+        "B": evaluate([0.0, 0.0], [0.01, 0.02]),  # mape undefined, hr undefined
     }
     rows = {name: (mean, var, std) for name, mean, var, std in summarize_reports(reports)}
     assert "me" in rows and "rmse" in rows
@@ -173,7 +173,7 @@ def test_ks_decisions_match_an_ndtr_based_test():
     for i in range(400):
         n = int(rng.integers(8, 300))
         x = draws[i % 4](n)
-        result = ks_normality_test(x, alpha=0.05, lilliefors=True)
+        result = ks_normality_test(x, alpha=0.05)
 
         ordered = np.sort(x)
         cdf = ndtr((ordered - ordered.mean()) / ordered.std(ddof=1))
@@ -190,34 +190,34 @@ def test_ks_accepts_seeded_normal_samples():
     accepted = 0
     for seed in range(100):
         x = np.random.default_rng(seed).normal(size=1000)
-        if ks_normality_test(x, alpha=0.05, lilliefors=True).accepted:
+        if ks_normality_test(x, alpha=0.05).accepted:
             accepted += 1
     assert accepted >= 90
 
 
 def test_ks_rejects_uniform_samples():
     x = np.random.default_rng(0).uniform(size=1000)
-    result = ks_normality_test(x, alpha=0.05, lilliefors=True)
+    result = ks_normality_test(x, alpha=0.05)
     assert not result.accepted
     assert result.d_statistic > result.threshold
 
 
 def test_ks_degenerate_sample_errors():
     with pytest.raises(DegenerateInputError):
-        ks_normality_test(np.full(16, 3.0), alpha=0.05, lilliefors=True)
+        ks_normality_test(np.full(16, 3.0), alpha=0.05)
 
 
 def test_ks_input_guards():
     with pytest.raises(InsufficientDataError):
-        ks_normality_test(np.arange(5.0), alpha=0.05, lilliefors=True)
+        ks_normality_test(np.arange(5.0), alpha=0.05)
     with pytest.raises(ConfigError):
-        ks_normality_test(np.random.default_rng(0).normal(size=50), alpha=1.5, lilliefors=True)
+        ks_normality_test(np.random.default_rng(0).normal(size=50), alpha=1.5)
 
 
 def test_ks_statistic_in_unit_interval_and_consistent(rng):
     for _ in range(20):
         x = rng.normal(size=int(rng.integers(10, 200)))
-        result = ks_normality_test(x, alpha=0.05, lilliefors=True)
+        result = ks_normality_test(x, alpha=0.05)
         assert 0.0 <= result.d_statistic <= 1.0
         assert result.accepted == (result.d_statistic <= result.threshold)
 
@@ -225,14 +225,7 @@ def test_ks_statistic_in_unit_interval_and_consistent(rng):
 def test_ks_outlier_never_decreases_d():
     for seed in range(10):
         x = np.random.default_rng(seed).normal(size=500)
-        base = ks_normality_test(x, alpha=0.05, lilliefors=True).d_statistic
-        spiked = ks_normality_test(np.append(x, 1e6), alpha=0.05, lilliefors=True).d_statistic
+        base = ks_normality_test(x, alpha=0.05).d_statistic
+        spiked = ks_normality_test(np.append(x, 1e6), alpha=0.05).d_statistic
         assert spiked >= base
 
-
-def test_ks_plain_threshold_available():
-    x = np.random.default_rng(3).normal(size=200)
-    plain = ks_normality_test(x, alpha=0.05, lilliefors=False)
-    corrected = ks_normality_test(x, alpha=0.05, lilliefors=True)
-    assert plain.threshold == pytest.approx(1.3581 / np.sqrt(200), rel=1e-3)
-    assert plain.threshold > corrected.threshold

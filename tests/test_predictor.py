@@ -100,9 +100,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PredictorConfig(delay=0)
     with pytest.raises(ConfigError):
-        PredictorConfig(train_frac=0.5, val_frac=0.2, test_frac=0.2)
+        PredictorConfig(train_frac=0.85, val_frac=0.15)
     with pytest.raises(ConfigError):
-        PredictorConfig(lm_damping_factor=0.5)
+        PredictorConfig(val_frac=0)
     # replace re-runs the check
     with pytest.raises(ConfigError, match="^delay must be >= 1, got 0$"):
         replace(PredictorConfig(), delay=0)

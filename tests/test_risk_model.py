@@ -40,11 +40,11 @@ def record_with_errors(asset, errors) -> PredictionRecord:
 
 # --------------------------------------------------------------- covariance
 
-def error_sigma(*error_series, centered=False) -> np.ndarray:
+def error_sigma(*error_series) -> np.ndarray:
     """Sigma that ``build_risk_model`` derives from the given error series."""
     records = [record_with_errors(f"A{i}", e) for i, e in enumerate(error_series)]
     returns = {r.asset: np.arange(3.0) for r in records}
-    return build_risk_model(records, returns, MU_ONE_STEP, centered).sigma
+    return build_risk_model(records, returns, MU_ONE_STEP).sigma
 
 
 def test_error_covariance_hand_values():
@@ -60,12 +60,6 @@ def test_error_covariance_guards():
         error_sigma([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def test_error_covariance_centered_mode_subtracts_means():
-    e = np.array([1.0, 2.0, 3.0])
-    assert error_sigma(e, e)[0, 1] == pytest.approx(14.0 / 2.0)
-    assert error_sigma(e, e, centered=True)[0, 1] == pytest.approx(1.0)
-
-
 def test_error_variance_hand_value_and_self_consistency(rng):
     assert error_sigma([0.03, -0.04])[0, 0] == pytest.approx(0.0025)
     assert error_sigma(np.zeros(5))[0, 0] == 0.0
@@ -78,7 +72,7 @@ def test_error_variance_hand_value_and_self_consistency(rng):
 def test_error_variance_accepts_records():
     record = record_with_errors("A", [0.03, -0.04])
     np.testing.assert_array_equal(record.errors, [0.03, -0.04])
-    model = build_risk_model([record], {"A": np.arange(3.0)}, MU_ONE_STEP, False)
+    model = build_risk_model([record], {"A": np.arange(3.0)}, MU_ONE_STEP)
     assert model.sigma[0, 0] == pytest.approx(0.0025)
 
 
@@ -89,7 +83,7 @@ def test_error_variance_round_trips_through_stored_record(rng):
     errors *= np.sqrt(0.002834 / error_sigma(errors)[0, 0])
     stored = record_with_errors("Bank", errors)
     replayed = PredictionRecord.from_dict(asdict(stored))
-    model = build_risk_model([replayed], {"Bank": np.arange(3.0)}, MU_ONE_STEP, False)
+    model = build_risk_model([replayed], {"Bank": np.arange(3.0)}, MU_ONE_STEP)
     assert model.sigma[0, 0] == pytest.approx(0.002834, rel=1e-12)
 
 
@@ -144,7 +138,7 @@ def test_asset_skewness_needs_three_points():
 def test_build_risk_model_single_asset_reduces_to_variance(rng):
     errors = rng.normal(0, 0.01, size=30)
     record = record_with_errors("A", errors)
-    model = build_risk_model([record], {"A": rng.normal(size=30)}, MU_ONE_STEP, False)
+    model = build_risk_model([record], {"A": rng.normal(size=30)}, MU_ONE_STEP)
     assert model.sigma.shape == (1, 1)
     assert model.sigma[0, 0] == pytest.approx(errors @ errors / 29, rel=1e-12)
     assert model.estimation_window == 30
@@ -154,7 +148,7 @@ def test_build_risk_model_identical_errors_give_equal_entries(rng):
     errors = rng.normal(0, 0.01, size=25)
     records = [record_with_errors("A", errors), record_with_errors("B", errors)]
     returns = {a: rng.normal(size=25) for a in ("A", "B")}
-    model = build_risk_model(records, returns, MU_ONE_STEP, False)
+    model = build_risk_model(records, returns, MU_ONE_STEP)
     assert np.ptp(model.sigma) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -162,7 +156,7 @@ def test_build_risk_model_matches_double_loop_oracle(rng):
     errors = rng.normal(0, 0.02, size=(5, 40))
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(5)]
     returns = {f"A{i}": rng.normal(size=40) for i in range(5)}
-    model = build_risk_model(records, returns, MU_ONE_STEP, False)
+    model = build_risk_model(records, returns, MU_ONE_STEP)
     expected = pairwise_covariance_loops(errors)
     np.testing.assert_allclose(model.sigma, expected, atol=1e-12)
 
@@ -174,7 +168,7 @@ def test_build_risk_model_mismatched_lengths_error(rng):
     ]
     with pytest.raises(EstimationError):
         build_risk_model(
-            records, {"A": rng.normal(size=20), "B": rng.normal(size=21)}, MU_ONE_STEP, False
+            records, {"A": rng.normal(size=20), "B": rng.normal(size=21)}, MU_ONE_STEP
         )
 
 
@@ -199,7 +193,7 @@ def test_sigma_symmetric_and_psd(error_set):
     m, n = errors.shape
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(m)]
     returns = {f"A{i}": rng.normal(size=max(n, 3)) for i in range(m)}
-    model = build_risk_model(records, returns, MU_ONE_STEP, False)
+    model = build_risk_model(records, returns, MU_ONE_STEP)
     np.testing.assert_array_equal(model.sigma, model.sigma.T)
     model.validate()
     assert model.diagonal_shift >= 0.0
@@ -214,7 +208,7 @@ def test_sigma_scales_quadratically():
 
     def model_for(scale):
         records = [record_with_errors(f"A{i}", errors[i] * scale) for i in range(3)]
-        return build_risk_model(records, returns, MU_ONE_STEP, False)
+        return build_risk_model(records, returns, MU_ONE_STEP)
 
     base = model_for(1.0).sigma
     np.testing.assert_array_equal(model_for(2.0).sigma, 4.0 * base)  # exact for powers of two
@@ -228,10 +222,10 @@ def test_build_risk_model_mu_modes_and_degenerate_skew(rng):
         record_from("B", errors[1], np.linspace(0.0, 0.02, 20)),
     ]
     returns = {"A": np.full(20, 0.005), "B": rng.normal(size=20)}
-    one_step = build_risk_model(records, returns, MU_ONE_STEP, False)
+    one_step = build_risk_model(records, returns, MU_ONE_STEP)
     assert one_step.mu[0] == 0.01
     assert one_step.mu[1] == 0.02
-    mean_mode = build_risk_model(records, returns, MU_MEAN, False)
+    mean_mode = build_risk_model(records, returns, MU_MEAN)
     assert mean_mode.mu[1] == pytest.approx(0.01)
     assert one_step.degenerate_skew_assets == ("A",)
     assert one_step.skew[0] == 0.0
@@ -241,7 +235,7 @@ def test_risk_model_json_round_trip(tmp_path, rng):
     errors = rng.normal(0, 0.02, size=(4, 30))
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(4)]
     returns = {f"A{i}": rng.normal(size=30) for i in range(4)}
-    model = build_risk_model(records, returns, MU_ONE_STEP, False)
+    model = build_risk_model(records, returns, MU_ONE_STEP)
     path = tmp_path / "risk.json"
     _write_json(path, model.to_dict())
     loaded = RiskModel.from_json(path)

@@ -11,10 +11,10 @@ from predfolio.errors import ConfigError, ExperimentError
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.taguchi import (
+    ARRAY,
     FACTORS,
     ExperimentRun,
     analyze_means,
-    build_array,
     ga_runner,
     run_experiments,
 )
@@ -23,24 +23,22 @@ from conftest import each_job, random_risk_model
 
 
 def test_array_has_27_rows_and_5_columns():
-    array = build_array()
-    assert array.shape == (27, 5)
-    assert set(array.ravel().tolist()) == {0, 1, 2}
+    assert ARRAY.shape == (27, 5)
+    assert set(ARRAY.ravel().tolist()) == {0, 1, 2}
+    assert not ARRAY.flags.writeable
 
 
 def test_array_levels_balanced_9_per_column():
-    array = build_array()
     for col in range(5):
-        counts = np.bincount(array[:, col], minlength=3)
+        counts = np.bincount(ARRAY[:, col], minlength=3)
         np.testing.assert_array_equal(counts, [9, 9, 9])
 
 
 def test_array_pairwise_orthogonality_3_per_pair():
-    array = build_array()
     for c1, c2 in itertools.combinations(range(5), 2):
         for l1 in range(3):
             for l2 in range(3):
-                count = int(np.sum((array[:, c1] == l1) & (array[:, c2] == l2)))
+                count = int(np.sum((ARRAY[:, c1] == l1) & (ARRAY[:, c2] == l2)))
                 assert count == 3, (c1, c2, l1, l2)
 
 
@@ -64,32 +62,29 @@ def planted_runner(planted_indices):
 
 
 def test_run_experiments_counts_and_determinism():
-    array = build_array()
     calls = []
 
     def runner(jobs):
         calls.append([(tuple(sorted(assignment.items())), tuple(seed)) for assignment, seed in jobs])
         return [1.0] * len(jobs)
 
-    runs = run_experiments(array, runner, replicates=1, seed=5)
+    runs = run_experiments(runner, replicates=1, seed=5)
     assert len(runs) == 27
     assert all(len(r.costs) == 1 for r in runs)
     # one call holds every job, row by row
     assert len(calls) == 1 and [seed for _, seed in calls[0]] == [(5, row, 0) for row in range(27)]
     first = list(calls)
     calls.clear()
-    run_experiments(array, runner, replicates=1, seed=5)
+    run_experiments(runner, replicates=1, seed=5)
     assert calls == first
 
 
 def test_run_experiments_quadratic_stub_matches_analytic_means():
-    array = build_array()
-
     def cost(assignment, seed):
         return float(assignment["population_size"]) ** 2 / 1e4
 
-    runs = run_experiments(array, each_job(cost), replicates=2, seed=0)
-    result = analyze_means(runs, array=array)
+    runs = run_experiments(each_job(cost), replicates=2, seed=0)
+    result = analyze_means(runs)
     np.testing.assert_allclose(
         result.response_table["population_size"],
         [50.0**2 / 1e4, 100.0**2 / 1e4, 200.0**2 / 1e4],
@@ -108,29 +103,26 @@ def failing_runner(error):
 
 
 def test_run_experiments_identifies_failing_row():
-    array = build_array()
     with pytest.raises(ExperimentError, match="^experiment runs failed: boom$"):
-        run_experiments(array, failing_runner(ConfigError("boom")), replicates=1, seed=0)
+        run_experiments(failing_runner(ConfigError("boom")), replicates=1, seed=0)
     with pytest.raises(ExperimentError, match="26 costs for 27 jobs"):
-        run_experiments(array, lambda jobs: [1.0] * 26, replicates=1, seed=0)
+        run_experiments(lambda jobs: [1.0] * 26, replicates=1, seed=0)
 
 
 # ----------------------------------------------------------------- analysis
 
 def test_analyze_means_recovers_planted_optimum():
     planted = (2, 1, 0, 2, 1)
-    array = build_array()
-    runs = run_experiments(array, planted_runner(planted), replicates=1, seed=0)
-    result = analyze_means(runs, array=array)
+    runs = run_experiments(planted_runner(planted), replicates=1, seed=0)
+    result = analyze_means(runs)
     for f, name in enumerate(FACTORS):
         assert result.best_level_indices[name] == planted[f]
         assert not result.ties[name]
 
 
 def test_analyze_means_constant_response_ties_flagged():
-    array = build_array()
-    runs = run_experiments(array, each_job(lambda a, s: 3.5), replicates=1, seed=0)
-    result = analyze_means(runs, array=array)
+    runs = run_experiments(each_job(lambda a, s: 3.5), replicates=1, seed=0)
+    result = analyze_means(runs)
     for name in FACTORS:
         assert result.ties[name]
         assert result.best_level_indices[name] == 0
@@ -138,26 +130,24 @@ def test_analyze_means_constant_response_ties_flagged():
 
 def test_analyze_means_invariant_to_row_permutation_and_shift():
     planted = (0, 2, 1, 1, 2)
-    array = build_array()
-    runs = run_experiments(array, planted_runner(planted), replicates=1, seed=0)
-    base = analyze_means(runs, array=array)
+    runs = run_experiments(planted_runner(planted), replicates=1, seed=0)
+    base = analyze_means(runs)
 
     shuffled = list(runs)[::-1]
-    permuted = analyze_means(shuffled, array=array)
+    permuted = analyze_means(shuffled)
     assert permuted.best_level_indices == base.best_level_indices
 
     shifted = [
         ExperimentRun(r.row, r.levels, [c + 11.25 for c in r.costs]) for r in runs
     ]
-    shifted_result = analyze_means(shifted, array=array)
+    shifted_result = analyze_means(shifted)
     assert shifted_result.best_level_indices == base.best_level_indices
 
 
 def test_analyze_means_incomplete_table_errors():
-    array = build_array()
-    runs = run_experiments(array, each_job(lambda a, s: 1.0), replicates=1, seed=0)
+    runs = run_experiments(each_job(lambda a, s: 1.0), replicates=1, seed=0)
     with pytest.raises(ExperimentError):
-        analyze_means(runs[:-1], array=array)
+        analyze_means(runs[:-1])
 
 
 def test_ga_runner_executes_assignment(rng):
@@ -179,7 +169,7 @@ def test_ga_runner_evolves_every_job_in_one_batch_as_it_would_alone(rng, monkeyp
     base = GAConfig(generation_cap=6, stall_generations=3, seed=0)
     jobs = [
         (taguchi.assignment(levels), (0, row, rep))
-        for row, levels in enumerate(build_array()[::4])
+        for row, levels in enumerate(ARRAY[::4])
         for rep in range(2)
     ]
     calls = []
