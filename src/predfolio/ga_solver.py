@@ -3,9 +3,9 @@
 Steady-state loop over a population held as ``(P, K)`` arrays: rank-based
 roulette (or uniform/tournament) parent selection, positional crossover
 with subset-aware repair, adaptive step mutation in allocation space, all
-applied to a whole generation of children at once, then replace-the-worst
-insertion. Stops on a stalled best cost, a wall-clock limit, or the
-generation cap.
+applied to a whole generation of children at once, then a (mu + lambda)
+truncation that keeps the P cheapest of members and children. Stops on a
+stalled best cost, a wall-clock limit, or the generation cap.
 
 Several runs that share a model, bounds and K can evolve together
 (:func:`evolve_batch`): runs whose GA settings differ only in seed and
@@ -17,7 +17,6 @@ result does not depend on the batch it is in.
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
@@ -43,6 +42,18 @@ STOP_STALL = "stall"
 STOP_TIME = "time"
 STOP_GENERATIONS = "generation-limit"
 
+# Settings that no configuration varies. A run stalls when its best cost
+# fell by less than FUNCTION_TOLERANCE per generation over the last
+# stall_generations; mutation swaps an asset in MUTATION_SWAP_RATE of the
+# children; a tournament holds TOURNAMENT_SIZE contenders.
+FUNCTION_TOLERANCE = 1e-6
+MUTATION_SWAP_RATE = 0.1
+TOURNAMENT_SIZE = 2
+
+# A run's mutation step length starts at STEP_START and moves within
+# [STEP_FLOOR, STEP_CEILING] (see adapt_steps).
+STEP_START, STEP_FLOOR, STEP_CEILING = 0.1, 1e-4, 0.5
+
 # Population rows (runs x population_size) that evolve together in one
 # batch. It bounds the stacked temporaries, and so the peak memory: a
 # batch of 200-member runs holds 6 of them.
@@ -66,11 +77,8 @@ class GAConfig:
     selection_kind: str = "roulette"
     penalty_factor: float = 10.0
     stall_generations: int = 50
-    function_tolerance: float = 1e-6
     time_limit_seconds: float = 1000.0
     generation_cap: int = 500
-    mutation_swap_rate: float = 0.1
-    tournament_size: int = 2
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
@@ -82,18 +90,12 @@ class GAConfig:
             raise ConfigError(f"unknown crossover kind {self.crossover_kind!r}")
         if self.selection_kind not in SELECTION_KINDS:
             raise ConfigError(f"unknown selection kind {self.selection_kind!r}")
-        if self.function_tolerance <= 0:
-            raise ConfigError("function_tolerance must be positive")
         if self.stall_generations < 1:
             raise ConfigError("stall_generations must be >= 1")
         if self.time_limit_seconds <= 0:
             raise ConfigError("time_limit_seconds must be positive")
         if self.generation_cap < 1:
             raise ConfigError("generation_cap must be >= 1")
-        if not 0.0 <= self.mutation_swap_rate <= 1.0:
-            raise ConfigError("mutation_swap_rate must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise ConfigError("tournament_size must be >= 1")
 
 
 @dataclass
@@ -108,20 +110,10 @@ class GAResult:
     config: GAConfig
 
 
-@dataclass
-class AdaptiveStep:
-    """Mutation step schedule: doubles after an improving generation,
-    halves otherwise, clamped to [floor, ceiling]."""
-
-    length: float = 0.1
-    floor: float = 1e-4
-    ceiling: float = 0.5
-
-    def update(self, improved: bool) -> None:
-        if improved:
-            self.length = min(self.length * 2.0, self.ceiling)
-        else:
-            self.length = max(self.length / 2.0, self.floor)
+def adapt_steps(steps: np.ndarray, improved: np.ndarray) -> np.ndarray:
+    """The runs' next mutation step lengths: doubled where the run's best
+    cost improved, halved elsewhere, clamped to [STEP_FLOOR, STEP_CEILING]."""
+    return np.clip(np.where(improved, steps * 2.0, steps / 2.0), STEP_FLOOR, STEP_CEILING)
 
 
 def init_population(
@@ -190,14 +182,15 @@ def tournament_select(
 
 
 def select_parents(
-    costs: np.ndarray, kind: str, n: int, rng: np.random.Generator, tournament_size: int
+    costs: np.ndarray, kind: str, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Indices of ``n`` parents drawn independently from a population.
 
-    Roulette and uniform invert the CDF of their selection probabilities.
+    Roulette and uniform invert the CDF of their selection probabilities;
+    a tournament holds ``TOURNAMENT_SIZE`` contenders.
     """
     if kind == "tournament":
-        return tournament_select(costs, n, rng, tournament_size)
+        return tournament_select(costs, n, rng, TOURNAMENT_SIZE)
     cdf = np.cumsum(selection_probabilities(costs, kind))
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(costs) - 1)
 
@@ -359,32 +352,27 @@ def mutate(
     return selection, raw
 
 
-def replace_worst(
+def truncate(
     costs: np.ndarray, child_costs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Insert children in creation order, each replacing the current worst
-    member (the highest cost, the lowest position among equal ones) when
-    strictly cheaper.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu + lambda) truncation of A runs at once, for ``(A, P)`` member and
+    ``(A, C)`` child costs.
 
-    Returns ``(positions, children)``: the members that end up holding a
-    child and the index of the child each holds; ``costs`` is not changed.
-    A max-heap keyed ``(-cost, position)`` tracks the worst member. The
-    worst cost never rises, so no child at or above the starting worst can
-    enter and only the others are visited.
+    Each run keeps the P cheapest of its members and children. The sort is
+    stable with members before children, so a child that only equals a
+    member's cost never evicts it. The surviving children fill the evicted
+    members' positions, positions in ascending order and children in
+    creation order. Returns ``(runs, positions, children)``: member
+    ``positions[i]`` of run ``runs[i]`` is to hold that run's child
+    ``children[i]``.
     """
-    heap = list(zip((-costs).tolist(), range(len(costs))))
-    heapq.heapify(heap)
-    worst = -heap[0][0]
-    visited = np.flatnonzero(child_costs < worst)
-    placed: dict[int, int] = {}
-    for i, cost in zip(visited.tolist(), child_costs[visited].tolist()):
-        if cost < worst:
-            position = heap[0][1]
-            heapq.heapreplace(heap, (-cost, position))
-            placed[position] = i
-            worst = -heap[0][0]
-    return (np.fromiter(placed.keys(), dtype=np.int64, count=len(placed)),
-            np.fromiter(placed.values(), dtype=np.int64, count=len(placed)))
+    p = costs.shape[1]
+    order = np.argsort(np.concatenate([costs, child_costs], axis=1), axis=1, kind="stable")
+    kept = np.zeros((len(costs), p + child_costs.shape[1]), dtype=bool)
+    np.put_along_axis(kept, order[:, :p], True, axis=1)
+    # Row-major order: each run's evictions and entries pair up in sequence.
+    runs, positions = np.nonzero(~kept[:, :p])
+    return runs, positions, np.nonzero(kept[:, p:])[1]
 
 
 def evolve(
@@ -400,11 +388,11 @@ def evolve(
     ``(P,)`` cost vector. Each generation draws ``2C`` parents at once,
     with ``C = round(crossover_fraction * population_size)``, then builds,
     mutates and scores all ``C`` children as arrays against the
-    generation-start population. The children are then inserted in
-    creation order, each replacing the current worst member when strictly
-    cheaper, so the best cost never increases. Deterministic for a fixed
-    seed, except that a wall-clock stop can land on different generations
-    across machines. A batch of one run through :func:`evolve_batch`.
+    generation-start population. The P cheapest of members and children
+    then survive (see :func:`truncate`), so the best cost never increases.
+    Deterministic for a fixed seed, except that a wall-clock stop can land
+    on different generations across machines. A batch of one run through
+    :func:`evolve_batch`.
     """
     return evolve_batch(model, [params], bounds, k, [config])[0]
 
@@ -485,7 +473,7 @@ def _evolve_together(
         penalty_factor = np.repeat(penalty[runs], rows)[:, None]
         return penalized_cost(selection, raw, model, row_params, bounds, penalty_factor)
 
-    every = list(range(n_runs))
+    every = np.arange(n_runs)
     populations = [init_population(m, k, size, rng) for rng in rngs]
     selection = np.stack([sel for sel, _ in populations])
     raw = np.stack([r for _, r in populations])
@@ -494,84 +482,85 @@ def _evolve_together(
     )[0].reshape(n_runs, size)
 
     best_index = costs.argmin(axis=1)
-    best_cost = costs[every, best_index].tolist()
+    best_cost = costs[every, best_index]
     best_selection, best_raw = selection[every, best_index], raw[every, best_index]
-    cost_history = [[cost] for cost in best_cost]
-    mean_history = [[float(costs[r].mean())] for r in every]
-    evaluations = [size] * n_runs
-    steps = [AdaptiveStep() for _ in every]
-    stop_reasons = [STOP_GENERATIONS] * n_runs
-    generations = [config.generation_cap] * n_runs
+    # One (R,) row per generation, grown as the runs go rather than sized by
+    # the cap, which a time stop may leave far out of reach. A stopped run's
+    # column is cut at its last generation.
+    cost_history, mean_history = [best_cost.copy()], [costs.mean(axis=1)]
+    steps = np.full(n_runs, STEP_START)
+    stop_reasons = np.full(n_runs, STOP_GENERATIONS, dtype=object)
+    generations = np.full(n_runs, config.generation_cap)
 
     n_children = int(round(config.crossover_fraction * config.population_size))
     window = config.stall_generations
     active = every
     for generation in range(1, config.generation_cap + 1):
         if time.monotonic() - start > config.time_limit_seconds:
-            for r in active:
-                stop_reasons[r], generations[r] = STOP_TIME, generation - 1
+            stop_reasons[active], generations[active] = STOP_TIME, generation - 1
             break
 
         parents = np.stack([
-            select_parents(costs[r], config.selection_kind, 2 * n_children, rngs[r],
-                           config.tournament_size)
+            select_parents(costs[r], config.selection_kind, 2 * n_children, rngs[r])
             for r in active
         ])
         a, b = parents[:, :n_children], parents[:, n_children:]
-        runs = np.array(active)[:, None]
+        runs = active[:, None]
         streams = RunStreams([rngs[r] for r in active])
         child_sel, child_raw = crossover(
             selection[runs, a].reshape(-1, k), raw[runs, a].reshape(-1, k),
             selection[runs, b].reshape(-1, k), raw[runs, b].reshape(-1, k),
             streams, config.crossover_kind,
         )
-        step_lengths = np.repeat([steps[r].length for r in active], n_children)
+        step_lengths = np.repeat(steps[active], n_children)
         child_sel, child_raw = mutate(
-            child_sel, child_raw, step_lengths[:, None], streams, m, config.mutation_swap_rate
+            child_sel, child_raw, step_lengths[:, None], streams, m, MUTATION_SWAP_RATE
         )
         child_costs = score(child_sel, child_raw, active, n_children)[0]
 
-        still_active = []
-        for i, r in enumerate(active):
-            first = i * n_children
-            positions, children = replace_worst(costs[r], child_costs[first:first + n_children])
-            children += first
-            selection[r, positions], raw[r, positions] = child_sel[children], child_raw[children]
-            costs[r, positions] = child_costs[children]
-            evaluations[r] += n_children
+        within, positions, children = truncate(
+            costs[active], child_costs.reshape(len(active), n_children)
+        )
+        into, children = active[within], within * n_children + children
+        selection[into, positions], raw[into, positions] = child_sel[children], child_raw[children]
+        costs[into, positions] = child_costs[children]
 
-            previous_best = best_cost[r]
-            idx = int(costs[r].argmin())
-            if costs[r, idx] < best_cost[r]:
-                best_cost[r] = float(costs[r, idx])
-                best_selection[r], best_raw[r] = selection[r, idx], raw[r, idx]
-            history = cost_history[r]
-            history.append(best_cost[r])
-            mean_history[r].append(float(costs[r].mean()))
-            steps[r].update(best_cost[r] < previous_best)
-            if (generation >= window
-                    and (history[generation - window] - history[generation]) / window
-                    < config.function_tolerance):
-                stop_reasons[r], generations[r] = STOP_STALL, generation
-            else:
-                still_active.append(r)
-        active = still_active
-        if not active:
-            break
+        current = costs[active]
+        cheapest = current.argmin(axis=1)
+        lowest = current[np.arange(len(active)), cheapest]
+        improved = lowest < best_cost[active]
+        better, cheapest = active[improved], cheapest[improved]
+        best_cost[better] = lowest[improved]
+        best_selection[better] = selection[better, cheapest]
+        best_raw[better] = raw[better, cheapest]
+        cost_history.append(best_cost.copy())
+        means = mean_history[-1].copy()
+        means[active] = current.mean(axis=1)
+        mean_history.append(means)
+        steps[active] = adapt_steps(steps[active], improved)
+        if generation >= window:
+            drop = cost_history[generation - window][active] - best_cost[active]
+            stalled = drop / window < FUNCTION_TOLERANCE
+            stop_reasons[active[stalled]], generations[active[stalled]] = STOP_STALL, generation
+            active = active[~stalled]
+            if not len(active):
+                break
 
     _, weights = score(best_selection, best_raw, every, 1)
+    cost_history, mean_history = np.array(cost_history), np.array(mean_history)
     results = []
     for r in every:
         full = np.zeros(m)
         full[best_selection[r]] = weights[r]
+        kept = generations[r] + 1
         results.append(GAResult(
             best=build_portfolio(best_selection[r], full, model),
-            best_cost=best_cost[r],
-            generations=generations[r],
-            cost_history=cost_history[r],
-            mean_history=mean_history[r],
+            best_cost=float(best_cost[r]),
+            generations=int(generations[r]),
+            cost_history=cost_history[:kept, r].tolist(),
+            mean_history=mean_history[:kept, r].tolist(),
             stop_reason=stop_reasons[r],
-            evaluations=evaluations[r],
+            evaluations=size + n_children * int(generations[r]),
             config=configs[r],
         ))
     return results

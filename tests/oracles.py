@@ -170,23 +170,23 @@ def pairwise_covariance_loops(errors: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def insert_children_by_argmax(selection, raw, costs, child_sel, child_raw, child_costs):
-    """Replace-the-worst insertion by a scan per child: each child, in
-    creation order, replaces the member at ``costs.argmax()`` (the lowest
-    position among equally worst ones) when strictly cheaper.
+def truncate_by_scan(costs, child_costs):
+    """(mu + lambda) truncation of one run by a scan: rank members and
+    children by ``(cost, member before child, index)``, keep the first P,
+    then walk the evicted member positions in ascending order, handing each
+    the next surviving child in creation order.
 
-    Works on copies and returns ``(selection, raw, costs, placed)``, where
-    ``placed`` maps each member position that ends up holding a child to
-    the index of that child.
+    Returns ``placed``, mapping each evicted member position to the index of
+    the child that takes it.
     """
-    selection, raw, costs = selection.copy(), raw.copy(), costs.copy()
-    placed = {}
-    for i, cost in enumerate(child_costs.tolist()):
-        worst = int(costs.argmax())
-        if cost < costs[worst]:
-            selection[worst], raw[worst], costs[worst] = child_sel[i], child_raw[i], cost
-            placed[worst] = i
-    return selection, raw, costs, placed
+    p = len(costs)
+    ranked = sorted([(cost, 0, i) for i, cost in enumerate(costs.tolist())]
+                    + [(cost, 1, j) for j, cost in enumerate(child_costs.tolist())])
+    kept_members = {i for _, is_child, i in ranked[:p] if not is_child}
+    kept_children = sorted(j for _, is_child, j in ranked[:p] if is_child)
+    evicted = [i for i in range(p) if i not in kept_members]
+    assert len(evicted) == len(kept_children)
+    return dict(zip(evicted, kept_children))
 
 
 def trained_predictor_from_dict(data: dict) -> TrainedPredictor:

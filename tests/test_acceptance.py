@@ -274,7 +274,8 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
             for i in range(6)
         }
         prices = write_prices_csv(tmp_path / "prices.csv", closes)
-        stages = ("ingest", "predict", "risk", "metrics", "optimize", "frontier", "report")
+        stages = ("ingest", "predict", "risk", "metrics", "optimize", "frontier", "tune",
+                  "report")
         outs = []
         for run in ("a", "b"):
             out = tmp_path / f"out_{run}"
@@ -287,4 +288,6 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
         match, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], artifacts, shallow=False)
         assert mismatch == [], f"artifacts differ: {mismatch}"
         assert errors == []
-        assert "frontier.csv" in match and "portfolio.json" in match
+        for name in ("portfolio.json", "frontier.csv", "tune_runs.csv", "tune_response.csv",
+                     "tune_result.json", "tuned_ga.cfg"):
+            assert name in match, name

@@ -92,10 +92,12 @@ def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message)
 
 # Keys that configs once accepted: the split's test fraction (the rest of
 # train and validation), the LM damping schedule, centered error covariance,
-# the plain KS threshold and the MAPE zero guard.
+# the plain KS threshold, the MAPE zero guard, and the GA's stall tolerance,
+# mutation swap rate and tournament size.
 RETIRED_KEYS = {
     "test_frac": "0.15", "lm_initial_damping": "1e-3", "lm_damping_factor": "10",
     "centered_covariance": "false", "ks_lilliefors": "true", "mape_floor": "1e-12",
+    "function_tolerance": "1e-6", "mutation_swap_rate": "0.1", "tournament_size": "3",
 }
 
 
@@ -128,8 +130,7 @@ CHANGED_FIELDS = {
     GAConfig: [
         {"population_size": 60}, {"crossover_fraction": 0.6}, {"crossover_kind": "two-point"},
         {"selection_kind": "tournament"}, {"penalty_factor": 50.0}, {"stall_generations": 20},
-        {"function_tolerance": 1e-4}, {"time_limit_seconds": 30.0}, {"generation_cap": 100},
-        {"mutation_swap_rate": 0.3}, {"tournament_size": 3},
+        {"time_limit_seconds": 30.0}, {"generation_cap": 100},
     ],
 }
 

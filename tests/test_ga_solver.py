@@ -12,24 +12,27 @@ from predfolio.errors import ConfigError, InfeasibleBoundsError
 from predfolio.ga_solver import (
     CROSSOVER_KINDS,
     SELECTION_KINDS,
-    AdaptiveStep,
+    STEP_CEILING,
+    STEP_FLOOR,
+    STEP_START,
     GAConfig,
+    adapt_steps,
     crossover,
     evolve,
     evolve_batch,
     init_population,
     mutate,
-    replace_worst,
     selection_probabilities,
     stop_summary,
     tournament_contenders,
     tournament_select,
+    truncate,
 )
 from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.risk_model import RiskModel
 
 from conftest import random_risk_model
-from oracles import best_linear_portfolio, grid_search_mvs, insert_children_by_argmax
+from oracles import best_linear_portfolio, grid_search_mvs, truncate_by_scan
 
 
 def rows(*values, dtype=float) -> np.ndarray:
@@ -212,18 +215,21 @@ def test_mutate_zero_step_leaves_raw_unchanged(rng):
 
 
 def test_adaptive_step_schedule():
-    step = AdaptiveStep()
-    assert step.length == 0.1
-    step.update(improved=True)
-    assert step.length == 0.2
-    step.update(improved=False)
-    assert step.length == 0.1
+    # Three runs, stepped with different outcomes, each row follows its own schedule.
+    steps = np.full(3, STEP_START)
+    assert steps.tolist() == [0.1] * 3
+    steps = adapt_steps(steps, np.array([True, False, True]))
+    assert steps.tolist() == [0.2, 0.05, 0.2]
+    steps = adapt_steps(steps, np.array([False, True, True]))
+    assert steps.tolist() == [0.1, 0.1, 0.4]
     for _ in range(30):
-        step.update(improved=True)
-    assert step.length == 0.5
+        steps = adapt_steps(steps, np.ones(3, dtype=bool))
+    assert steps.tolist() == [0.5] * 3
+    assert STEP_CEILING == 0.5
     for _ in range(30):
-        step.update(improved=False)
-    assert step.length == pytest.approx(1e-4)
+        steps = adapt_steps(steps, np.zeros(3, dtype=bool))
+    assert steps == pytest.approx([1e-4] * 3)
+    assert STEP_FLOOR == 1e-4
 
 
 def test_mutate_raw_stays_in_unit_box(rng):
@@ -301,36 +307,41 @@ def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
 
 
 @st.composite
-def insertion_cases(draw):
-    """A population and a generation of children with integer-valued costs
-    over a few values, so equal members, and a child equal to the worst
-    member, are common."""
+def truncation_cases(draw):
+    """A runs with integer-valued costs over a few values, so equal members,
+    and children tied with members at the survival boundary, are common."""
+    a = draw(st.integers(1, 4))
     p = draw(st.integers(1, 12))
     c = draw(st.integers(0, 16))
     top = draw(st.integers(0, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    costs = rng.integers(0, top + 1, size=p).astype(float)
-    child_costs = rng.integers(0, top + 1, size=c).astype(float)
-    selection = rng.integers(0, 50, size=(p, 3))
-    child_sel = rng.integers(0, 50, size=(c, 3))
-    return selection, rng.random((p, 3)), costs, child_sel, rng.random((c, 3)), child_costs
+    costs = rng.integers(0, top + 1, size=(a, p)).astype(float)
+    return costs, rng.integers(0, top + 1, size=(a, c)).astype(float)
 
 
 @BATCH_SETTINGS
-@given(insertion_cases())
-def test_replace_worst_matches_the_argmax_scan(case):
-    selection, raw, costs, child_sel, child_raw, child_costs = case
-    want_sel, want_raw, want_costs, placed = insert_children_by_argmax(*case)
+@given(truncation_cases())
+def test_truncation_keeps_the_cheapest_and_matches_the_scan(case):
+    costs, child_costs = case
     before = costs.copy()
-    positions, children = replace_worst(costs, child_costs)
+    runs, positions, children = truncate(costs, child_costs)
     np.testing.assert_array_equal(costs, before)
-    assert dict(zip(positions.tolist(), children.tolist())) == placed
-    selection, raw = selection.copy(), raw.copy()
-    selection[positions], raw[positions] = child_sel[children], child_raw[children]
-    costs[positions] = child_costs[children]
-    np.testing.assert_array_equal(selection, want_sel)
-    np.testing.assert_array_equal(raw, want_raw)
-    np.testing.assert_array_equal(costs, want_costs)
+    for r in range(len(costs)):
+        mine = runs == r
+        placed, taken = positions[mine], children[mine]
+        assert dict(zip(placed.tolist(), taken.tolist())) == truncate_by_scan(
+            costs[r], child_costs[r]
+        )
+        # ascending evicted positions, filled in creation order
+        assert np.all(np.diff(placed) > 0) and np.all(np.diff(taken) > 0)
+        after = costs[r].copy()
+        after[placed] = child_costs[r, taken]
+        p = len(after)
+        pooled = np.concatenate([costs[r], child_costs[r]])
+        np.testing.assert_array_equal(np.sort(after), np.sort(pooled)[:p])
+        if len(placed):  # an entering child is strictly cheaper than any member it evicts
+            assert child_costs[r, taken].max() < costs[r, placed].min()
+        assert after.min() <= costs[r].min()
 
 
 # ------------------------------------------------------------------- evolve
@@ -474,7 +485,7 @@ def test_batched_runs_equal_standalone_runs(selection_kind, crossover_kind, skew
     model = random_risk_model(np.random.default_rng(8), 9)
     base = GAConfig(
         population_size=30, selection_kind=selection_kind, crossover_kind=crossover_kind,
-        stall_generations=4, generation_cap=40, mutation_swap_rate=0.3,
+        stall_generations=4, generation_cap=40,
     )
     params = [ObjectiveParams(lam, theta, skew_mode) for lam, theta, _ in BATCH_RUNS]
     configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
