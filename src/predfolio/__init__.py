@@ -28,12 +28,7 @@ from .predictor import (
     split_series,
     train_arnn,
 )
-from .risk_model import (
-    RiskModel,
-    asset_skewness,
-    build_risk_model,
-    expected_return,
-)
+from .risk_model import RiskModel, asset_skewness, build_risk_model
 from .taguchi import ARRAY, TuneResult, analyze_means, run_experiments
 
 __version__ = "0.1.0"

@@ -63,8 +63,6 @@ CONFIG_DEFAULTS = {
     "sampling_weekday": "monday",
     "min_length": None,
     **_field_defaults(PredictorConfig),
-    "mu_mode": risk_model.MU_ONE_STEP,
-    "ks_alpha": 0.05,
     "epsilon": (0.1,),
     "delta": (0.3,),
     "k": 5,
@@ -100,7 +98,8 @@ _PARSERS = {
 
 def _read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet programs write, is dropped
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
@@ -154,10 +153,7 @@ class RunConfig:
         for lam in self["lambda_grid"]:
             for theta in self["theta_grid"]:
                 ObjectiveParams(lam, theta, skew_mode)
-        if self["mu_mode"] not in risk_model.MU_MODES:
-            raise ConfigError(f"unknown expected-return mode {self['mu_mode']!r}")
         market_data.parse_weekday(self["sampling_weekday"])
-        eval_metrics.check_alpha(self["ks_alpha"])
         for key, low in (("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1)):
             if self[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {self[key]}")
@@ -382,7 +378,7 @@ def cmd_risk(config: RunConfig) -> int:
     _check_records_match(records, assets, matrix, config["delay"])
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
-    model = risk_model.build_risk_model(ordered, returns_by_asset, mu_mode=config["mu_mode"])
+    model = risk_model.build_risk_model(ordered, returns_by_asset)
     _write_artifacts(out, config, {"risk_model.json": model.to_dict()})
     print(f"risk model over {model.n_assets} assets, window {model.estimation_window}")
     return 0
@@ -391,14 +387,13 @@ def cmd_risk(config: RunConfig) -> int:
 def cmd_metrics(config: RunConfig) -> int:
     out = config.out_dir()
     records = _load_stage(out, "predict", _decode_records)
-    alpha = config["ks_alpha"]
 
     reports = {}
     ks_rows = {}
     for asset, record in records.items():
         reports[asset] = eval_metrics.evaluate(record.real, record.predicted)
         try:
-            ks = eval_metrics.ks_normality_test(record.errors, alpha=alpha)
+            ks = eval_metrics.ks_normality_test(record.errors)
             ks_rows[asset] = asdict(ks)
         except (InsufficientDataError, DegenerateInputError) as exc:
             ks_rows[asset] = {"error": str(exc)}

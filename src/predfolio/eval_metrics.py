@@ -1,27 +1,24 @@
 """Prediction-quality metrics and a normality test for error series.
 
 Covers mean absolute error, RMSE, MAPE with a zero-denominator guard,
-sign hit rates, and a Kolmogorov-Smirnov test against a normal with
-parameters estimated from the sample.
+sign hit rates, and a Kolmogorov-Smirnov test at the 5% level against a
+normal with parameters estimated from the sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    InsufficientDataError,
-    MetricError,
-)
+from .errors import DegenerateInputError, InsufficientDataError, MetricError
 
-# Lilliefors large-sample coefficients (normal, estimated mean and variance).
-_LILLIEFORS_C = {0.20: 0.736, 0.15: 0.768, 0.10: 0.805, 0.05: 0.886, 0.01: 1.031}
+# The KS test's level, and Lilliefors' large-sample coefficient at that
+# level for a normal with estimated mean and variance.
+KS_ALPHA = 0.05
+_LILLIEFORS_C = 0.886
 # |real| below which a MAPE term is skipped rather than divided by.
 _MAPE_FLOOR = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
@@ -40,17 +37,6 @@ def _normal_cdf(z: float) -> float:
 
 # elementwise over an array; the result has dtype object
 _normal_cdf_array = np.frompyfunc(_normal_cdf, 1, 1)
-
-
-class MapeResult(NamedTuple):
-    value: float | None
-    skipped: int
-
-
-class HitRates(NamedTuple):
-    hr: float | None
-    hr_plus: float | None
-    hr_minus: float | None
 
 
 @dataclass
@@ -77,77 +63,40 @@ class KsResult:
     std: float
 
 
-def _paired(real, predicted) -> tuple[np.ndarray, np.ndarray]:
+def _rate(numerator, denominator) -> float | None:
+    """A hit rate, or None (undefined) for a zero denominator."""
+    return int(numerator) / int(denominator) if denominator else None
+
+
+def evaluate(real, predicted) -> MetricReport:
+    """The full metric set for one real/predicted pair.
+
+    ``me`` is the mean absolute error and ``signed_me`` the mean signed
+    error, the diagnostic for the zero-mean-error assumption. MAPE skips
+    terms with ``|real| < _MAPE_FLOOR``, which blow the ratio up, and
+    reports how many it skipped; with every term skipped it is None
+    (undefined). The hit rates are sign-agreement rates over all nonzero
+    products, positive predictions and negative predictions; each is None
+    when its denominator is zero.
+    """
     r = np.asarray(real, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if r.shape != p.shape:
         raise MetricError(f"series lengths differ: {r.shape} vs {p.shape}")
     if r.size == 0:
         raise MetricError("empty series")
-    return r, p
-
-
-def mean_error(real, predicted) -> float:
-    """Mean absolute difference between real and predicted returns."""
-    r, p = _paired(real, predicted)
-    return float(np.mean(np.abs(r - p)))
-
-
-def signed_mean_error(real, predicted) -> float:
-    """Mean signed error, the diagnostic for the zero-mean-error assumption."""
-    r, p = _paired(real, predicted)
-    return float(np.mean(r - p))
-
-
-def rmse(real, predicted) -> float:
-    r, p = _paired(real, predicted)
-    return float(np.sqrt(np.mean((r - p) ** 2)))
-
-
-def mape(real, predicted) -> MapeResult:
-    """Mean absolute percentage error, skipping near-zero actuals.
-
-    Terms with ``|real| < _MAPE_FLOOR`` blow the ratio up and are skipped; the
-    skip count is reported, and a series with every term skipped yields an
-    undefined marker (``value=None``) rather than an error.
-    """
-    r, p = _paired(real, predicted)
+    error = r - p
     keep = np.abs(r) >= _MAPE_FLOOR
-    skipped = int(np.sum(~keep))
-    if not keep.any():
-        return MapeResult(None, skipped)
-    value = float(np.mean(np.abs(r[keep] - p[keep]) / np.abs(r[keep])))
-    return MapeResult(value, skipped)
-
-
-def hit_rates(real, predicted) -> HitRates:
-    """Sign-agreement rates; a zero denominator marks that rate undefined."""
-    r, p = _paired(real, predicted)
     product = r * p
-
-    def rate(numerator: int, denominator: int) -> float | None:
-        return numerator / denominator if denominator else None
-
-    hr = rate(int(np.sum(product > 0)), int(np.sum(product != 0)))
-    hr_plus = rate(int(np.sum((r > 0) & (p > 0))), int(np.sum(p > 0)))
-    hr_minus = rate(int(np.sum((r < 0) & (p < 0))), int(np.sum(p < 0)))
-    return HitRates(hr, hr_plus, hr_minus)
-
-
-def evaluate(real, predicted) -> MetricReport:
-    """Compute the full metric set for one real/predicted pair."""
-    r, p = _paired(real, predicted)
-    mape_value = mape(r, p)
-    rates = hit_rates(r, p)
     return MetricReport(
-        me=mean_error(r, p),
-        signed_me=signed_mean_error(r, p),
-        rmse=rmse(r, p),
-        mape=mape_value.value,
-        mape_skipped=mape_value.skipped,
-        hr=rates.hr,
-        hr_plus=rates.hr_plus,
-        hr_minus=rates.hr_minus,
+        me=float(np.mean(np.abs(error))),
+        signed_me=float(np.mean(error)),
+        rmse=float(np.sqrt(np.mean(error**2))),
+        mape=float(np.mean(np.abs(error[keep]) / np.abs(r[keep]))) if keep.any() else None,
+        mape_skipped=int(np.sum(~keep)),
+        hr=_rate(np.sum(product > 0), np.sum(product != 0)),
+        hr_plus=_rate(np.sum((r > 0) & (p > 0)), np.sum(p > 0)),
+        hr_minus=_rate(np.sum((r < 0) & (p < 0)), np.sum(p < 0)),
         n=len(r),
     )
 
@@ -170,26 +119,9 @@ def summarize_reports(reports: Mapping[str, MetricReport]) -> list[tuple[str, fl
     return rows
 
 
-def check_alpha(alpha: float) -> None:
-    """Refuse a KS ``alpha`` outside the Lilliefors table's range."""
-    alphas = sorted(_LILLIEFORS_C)
-    if not alphas[0] <= alpha <= alphas[-1]:
-        raise ConfigError(
-            f"alpha {alpha} outside the tabulated range "
-            f"[{alphas[0]}, {alphas[-1]}] for the corrected threshold"
-        )
-
-
-def _lilliefors_threshold(alpha: float, n: int) -> float:
-    alphas = sorted(_LILLIEFORS_C)
-    # log-linear interpolation of the tabulated coefficients
-    c = float(np.interp(math.log(alpha), [math.log(a) for a in alphas],
-                        [_LILLIEFORS_C[a] for a in alphas]))
-    return c / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
-
-
-def ks_normality_test(samples, alpha: float) -> KsResult:
-    """Kolmogorov-Smirnov test against a normal fitted to the sample.
+def ks_normality_test(samples) -> KsResult:
+    """Kolmogorov-Smirnov test, at level ``KS_ALPHA``, against a normal
+    fitted to the sample.
 
     D is the sup-distance between the empirical CDF and the normal CDF at
     the sample's mean and standard deviation. Because the parameters are
@@ -200,7 +132,6 @@ def ks_normality_test(samples, alpha: float) -> KsResult:
     n = len(x)
     if n < 8:
         raise InsufficientDataError(f"need at least 8 samples for the KS test, got {n}")
-    check_alpha(alpha)
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std <= 1e-12 * (1.0 + abs(mean)):
@@ -212,12 +143,12 @@ def ks_normality_test(samples, alpha: float) -> KsResult:
     d_minus = float(np.max(cdf - (grid - 1.0 / n)))
     d_stat = max(d_plus, d_minus)
 
-    threshold = _lilliefors_threshold(alpha, n)
+    threshold = _LILLIEFORS_C / (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
     return KsResult(
         d_statistic=d_stat,
         threshold=threshold,
         accepted=d_stat <= threshold,
-        alpha=alpha,
+        alpha=KS_ALPHA,
         n=n,
         mean=mean,
         std=std,

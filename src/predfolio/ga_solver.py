@@ -17,6 +17,7 @@ result does not depend on the batch it is in.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
@@ -68,7 +69,8 @@ class GAConfig:
     runs that evolve together (see :func:`evolve_batch`: a frontier's
     repeats, or tune runs that differ only in seed and penalty factor)
     share one start clock, so the limit bounds the wall time of the whole
-    batch. It is the only stop that can differ between machines.
+    batch. It is the only stop that can differ between machines. Every
+    range check is written so that NaN fails it.
     """
 
     population_size: int = 200
@@ -86,16 +88,28 @@ class GAConfig:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.crossover_fraction <= 1.0:
             raise ConfigError(f"crossover_fraction must lie in [0, 1], got {self.crossover_fraction}")
+        if self.n_children < 1:
+            raise ConfigError(
+                f"crossover_fraction {self.crossover_fraction} of population_size"
+                f" {self.population_size} makes no children per generation"
+            )
         if self.crossover_kind not in CROSSOVER_KINDS:
             raise ConfigError(f"unknown crossover kind {self.crossover_kind!r}")
         if self.selection_kind not in SELECTION_KINDS:
             raise ConfigError(f"unknown selection kind {self.selection_kind!r}")
         if self.stall_generations < 1:
             raise ConfigError("stall_generations must be >= 1")
-        if self.time_limit_seconds <= 0:
+        if not 0.0 < self.penalty_factor < math.inf:
+            raise ConfigError(f"penalty_factor must be finite and > 0, got {self.penalty_factor}")
+        if not self.time_limit_seconds > 0:
             raise ConfigError("time_limit_seconds must be positive")
         if self.generation_cap < 1:
             raise ConfigError("generation_cap must be >= 1")
+
+    @property
+    def n_children(self) -> int:
+        """Children made per generation, ``C = round(crossover_fraction * P)``."""
+        return int(round(self.crossover_fraction * self.population_size))
 
 
 @dataclass
@@ -386,10 +400,10 @@ def evolve(
 
     The population is held as ``(P, K)`` selection and raw arrays with a
     ``(P,)`` cost vector. Each generation draws ``2C`` parents at once,
-    with ``C = round(crossover_fraction * population_size)``, then builds,
-    mutates and scores all ``C`` children as arrays against the
-    generation-start population. The P cheapest of members and children
-    then survive (see :func:`truncate`), so the best cost never increases.
+    with ``C = config.n_children``, then builds, mutates and scores all
+    ``C`` children as arrays against the generation-start population. The
+    P cheapest of members and children then survive (see
+    :func:`truncate`), so the best cost never increases.
     Deterministic for a fixed seed, except that a wall-clock stop can land
     on different generations across machines. A batch of one run through
     :func:`evolve_batch`.
@@ -430,7 +444,7 @@ def evolve_batch(
         )
     groups: dict[tuple, list[int]] = {}
     for r, config in enumerate(configs):
-        groups.setdefault(astuple(replace(config, seed=0, penalty_factor=0.0)), []).append(r)
+        groups.setdefault(astuple(replace(config, seed=0, penalty_factor=1.0)), []).append(r)
     results: list[GAResult | None] = [None] * len(configs)
     for members in groups.values():
         runs = max(1, _BATCH_ROWS // configs[members[0]].population_size)
@@ -492,7 +506,7 @@ def _evolve_together(
     stop_reasons = np.full(n_runs, STOP_GENERATIONS, dtype=object)
     generations = np.full(n_runs, config.generation_cap)
 
-    n_children = int(round(config.crossover_fraction * config.population_size))
+    n_children = config.n_children
     window = config.stall_generations
     active = every
     for generation in range(1, config.generation_cap + 1):

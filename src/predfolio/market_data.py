@@ -126,7 +126,8 @@ def load_prices(path, sampling_weekday: str | int) -> PriceTable:
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     fault = None
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet programs write, is dropped
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

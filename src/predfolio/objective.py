@@ -8,6 +8,7 @@ risk, return, and a skewness term with preference weights ``lambda`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ def _limits_for(limit, selection: np.ndarray, n_assets: int, side: str) -> np.nd
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-asset weight limits; scalars broadcast over the universe."""
+    """Per-asset weight limits; scalars broadcast over the universe. The
+    range checks are written so that NaN fails them."""
 
     epsilon: float | np.ndarray = 0.0
     delta: float | np.ndarray = 1.0
@@ -40,9 +42,9 @@ class Bounds:
     def __post_init__(self):
         eps = np.atleast_1d(np.asarray(self.epsilon, dtype=float))
         dlt = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        if np.any(eps < 0) or np.any(eps >= 1):
+        if not np.all((eps >= 0) & (eps < 1)):
             raise ConfigError("lower limits must lie in [0, 1)")
-        if np.any(dlt <= 0) or np.any(dlt > 1):
+        if not np.all((dlt > 0) & (dlt <= 1)):
             raise ConfigError("upper limits must lie in (0, 1]")
         if eps.shape != (1,) and dlt.shape != (1,) and eps.shape != dlt.shape:
             raise ConfigError("per-asset lower and upper limit vectors differ in length")
@@ -78,8 +80,10 @@ class ObjectiveParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.theta < 0.0:
+        if not self.theta >= 0.0:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
+        if self.theta == math.inf:
+            raise ConfigError(f"theta must be finite, got {self.theta}")
         if self.skew_mode not in (SKEW_WEIGHTED, SKEW_LITERAL):
             raise ConfigError(f"unknown skew mode {self.skew_mode!r}")
 

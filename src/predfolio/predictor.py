@@ -197,24 +197,21 @@ def _hidden_layer(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int
     return hidden_act, (1.0 - hidden_act**2) * w_out
 
 
-def _jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:
-    """Analytic d(prediction)/d(parameter), one row per sample.
+def _jacobian_rows(hidden_act, gate, inputs) -> np.ndarray:
+    """Analytic d(prediction)/d(parameter), one row per sample, from the
+    hidden layer on ``inputs`` (see :func:`_hidden_layer`).
 
     Residuals are ``prediction - target``, so this is also the residual
     Jacobian; column order matches :func:`_pack`. Row ``i`` is
     ``[gate_i (x) inputs_i, gate_i, hidden_act_i, 1]``.
     """
-    return _jacobian_rows(*_hidden_layer(theta, inputs, delay, hidden), inputs)
-
-
-def _jacobian_rows(hidden_act, gate, inputs) -> np.ndarray:
     n = inputs.shape[0]
     j_w_in = np.einsum("nh,nd->nhd", gate, inputs).reshape(n, -1)
     return np.concatenate([j_w_in, gate, hidden_act, np.ones((n, 1))], axis=1)
 
 
 def _jt_dot(hidden_act, gate, inputs, v: np.ndarray) -> np.ndarray:
-    """``J' v`` from the row structure of :func:`_jacobian_flat`, without
+    """``J' v`` from the row structure of :func:`_jacobian_rows`, without
     forming ``J``."""
     gv = gate * v[:, None]
     return np.concatenate(

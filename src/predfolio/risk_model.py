@@ -1,9 +1,10 @@
 """Expected returns, prediction-error covariance, and skewness inputs.
 
-The covariance entries are raw cross products of per-asset prediction
-errors (no mean subtraction, honoring the zero-mean-error assumption);
-skewness is the standardized third central moment of each asset's
-historical return series.
+Each asset's expected return is its last prediction; the covariance
+entries are raw cross products of per-asset prediction errors (no mean
+subtraction, honoring the zero-mean-error assumption); skewness is the
+standardized third central moment of each asset's historical return
+series.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError
 from .predictor import PredictionRecord
-
-MU_ONE_STEP = "one-step"
-MU_MEAN = "mean"
-MU_MODES = (MU_ONE_STEP, MU_MEAN)
 
 _PSD_TOL = 1e-9
 
@@ -83,17 +80,6 @@ class RiskModel:
             return cls.from_dict(json.load(fh))
 
 
-def expected_return(record: PredictionRecord, mode: str) -> float:
-    """Per-asset expected weekly return from its prediction record."""
-    if len(record) == 0:
-        raise EstimationError(f"empty prediction record for {record.asset!r}")
-    if mode == MU_ONE_STEP:
-        return float(record.predicted[-1])
-    if mode == MU_MEAN:
-        return float(np.mean(record.predicted))
-    raise ConfigError(f"unknown expected-return mode {mode!r}")
-
-
 def asset_skewness(returns) -> SkewResult:
     """Sample skewness g1 = m3 / m2^1.5 with N-denominator central moments.
 
@@ -114,10 +100,10 @@ def asset_skewness(returns) -> SkewResult:
 def build_risk_model(
     records: Sequence[PredictionRecord],
     returns_by_asset: Mapping[str, np.ndarray],
-    mu_mode: str,
 ) -> RiskModel:
     """Assemble the full mu / sigma / skew model from prediction records.
 
+    Each asset's mu is its record's last prediction, ``predicted[-1]``.
     Sigma is the pairwise error covariance, symmetrized by averaging with
     its transpose; if its smallest eigenvalue falls below tolerance the
     diagonal is shifted up by the minimal amount restoring eigenvalues
@@ -143,7 +129,7 @@ def build_risk_model(
         shift = -min_eig
         sigma = sigma + shift * np.eye(len(assets))
 
-    mu = np.array([expected_return(r, mode=mu_mode) for r in records])
+    mu = np.array([float(r.predicted[-1]) for r in records])
 
     skew = np.empty(len(assets))
     degenerate: list[str] = []

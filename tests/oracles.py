@@ -15,7 +15,7 @@ import numpy as np
 from predfolio.errors import AlignmentError, ConfigError, ParseError
 from predfolio.market_data import AlignmentReport, PriceTable, ReturnSeries
 from predfolio.objective import SKEW_WEIGHTED, ObjectiveParams, portfolio_return, portfolio_risk
-from predfolio.predictor import TrainedPredictor
+from predfolio.predictor import TrainedPredictor, _hidden_layer, _jacobian_rows
 from predfolio.risk_model import RiskModel
 
 
@@ -187,6 +187,13 @@ def truncate_by_scan(costs, child_costs):
     evicted = [i for i in range(p) if i not in kept_members]
     assert len(evicted) == len(kept_children)
     return dict(zip(evicted, kept_children))
+
+
+def jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:
+    """The network's analytic Jacobian at parameters ``theta``, one row per
+    sample, as the LM step forms it (``predictor._jacobian_rows``), for
+    comparison against finite differences."""
+    return _jacobian_rows(*_hidden_layer(theta, inputs, delay, hidden), inputs)
 
 
 def trained_predictor_from_dict(data: dict) -> TrainedPredictor:

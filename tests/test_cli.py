@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from collections import Counter
@@ -74,6 +75,8 @@ def test_run_config_parsing_and_overrides(tmp_path):
     assert RunConfig({"lambda": "0.80"}).hash() == RunConfig({"lambda": "0.8"}).hash()
     assert RunConfig({"lambda": "0.7"}).hash() != RunConfig({"lambda": "0.8"}).hash()
     assert RunConfig({"out_dir": "elsewhere"}).hash() == RunConfig({}).hash()
+    # the one number that may be infinite: no time stop
+    assert RunConfig({"time_limit_seconds": "inf"}).ga.time_limit_seconds == float("inf")
 
 
 @pytest.mark.parametrize(
@@ -92,12 +95,14 @@ def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message)
 
 # Keys that configs once accepted: the split's test fraction (the rest of
 # train and validation), the LM damping schedule, centered error covariance,
-# the plain KS threshold, the MAPE zero guard, and the GA's stall tolerance,
-# mutation swap rate and tournament size.
+# the plain KS threshold, the MAPE zero guard, the GA's stall tolerance,
+# mutation swap rate and tournament size, the expected-return rule and the
+# KS level.
 RETIRED_KEYS = {
     "test_frac": "0.15", "lm_initial_damping": "1e-3", "lm_damping_factor": "10",
     "centered_covariance": "false", "ks_lilliefors": "true", "mape_floor": "1e-12",
     "function_tolerance": "1e-6", "mutation_swap_rate": "0.1", "tournament_size": "3",
+    "mu_mode": "mean", "ks_alpha": "0.05",
 }
 
 
@@ -229,6 +234,26 @@ def test_config_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text (byte 0xe9)\n"
 
 
+def test_a_byte_order_mark_starts_a_price_file_or_config_harmlessly(tmp_path, capsys):
+    prices = make_demo_prices(tmp_path, n_assets=2, n_weeks=30)
+    plain = write_config(tmp_path, prices, tmp_path / "plain")
+    assert main(["ingest", "--config", plain]) == 0
+    # as spreadsheet programs save "CSV UTF-8"
+    bom_prices = tmp_path / "bom-prices.csv"
+    bom_prices.write_bytes(codecs.BOM_UTF8 + prices.read_bytes())
+    bom_config = tmp_path / "bom.cfg"
+    bom_config.write_bytes(codecs.BOM_UTF8 + (
+        f"prices_path = {bom_prices}\nout_dir = {tmp_path / 'bom'}\n{PIPELINE_KEYS}"
+    ).encode())
+    assert main(["ingest", "--config", str(bom_config)]) == 0
+    returns = (tmp_path / "bom" / "returns.csv").read_bytes()
+    assert returns == (tmp_path / "plain" / "returns.csv").read_bytes()
+    bom_config.write_bytes(codecs.BOM_UTF8 + b"seed = 1\n# caf\xe9\n")
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(bom_config)]) == 1
+    assert capsys.readouterr().err == f"error: {bom_config}:2: not UTF-8 text (byte 0xe9)\n"
+
+
 def test_ingest_paper_scale_echo(tmp_path, capsys):
     rng = np.random.default_rng(0)
     closes = {f"S{i:02d}": list(geometric_walk(rng, 222, vol=0.02)) for i in range(66)}
@@ -338,13 +363,14 @@ def finished_pipeline(tmp_path_factory):
                  id="k-five-an integer"),
     pytest.param("ks_lilliefors = false", "unknown config keys: ['ks_lilliefors']",
                  id="ks_lilliefors-retired"),
+    pytest.param("mu_mode = bogus", "unknown config keys: ['mu_mode']", id="mu_mode-bogus"),
+    pytest.param("ks_alpha = 0.5", "unknown config keys: ['ks_alpha']", id="ks_alpha-0.5"),
     pytest.param("frontier_repeats = x", "config key 'frontier_repeats' must be an integer, got 'x'",
                  id="frontier_repeats-x-an integer"),
     *[
         pytest.param(f"{key} = bogus", message, id=f"{key}-bogus")
         for key, message in [
             ("skew_mode", "unknown skew mode 'bogus'"),
-            ("mu_mode", "unknown expected-return mode 'bogus'"),
             ("sampling_weekday", "unknown weekday name: 'bogus'"),
             ("selection_kind", "unknown selection kind 'bogus'"),
             ("crossover_kind", "unknown crossover kind 'bogus'"),
@@ -365,8 +391,31 @@ def finished_pipeline(tmp_path_factory):
                  id="frontier_repeats-0"),
     pytest.param("seed = -1", "seed must be >= 0, got -1", id="seed--1"),
     pytest.param("k = 0", "k must be >= 1, got 0", id="k-0"),
-    pytest.param("ks_alpha = 0.5", "alpha 0.5 outside the tabulated range [0.01, 0.2] for the"
-                 " corrected threshold", id="ks_alpha-0.5"),
+    # non-finite numbers, which fail every range check
+    *[
+        pytest.param(line, message, id=line.replace(" = ", "-").replace("\n", "-"))
+        for line, message in [
+            ("theta = nan", "theta must be >= 0, got nan"),
+            ("theta = inf", "theta must be finite, got inf"),
+            ("tune_theta = nan", "theta must be >= 0, got nan"),
+            ("tune_theta = inf", "theta must be finite, got inf"),
+            ("theta_grid = 0,nan", "theta must be >= 0, got nan"),
+            ("theta_grid = inf", "theta must be finite, got inf"),
+            ("epsilon = nan", "lower limits must lie in [0, 1)"),
+            ("delta = nan", "upper limits must lie in (0, 1]"),
+            ("time_limit_seconds = nan", "time_limit_seconds must be positive"),
+            *[
+                (f"penalty_factor = {value}",
+                 f"penalty_factor must be finite and > 0, got {float(value)}")
+                for value in ("nan", "inf", "-inf", "-1", "0")
+            ],
+        ]
+    ],
+    pytest.param("crossover_fraction = 0", "crossover_fraction 0.0 of population_size 40"
+                 " makes no children per generation", id="crossover_fraction-0"),
+    pytest.param("population_size = 2\ncrossover_fraction = 0.2", "crossover_fraction 0.2 of"
+                 " population_size 2 makes no children per generation",
+                 id="population_size-2-crossover_fraction-0.2"),
 ])
 @pytest.mark.parametrize("stage", STAGES)
 def test_every_stage_refuses_a_malformed_key_before_it_writes(
@@ -384,21 +433,6 @@ def test_every_stage_refuses_a_malformed_key_before_it_writes(
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert snapshot(out) == before
-
-
-def test_metrics_refuses_an_alpha_outside_the_lilliefors_table(pipeline, capsys):
-    config, out = pipeline
-    for stage in ("ingest", "predict"):
-        assert main([stage, "--config", config]) == 0
-    Path(config).write_text(
-        Path(config).read_text(encoding="utf-8") + "ks_alpha = 0.5\n", encoding="utf-8"
-    )
-    capsys.readouterr()
-    assert main(["metrics", "--config", config]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: alpha 0.5 outside the tabulated range")
-    assert not list(out.glob("metrics*"))
 
 
 def test_malformed_manifest_is_a_clean_error(pipeline, capsys):

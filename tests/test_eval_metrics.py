@@ -13,89 +13,74 @@ from hypothesis import strategies as st
 from scipy.special import ndtr  # the reference normal CDF; the package itself runs without scipy
 
 import predfolio
-from predfolio.errors import (
-    ConfigError,
-    DegenerateInputError,
-    InsufficientDataError,
-    MetricError,
-)
-from predfolio.eval_metrics import (
-    _normal_cdf,
-    evaluate,
-    hit_rates,
-    ks_normality_test,
-    mape,
-    mean_error,
-    rmse,
-    signed_mean_error,
-    summarize_reports,
-)
+from predfolio.errors import DegenerateInputError, InsufficientDataError, MetricError
+from predfolio.eval_metrics import KS_ALPHA, _normal_cdf, evaluate, ks_normality_test, summarize_reports
 
 
 # ------------------------------------------------------------ point metrics
 
 def test_mean_error_hand_values():
-    assert mean_error([0.1, 0.2], [0.1, 0.2]) == 0.0
-    assert mean_error([0.02, -0.01], [0.01, 0.01]) == pytest.approx(0.015, abs=1e-12)
+    assert evaluate([0.1, 0.2], [0.1, 0.2]).me == 0.0
+    assert evaluate([0.02, -0.01], [0.01, 0.01]).me == pytest.approx(0.015, abs=1e-12)
 
 
 def test_signed_mean_error_tracks_bias():
-    assert signed_mean_error([0.02, -0.01], [0.01, 0.01]) == pytest.approx(-0.005, abs=1e-12)
-    assert signed_mean_error([0.1, 0.1], [0.1, 0.1]) == 0.0
+    assert evaluate([0.02, -0.01], [0.01, 0.01]).signed_me == pytest.approx(-0.005, abs=1e-12)
+    assert evaluate([0.1, 0.1], [0.1, 0.1]).signed_me == 0.0
 
 
 def test_rmse_hand_values():
-    assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert rmse([0.03, -0.04], [0.0, 0.0]) == pytest.approx(np.sqrt(0.00125), abs=1e-9)
+    assert evaluate([1.0, 2.0], [1.0, 2.0]).rmse == 0.0
+    assert evaluate([0.03, -0.04], [0.0, 0.0]).rmse == pytest.approx(np.sqrt(0.00125), abs=1e-9)
 
 
 def test_rmse_never_below_mean_error(rng):
     for _ in range(50):
         n = int(rng.integers(1, 30))
-        real = rng.normal(size=n)
-        predicted = rng.normal(size=n)
-        assert rmse(real, predicted) >= mean_error(real, predicted) - 1e-15
+        report = evaluate(rng.normal(size=n), rng.normal(size=n))
+        assert report.rmse >= report.me - 1e-15
 
 
 def test_length_mismatch_raises():
-    with pytest.raises(MetricError):
-        mean_error([1.0], [1.0, 2.0])
-    with pytest.raises(MetricError):
-        rmse([], [])
+    with pytest.raises(MetricError, match="series lengths differ"):
+        evaluate([1.0], [1.0, 2.0])
+    with pytest.raises(MetricError, match="empty series"):
+        evaluate([], [])
 
 
 def test_mape_hand_value_and_guard():
-    assert mape([0.02], [0.01]).value == pytest.approx(0.5, abs=1e-12)
-    assert mape([0.1, 0.2], [0.1, 0.2]) == (0.0, 0)
-    undefined = mape([0.0], [0.01])
-    assert undefined.value is None
-    assert undefined.skipped == 1
+    assert evaluate([0.02], [0.01]).mape == pytest.approx(0.5, abs=1e-12)
+    exact = evaluate([0.1, 0.2], [0.1, 0.2])
+    assert (exact.mape, exact.mape_skipped) == (0.0, 0)
+    undefined = evaluate([0.0], [0.01])
+    assert undefined.mape is None
+    assert undefined.mape_skipped == 1
 
 
 def test_mape_skips_only_near_zero_terms():
-    result = mape([0.0, 0.02], [0.05, 0.01])
-    assert result.skipped == 1
-    assert result.value == pytest.approx(0.5, abs=1e-12)
+    result = evaluate([0.0, 0.02], [0.05, 0.01])
+    assert result.mape_skipped == 1
+    assert result.mape == pytest.approx(0.5, abs=1e-12)
+
+
+def rates(report) -> tuple:
+    return report.hr, report.hr_plus, report.hr_minus
 
 
 def test_hit_rates_hand_count():
-    rates = hit_rates([1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0])
-    assert rates.hr == pytest.approx(1.0 / 3.0)
-    assert rates.hr_plus == pytest.approx(1.0 / 3.0)
-    assert rates.hr_minus == 0.0
+    report = evaluate([1.0, -1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0])
+    assert report.hr == pytest.approx(1.0 / 3.0)
+    assert report.hr_plus == pytest.approx(1.0 / 3.0)
+    assert report.hr_minus == 0.0
 
 
 def test_hit_rates_perfect_signals(rng):
     real = rng.choice([-0.02, 0.03], size=40)
-    rates = hit_rates(real, real)
-    assert rates == (1.0, 1.0, 1.0)
+    assert rates(evaluate(real, real)) == (1.0, 1.0, 1.0)
 
 
 def test_hit_rates_undefined_when_denominator_zero():
-    rates = hit_rates([1.0, -1.0], [0.0, 0.0])
-    assert rates.hr is None
-    assert rates.hr_plus is None
-    assert rates.hr_minus is None
+    assert rates(evaluate([1.0, -1.0], [0.0, 0.0])) == (None, None, None)
 
 
 def test_metrics_permutation_invariant(rng):
@@ -116,7 +101,7 @@ def test_hit_rate_bounds(rng):
     for _ in range(50):
         real = rng.normal(size=20)
         predicted = rng.normal(size=20)
-        for rate in hit_rates(real, predicted):
+        for rate in rates(evaluate(real, predicted)):
             if rate is not None:
                 assert 0.0 <= rate <= 1.0
 
@@ -173,7 +158,7 @@ def test_ks_decisions_match_an_ndtr_based_test():
     for i in range(400):
         n = int(rng.integers(8, 300))
         x = draws[i % 4](n)
-        result = ks_normality_test(x, alpha=0.05)
+        result = ks_normality_test(x)
 
         ordered = np.sort(x)
         cdf = ndtr((ordered - ordered.mean()) / ordered.std(ddof=1))
@@ -190,34 +175,33 @@ def test_ks_accepts_seeded_normal_samples():
     accepted = 0
     for seed in range(100):
         x = np.random.default_rng(seed).normal(size=1000)
-        if ks_normality_test(x, alpha=0.05).accepted:
+        if ks_normality_test(x).accepted:
             accepted += 1
     assert accepted >= 90
 
 
 def test_ks_rejects_uniform_samples():
     x = np.random.default_rng(0).uniform(size=1000)
-    result = ks_normality_test(x, alpha=0.05)
+    result = ks_normality_test(x)
     assert not result.accepted
     assert result.d_statistic > result.threshold
 
 
 def test_ks_degenerate_sample_errors():
     with pytest.raises(DegenerateInputError):
-        ks_normality_test(np.full(16, 3.0), alpha=0.05)
+        ks_normality_test(np.full(16, 3.0))
 
 
 def test_ks_input_guards():
     with pytest.raises(InsufficientDataError):
-        ks_normality_test(np.arange(5.0), alpha=0.05)
-    with pytest.raises(ConfigError):
-        ks_normality_test(np.random.default_rng(0).normal(size=50), alpha=1.5)
+        ks_normality_test(np.arange(5.0))
+    assert ks_normality_test(np.arange(8.0)).n == 8
 
 
 def test_ks_statistic_in_unit_interval_and_consistent(rng):
     for _ in range(20):
         x = rng.normal(size=int(rng.integers(10, 200)))
-        result = ks_normality_test(x, alpha=0.05)
+        result = ks_normality_test(x)
         assert 0.0 <= result.d_statistic <= 1.0
         assert result.accepted == (result.d_statistic <= result.threshold)
 
@@ -225,7 +209,13 @@ def test_ks_statistic_in_unit_interval_and_consistent(rng):
 def test_ks_outlier_never_decreases_d():
     for seed in range(10):
         x = np.random.default_rng(seed).normal(size=500)
-        base = ks_normality_test(x, alpha=0.05).d_statistic
-        spiked = ks_normality_test(np.append(x, 1e6), alpha=0.05).d_statistic
+        base = ks_normality_test(x).d_statistic
+        spiked = ks_normality_test(np.append(x, 1e6)).d_statistic
         assert spiked >= base
 
+
+
+def test_ks_threshold_is_the_five_percent_lilliefors_value():
+    result = ks_normality_test(np.random.default_rng(1).normal(size=100))
+    assert result.alpha == KS_ALPHA == 0.05
+    assert result.threshold == pytest.approx(0.886 / 10.075, rel=1e-15)

@@ -26,7 +26,6 @@ from predfolio.predictor import (
     _gauss_newton,
     _hidden_layer,
     _init_flat,
-    _jacobian_flat,
     _jt_dot,
     _lag_gram,
     _n_params,
@@ -37,7 +36,7 @@ from predfolio.predictor import (
     train_arnn,
 )
 
-from oracles import trained_predictor_from_dict
+from oracles import jacobian_flat, trained_predictor_from_dict
 
 
 # A patience no fit reaches: with it, training stops only on its other rules.
@@ -155,7 +154,7 @@ def test_jacobian_matches_central_differences(rng):
         hidden = int(rng.integers(1, 6))
         theta = _init_flat(delay, hidden, rng)
         inputs = rng.normal(size=(7, delay))
-        analytic = _jacobian_flat(theta, inputs, delay, hidden)
+        analytic = jacobian_flat(theta, inputs, delay, hidden)
         fd = central_difference_jacobian(theta, inputs, delay, hidden)
         assert max_relative_error(analytic, fd) < 1e-4
 
@@ -166,7 +165,7 @@ def test_jacobian_zero_output_weights_collapse():
     w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
     w_in[:] = 0.3
     b_h[:] = -0.1
-    jac = _jacobian_flat(theta, np.array([[0.2, -0.4]]), delay, hidden)
+    jac = jacobian_flat(theta, np.array([[0.2, -0.4]]), delay, hidden)
     # with w_out = 0 only output-layer columns are live; the bias column is 1
     assert np.all(jac[0, : hidden * delay + hidden] == 0.0)
     assert jac[0, -1] == 1.0
@@ -177,7 +176,7 @@ def test_jacobian_first_order_taylor_check(rng):
     theta = _init_flat(delay, hidden, rng)
     inputs = rng.normal(size=(1, delay))
     target = np.array([0.05])
-    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    jac = jacobian_flat(theta, inputs, delay, hidden)
     j = int(rng.integers(len(theta)))
     bump = 1e-7
     bumped = theta.copy()
@@ -214,7 +213,7 @@ LM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 @given(lm_problems())
 def test_structured_gram_matches_dense(problem):
     theta, inputs, _, delay, hidden = problem
-    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    jac = jacobian_flat(theta, inputs, delay, hidden)
     hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
     gram = _sample_gram(hidden_act, gate, inputs @ inputs.T + 1.0)
     np.testing.assert_allclose(gram, jac @ jac.T, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
@@ -225,7 +224,7 @@ def test_structured_gram_matches_dense(problem):
 def test_structured_transpose_product_matches_dense(problem, seed):
     theta, inputs, _, delay, hidden = problem
     v = np.random.default_rng(seed).normal(size=inputs.shape[0])
-    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    jac = jacobian_flat(theta, inputs, delay, hidden)
     hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
     dense = jac.T @ v
     np.testing.assert_allclose(
@@ -243,7 +242,7 @@ def test_lm_step_matches_parameter_space_solve(problem, damping):
     hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
     gradient, step = _gauss_newton(hidden_act, gate, residual, inputs, lag_gram)
 
-    jac = _jacobian_flat(theta, inputs, delay, hidden)
+    jac = jacobian_flat(theta, inputs, delay, hidden)
     dense_gradient = jac.T @ residual
     expected = np.linalg.solve(jac.T @ jac + damping * np.eye(len(theta)), -dense_gradient)
     np.testing.assert_allclose(

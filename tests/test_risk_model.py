@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from predfolio.cli import _write_json
 from predfolio.errors import EstimationError
 from predfolio.predictor import PredictionRecord
-from predfolio.risk_model import (
-    MU_MEAN,
-    MU_ONE_STEP,
-    RiskModel,
-    asset_skewness,
-    build_risk_model,
-    expected_return,
-)
+from predfolio.risk_model import RiskModel, asset_skewness, build_risk_model
 
 from oracles import pairwise_covariance_loops
 
@@ -44,7 +37,7 @@ def error_sigma(*error_series) -> np.ndarray:
     """Sigma that ``build_risk_model`` derives from the given error series."""
     records = [record_with_errors(f"A{i}", e) for i, e in enumerate(error_series)]
     returns = {r.asset: np.arange(3.0) for r in records}
-    return build_risk_model(records, returns, MU_ONE_STEP).sigma
+    return build_risk_model(records, returns).sigma
 
 
 def test_error_covariance_hand_values():
@@ -72,7 +65,7 @@ def test_error_variance_hand_value_and_self_consistency(rng):
 def test_error_variance_accepts_records():
     record = record_with_errors("A", [0.03, -0.04])
     np.testing.assert_array_equal(record.errors, [0.03, -0.04])
-    model = build_risk_model([record], {"A": np.arange(3.0)}, MU_ONE_STEP)
+    model = build_risk_model([record], {"A": np.arange(3.0)})
     assert model.sigma[0, 0] == pytest.approx(0.0025)
 
 
@@ -83,26 +76,8 @@ def test_error_variance_round_trips_through_stored_record(rng):
     errors *= np.sqrt(0.002834 / error_sigma(errors)[0, 0])
     stored = record_with_errors("Bank", errors)
     replayed = PredictionRecord.from_dict(asdict(stored))
-    model = build_risk_model([replayed], {"Bank": np.arange(3.0)}, MU_ONE_STEP)
+    model = build_risk_model([replayed], {"Bank": np.arange(3.0)})
     assert model.sigma[0, 0] == pytest.approx(0.002834, rel=1e-12)
-
-
-# ---------------------------------------------------------- expected return
-
-def test_expected_return_modes():
-    record = record_from("A", [0.02, 0.02], [0.01, 0.03])
-    assert expected_return(record, MU_ONE_STEP) == 0.03
-    assert expected_return(record, MU_MEAN) == pytest.approx(0.02)
-
-    constant = record_from("A", [0.02] * 5, [0.02] * 5)
-    assert expected_return(constant, MU_ONE_STEP) == 0.02
-    assert expected_return(constant, MU_MEAN) == pytest.approx(0.02)
-
-
-def test_expected_return_empty_record_errors():
-    empty = record_from("A", [], [])
-    with pytest.raises(EstimationError):
-        expected_return(empty, MU_ONE_STEP)
 
 
 # ------------------------------------------------------------------ skewness
@@ -138,7 +113,7 @@ def test_asset_skewness_needs_three_points():
 def test_build_risk_model_single_asset_reduces_to_variance(rng):
     errors = rng.normal(0, 0.01, size=30)
     record = record_with_errors("A", errors)
-    model = build_risk_model([record], {"A": rng.normal(size=30)}, MU_ONE_STEP)
+    model = build_risk_model([record], {"A": rng.normal(size=30)})
     assert model.sigma.shape == (1, 1)
     assert model.sigma[0, 0] == pytest.approx(errors @ errors / 29, rel=1e-12)
     assert model.estimation_window == 30
@@ -148,7 +123,7 @@ def test_build_risk_model_identical_errors_give_equal_entries(rng):
     errors = rng.normal(0, 0.01, size=25)
     records = [record_with_errors("A", errors), record_with_errors("B", errors)]
     returns = {a: rng.normal(size=25) for a in ("A", "B")}
-    model = build_risk_model(records, returns, MU_ONE_STEP)
+    model = build_risk_model(records, returns)
     assert np.ptp(model.sigma) == pytest.approx(0.0, abs=1e-18)
 
 
@@ -156,7 +131,7 @@ def test_build_risk_model_matches_double_loop_oracle(rng):
     errors = rng.normal(0, 0.02, size=(5, 40))
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(5)]
     returns = {f"A{i}": rng.normal(size=40) for i in range(5)}
-    model = build_risk_model(records, returns, MU_ONE_STEP)
+    model = build_risk_model(records, returns)
     expected = pairwise_covariance_loops(errors)
     np.testing.assert_allclose(model.sigma, expected, atol=1e-12)
 
@@ -168,7 +143,7 @@ def test_build_risk_model_mismatched_lengths_error(rng):
     ]
     with pytest.raises(EstimationError):
         build_risk_model(
-            records, {"A": rng.normal(size=20), "B": rng.normal(size=21)}, MU_ONE_STEP
+            records, {"A": rng.normal(size=20), "B": rng.normal(size=21)}
         )
 
 
@@ -193,7 +168,7 @@ def test_sigma_symmetric_and_psd(error_set):
     m, n = errors.shape
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(m)]
     returns = {f"A{i}": rng.normal(size=max(n, 3)) for i in range(m)}
-    model = build_risk_model(records, returns, MU_ONE_STEP)
+    model = build_risk_model(records, returns)
     np.testing.assert_array_equal(model.sigma, model.sigma.T)
     model.validate()
     assert model.diagonal_shift >= 0.0
@@ -208,34 +183,32 @@ def test_sigma_scales_quadratically():
 
     def model_for(scale):
         records = [record_with_errors(f"A{i}", errors[i] * scale) for i in range(3)]
-        return build_risk_model(records, returns, MU_ONE_STEP)
+        return build_risk_model(records, returns)
 
     base = model_for(1.0).sigma
     np.testing.assert_array_equal(model_for(2.0).sigma, 4.0 * base)  # exact for powers of two
     np.testing.assert_allclose(model_for(3.7).sigma, 3.7**2 * base, rtol=1e-14)
 
 
-def test_build_risk_model_mu_modes_and_degenerate_skew(rng):
-    errors = rng.normal(0, 0.01, size=(2, 20))
+def test_build_risk_model_mu_is_the_last_prediction_and_degenerate_skew(rng):
+    errors = rng.normal(0, 0.01, size=(3, 20))
     records = [
         record_from("A", errors[0], np.full(20, 0.01)),
         record_from("B", errors[1], np.linspace(0.0, 0.02, 20)),
+        record_from("C", errors[2], np.r_[np.full(19, 0.03), -0.01]),
     ]
-    returns = {"A": np.full(20, 0.005), "B": rng.normal(size=20)}
-    one_step = build_risk_model(records, returns, MU_ONE_STEP)
-    assert one_step.mu[0] == 0.01
-    assert one_step.mu[1] == 0.02
-    mean_mode = build_risk_model(records, returns, MU_MEAN)
-    assert mean_mode.mu[1] == pytest.approx(0.01)
-    assert one_step.degenerate_skew_assets == ("A",)
-    assert one_step.skew[0] == 0.0
+    returns = {"A": np.full(20, 0.005), "B": rng.normal(size=20), "C": rng.normal(size=20)}
+    model = build_risk_model(records, returns)
+    assert model.mu.tolist() == [0.01, 0.02, -0.01]
+    assert model.degenerate_skew_assets == ("A",)
+    assert model.skew[0] == 0.0
 
 
 def test_risk_model_json_round_trip(tmp_path, rng):
     errors = rng.normal(0, 0.02, size=(4, 30))
     records = [record_with_errors(f"A{i}", errors[i]) for i in range(4)]
     returns = {f"A{i}": rng.normal(size=30) for i in range(4)}
-    model = build_risk_model(records, returns, MU_ONE_STEP)
+    model = build_risk_model(records, returns)
     path = tmp_path / "risk.json"
     _write_json(path, model.to_dict())
     loaded = RiskModel.from_json(path)
