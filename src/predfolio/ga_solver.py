@@ -12,15 +12,20 @@ Several runs that share a model, bounds and K can evolve together
 penalty factor are stacked, so each operator runs once per generation
 over the children of every run in the stack. Each run keeps its own
 random generator and draws from it exactly as it would alone, so a run's
-result does not depend on the batch it is in.
+result does not depend on the batch it is in. No batch reads another's
+state, so the batches run at the same time in up to one forked worker
+process per CPU; ``time_limit_seconds`` still runs on each batch's own
+clock, started when the batch starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,8 +74,10 @@ class GAConfig:
     runs that evolve together (see :func:`evolve_batch`: a frontier's
     repeats, or tune runs that differ only in seed and penalty factor)
     share one start clock, so the limit bounds the wall time of the whole
-    batch. It is the only stop that can differ between machines. Every
-    range check is written so that NaN fails it.
+    batch. Batches run at the same time in up to one forked worker per
+    CPU, each on its own clock, so the limit bounds each batch and not the
+    whole call. It is the only stop that can differ between machines.
+    Every range check is written so that NaN fails it.
     """
 
     population_size: int = 200
@@ -421,13 +428,16 @@ def evolve_batch(
     """Run ``evolve(model, params[r], bounds, k, configs[r])`` for every
     run ``r``, with the runs evolving together.
 
-    The params must share one skew mode.
-    Runs whose configs agree on everything but the seed and the penalty
-    factor form a group, in order of first appearance; each group goes in
-    batches of at most ``_BATCH_ROWS`` population rows (at least one run
-    each). Results come back in input order. Result ``r`` equals the
-    standalone ``evolve`` of run ``r`` field for field, except where a
-    wall-clock stop fires: a batch's runs share one start clock.
+    The params must share one skew mode. The runs are cut into batches
+    (see :func:`_batches`), and the batches run at the same time in up to
+    one forked worker process per CPU this process may use. With one CPU,
+    one batch, no ``fork`` start method or no ``os.sched_getaffinity``,
+    they run one after another in this process. The pool is shut down
+    before this returns or raises; an error raised in a batch reaches the
+    caller with its type and message.
+    Results come back in input order. Result ``r`` equals the standalone
+    ``evolve`` of run ``r`` field for field, except where a wall-clock stop
+    fires: a batch's runs share one start clock.
     """
     if len(params) != len(configs):
         raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
@@ -442,20 +452,54 @@ def evolve_batch(
         raise InfeasibleBoundsError(
             f"no subset of {k} assets admits weights within the supplied bounds"
         )
+    batches = _batches(configs)
+    jobs = (
+        repeat(model),
+        [[params[r] for r in batch] for batch in batches],
+        repeat(bounds),
+        repeat(k),
+        [[configs[r] for r in batch] for batch in batches],
+    )
+    # Platforms without sched_getaffinity (macOS, Windows) run in process,
+    # and so do those without os.fork, which have no fork start method.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(batches)) if hasattr(os, "fork") else 1
+    if workers > 1:
+        # Imported here, so that the stages that never start a pool do not
+        # pay about 10 ms and 0.7 MB to import it.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Forked workers inherit the imported modules, so a pool starts in
+        # milliseconds; only the batches and their results are pickled.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            done = list(pool.map(_evolve_together, *jobs))
+    else:
+        done = list(map(_evolve_together, *jobs))
+    results: list[GAResult | None] = [None] * len(configs)
+    for batch, batch_results in zip(batches, done):
+        for r, result in zip(batch, batch_results):
+            results[r] = result
+    return results
+
+
+def _batches(configs: Sequence[GAConfig]) -> list[list[int]]:
+    """The run indices of each batch :func:`evolve_batch` evolves together.
+
+    Runs whose configs agree on everything but the seed and the penalty
+    factor form a group, in order of first appearance; each group is cut,
+    in input order, into batches of at most ``_BATCH_ROWS`` population rows
+    (at least one run each).
+    """
     groups: dict[tuple, list[int]] = {}
     for r, config in enumerate(configs):
         groups.setdefault(astuple(replace(config, seed=0, penalty_factor=1.0)), []).append(r)
-    results: list[GAResult | None] = [None] * len(configs)
+    batches = []
     for members in groups.values():
         runs = max(1, _BATCH_ROWS // configs[members[0]].population_size)
-        for first in range(0, len(members), runs):
-            batch = members[first:first + runs]
-            done = _evolve_together(
-                model, [params[r] for r in batch], bounds, k, [configs[r] for r in batch]
-            )
-            for r, result in zip(batch, done):
-                results[r] = result
-    return results
+        batches += [members[first:first + runs] for first in range(0, len(members), runs)]
+    return batches
 
 
 def _evolve_together(

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
+from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predfolio import ga_solver
+from predfolio import frontier, ga_solver, taguchi
 from predfolio.errors import ConfigError, InfeasibleBoundsError
 from predfolio.ga_solver import (
     CROSSOVER_KINDS,
@@ -514,18 +518,11 @@ def test_row_budget_splits_runs_into_batches_without_changing_them(monkeypatch):
     base = GAConfig(population_size=25, stall_generations=5, generation_cap=30)
     params = [ObjectiveParams(lam, theta) for lam, theta, _ in BATCH_RUNS]
     configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
+    assert ga_solver._batches(configs) == [list(range(len(BATCH_RUNS)))]
     whole = evolve_batch(model, params, Bounds(0.0, 0.5), 3, configs)
-    sizes = []
-    together = ga_solver._evolve_together
-
-    def spy(model, params, bounds, k, configs):
-        sizes.append(len(configs))
-        return together(model, params, bounds, k, configs)
-
-    monkeypatch.setattr(ga_solver, "_evolve_together", spy)
     monkeypatch.setattr(ga_solver, "_BATCH_ROWS", 3 * base.population_size)
+    assert ga_solver._batches(configs) == [[0, 1, 2], [3, 4, 5], [6]]
     split = evolve_batch(model, params, Bounds(0.0, 0.5), 3, configs)
-    assert sizes == [3, 3, 1]
     for batched, alone in zip(split, whole):
         assert_same_run(batched, alone)
 
@@ -578,26 +575,89 @@ def test_evolve_batch_groups_runs_by_all_but_seed_and_penalty(monkeypatch):
         replace(small, seed=2, penalty_factor=10.0),
     ]
     params = [ObjectiveParams(0.8, 0.2)] * len(configs)
-    batches = []
-    together = ga_solver._evolve_together
-
-    def spy(model, params, bounds, k, configs):
-        batches.append([(c.population_size, c.seed, c.penalty_factor) for c in configs])
-        return together(model, params, bounds, k, configs)
-
-    monkeypatch.setattr(ga_solver, "_evolve_together", spy)
     monkeypatch.setattr(ga_solver, "_BATCH_ROWS", 40)
-    batched = evolve_batch(model, params, MIXED_BOUNDS, 3, configs)
+    batches = [
+        [(configs[r].population_size, configs[r].seed, configs[r].penalty_factor) for r in batch]
+        for batch in ga_solver._batches(configs)
+    ]
     assert batches == [  # groups in order of first appearance, 4 or 2 runs a batch
         [(10, 0, 10.0), (10, 0, 100.0), (10, 1, 50.0), (10, 2, 10.0)],
         [(20, 0, 10.0), (20, 1, 50.0)],
         [(20, 2, 100.0)],
     ]
+    batched = evolve_batch(model, params, MIXED_BOUNDS, 3, configs)
     monkeypatch.undo()
     for result, config in zip(batched, configs):
         assert_same_run(result, evolve(model, params[0], MIXED_BOUNDS, 3, config))
     # the same run under another penalty factor scores its infeasible members apart
     assert batched[0].mean_history[0] != batched[2].mean_history[0]
+
+
+def on_cpus(monkeypatch, cpus: int | None) -> list[int]:
+    """Make ``evolve_batch`` see ``cpus`` usable CPUs, or a platform without
+    ``os.sched_getaffinity`` for None; returns the worker count of every
+    pool it starts from then on."""
+    pools = []
+
+    def spy(workers, **kwargs):
+        pools.append(workers)
+        return ProcessPoolExecutor(workers, **kwargs)
+
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return pools
+
+
+def test_pooled_batches_equal_serial_batches(monkeypatch):
+    model = random_risk_model(np.random.default_rng(5), 8)
+    base = GAConfig(population_size=20, stall_generations=4, generation_cap=12, seed=3)
+    jobs = [(taguchi.assignment(levels), (3, row, 0))
+            for row, levels in enumerate(taguchi.ARRAY[::3])]
+    monkeypatch.setattr(ga_solver, "_BATCH_ROWS", 60)
+
+    def frontier_and_tune_runs(cpus):
+        pools = on_cpus(monkeypatch, cpus)
+        swept = frontier.sweep(model, Bounds(0.0, 0.6), 3, base, [1.0, 0.5, 0.0], [0.0, 0.5],
+                               "weighted", repeats=2)
+        tuned = []
+        taguchi.ga_runner(model, ObjectiveParams(0.8, 0.2), MIXED_BOUNDS, 3, base,
+                          on_result=tuned.append)(jobs)
+        return pools, swept.runs + tuned
+
+    serial_pools, serial = frontier_and_tune_runs(1)
+    pooled_pools, pooled = frontier_and_tune_runs(2)
+    assert (serial_pools, pooled_pools) == ([], [2, 2])
+    assert len(pooled) == len(serial) == 12 + len(jobs)
+    for result, alone in zip(pooled, serial):
+        assert_same_run(result, alone)
+    assert not multiprocessing.active_children()
+
+
+def test_error_in_a_worker_batch_reaches_the_caller(monkeypatch):
+    # A NaN mean return makes every cost that holds asset 0 NaN; roulette
+    # selection refuses that, while tournament runs go on.
+    model = random_risk_model(np.random.default_rng(3), 8)
+    model.mu[0] = np.nan
+    configs = [fast_config(selection_kind=kind, seed=seed, generation_cap=5)
+               for kind in ("tournament", "roulette") for seed in range(2)]
+    params = [ObjectiveParams(0.8, 0.2)] * len(configs)
+    assert ga_solver._batches(configs) == [[0, 1], [2, 3]]
+    raised = {}
+    for cpus in (1, 2, None):
+        pools = on_cpus(monkeypatch, cpus)
+        with pytest.raises(ConfigError) as error:
+            evolve_batch(model, params, Bounds(), 3, configs)
+        raised[cpus] = (type(error.value), str(error.value), pools)
+        assert not multiprocessing.active_children()
+    message = "selection requires finite fitness for every chromosome"
+    assert raised == {
+        1: (ConfigError, message, []),
+        2: (ConfigError, message, [2]),
+        None: (ConfigError, message, []),
+    }
 
 
 def test_evolve_batch_refuses_mixed_skew_modes_and_invalid_configs():
