@@ -33,7 +33,7 @@ from .errors import (
     undecodable_line,
 )
 from .ga_solver import GAConfig, evolve, stop_summary
-from .objective import SKEW_WEIGHTED, Bounds, ObjectiveParams
+from .objective import Bounds, ObjectiveParams
 from .predictor import PredictionRecord, PredictorConfig
 
 STAGE_ARTIFACTS = {
@@ -70,7 +70,6 @@ CONFIG_DEFAULTS = {
     "theta": 0.0,
     "lambda_grid": (1.0, 0.8, 0.2, 0.0),
     "theta_grid": (0.0, 0.2, 0.8),
-    "skew_mode": SKEW_WEIGHTED,
     **_field_defaults(GAConfig),
     "tune_replicates": 3,
     "tune_lambda": 0.8,
@@ -147,20 +146,15 @@ class RunConfig:
             for cls in (PredictorConfig, GAConfig)
         )
         self.bounds = Bounds(epsilon=self._limit("epsilon"), delta=self._limit("delta"))
-        skew_mode = self["skew_mode"]
-        self.params = ObjectiveParams(self["lambda"], self["theta"], skew_mode)
-        self.tune_params = ObjectiveParams(self["tune_lambda"], self["tune_theta"], skew_mode)
+        self.params = ObjectiveParams(self["lambda"], self["theta"])
+        self.tune_params = ObjectiveParams(self["tune_lambda"], self["tune_theta"])
         for lam in self["lambda_grid"]:
             for theta in self["theta_grid"]:
-                ObjectiveParams(lam, theta, skew_mode)
+                ObjectiveParams(lam, theta)
         market_data.parse_weekday(self["sampling_weekday"])
         for key, low in (("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1)):
             if self[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {self[key]}")
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls(_read_config_file(path))
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -458,7 +452,7 @@ def cmd_optimize(config: RunConfig) -> int:
 
     dump = asdict(result)
     dump["best"]["assets"] = model.assets
-    dump.update({"lambda": params.lam, "theta": params.theta, "skew_mode": params.skew_mode})
+    dump.update({"lambda": params.lam, "theta": params.theta})
     _write_artifacts(out, config, {
         "portfolio.json": dump,
         "ga_trace.csv": [["generation", "best_cost", "mean_cost"]]
@@ -482,7 +476,6 @@ def cmd_frontier(config: RunConfig) -> int:
         config.ga,
         lambda_grid=config["lambda_grid"],
         theta_grid=config["theta_grid"],
-        skew_mode=config["skew_mode"],
         repeats=config["frontier_repeats"],
     )
     curve = frontier.efficient_filter(result.points)

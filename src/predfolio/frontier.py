@@ -57,7 +57,6 @@ def sweep(
     ga_config: GAConfig,
     lambda_grid: Sequence[float],
     theta_grid: Sequence[float],
-    skew_mode: str,
     repeats: int,
 ) -> SweepResult:
     """Optimize every (lambda, theta) pair; keep each point's best repeat.
@@ -76,7 +75,7 @@ def sweep(
         for li, lam in enumerate(lambda_grid)
         for ti, theta in enumerate(theta_grid)
     ]
-    params = [ObjectiveParams(lam=lam, theta=theta, skew_mode=skew_mode) for lam, theta, _ in grid]
+    params = [ObjectiveParams(lam=lam, theta=theta) for lam, theta, _ in grid]
     seeds = [seed + (rep,) for _, _, seed in grid for rep in range(repeats)]
     error: str | None = None
     try:

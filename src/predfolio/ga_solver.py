@@ -250,10 +250,6 @@ class RunStreams:
         return self._stack([rng.integers(part, high) for rng, part in zip(self.rngs, parts)])
 
 
-def _streams(rng) -> RunStreams:
-    return rng if isinstance(rng, RunStreams) else RunStreams([rng])
-
-
 def _take_a(c: int, k: int, kind: str, streams: RunStreams) -> np.ndarray:
     """``(C, K)`` slot masks, True where the gene comes from parent A."""
     slots = np.arange(k)
@@ -297,11 +293,11 @@ def crossover(
     raw_a: np.ndarray,
     sel_b: np.ndarray,
     raw_b: np.ndarray,
-    rng: np.random.Generator | RunStreams,
+    streams: RunStreams,
     kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Child ``i`` of parents ``a[i]`` and ``b[i]``, for ``(C, K)`` parent rows
-    (the children of several runs when ``rng`` is a :class:`RunStreams`).
+    stacked run by run, one run per generator of ``streams``.
 
     Slots up to the cut(s) come from one parent and the rest from the
     other. A slot whose asset already sits in an earlier slot is refilled
@@ -311,7 +307,6 @@ def crossover(
     held by both parents take their raw value from either parent with
     equal probability, the others from the parent that holds them.
     """
-    streams = _streams(rng)
     c, k = sel_a.shape
     rows = c // len(streams.rngs)
     genes = np.where(_take_a(c, k, kind, streams), sel_a, sel_b)
@@ -344,15 +339,15 @@ def mutate(
     selection: np.ndarray,
     raw: np.ndarray,
     step_length: float | np.ndarray,
-    rng: np.random.Generator | RunStreams,
+    streams: RunStreams,
     n_assets: int,
     swap_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step each row along a random unit direction in allocation space and
     clamp to [0, 1]; in a ``swap_rate`` share of rows, swap one selected
     asset for a uniformly drawn non-member. ``step_length`` is one number
-    or a ``(C, 1)`` column, one per row."""
-    streams = _streams(rng)
+    or a ``(C, 1)`` column, one per row. The rows are stacked run by run,
+    one run per generator of ``streams``."""
     c, k = raw.shape
     rows = c // len(streams.rngs)
     direction = streams.standard_normal(rows, k)
@@ -428,13 +423,12 @@ def evolve_batch(
     """Run ``evolve(model, params[r], bounds, k, configs[r])`` for every
     run ``r``, with the runs evolving together.
 
-    The params must share one skew mode. The runs are cut into batches
-    (see :func:`_batches`), and the batches run at the same time in up to
-    one forked worker process per CPU this process may use. With one CPU,
-    one batch, no ``fork`` start method or no ``os.sched_getaffinity``,
-    they run one after another in this process. The pool is shut down
-    before this returns or raises; an error raised in a batch reaches the
-    caller with its type and message.
+    The runs are cut into batches (see :func:`_batches`), and the batches
+    run at the same time in up to one forked worker process per CPU this
+    process may use. With one CPU, one batch, no ``fork`` start method or
+    no ``os.sched_getaffinity``, they run one after another in this
+    process. The pool is shut down before this returns or raises; an error
+    raised in a batch reaches the caller with its type and message.
     Results come back in input order. Result ``r`` equals the standalone
     ``evolve`` of run ``r`` field for field, except where a wall-clock stop
     fires: a batch's runs share one start clock.
@@ -443,8 +437,6 @@ def evolve_batch(
         raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
     if not configs:
         return []
-    if len({p.skew_mode for p in params}) > 1:
-        raise ConfigError("GA runs evolved together must share one skew mode")
     m = model.n_assets
     if k > m or k < 1:
         raise ConfigError(f"subset size {k} invalid for a universe of {m} assets")
@@ -525,9 +517,7 @@ def _evolve_together(
     penalty = np.array([c.penalty_factor for c in configs], dtype=float)
 
     def score(selection, raw, runs, rows):
-        row_params = RowParams(
-            np.repeat(lam[runs], rows), np.repeat(theta[runs], rows), params[0].skew_mode,
-        )
+        row_params = RowParams(np.repeat(lam[runs], rows), np.repeat(theta[runs], rows))
         penalty_factor = np.repeat(penalty[runs], rows)[:, None]
         return penalized_cost(selection, raw, model, row_params, bounds, penalty_factor)
 

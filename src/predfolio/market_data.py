@@ -82,19 +82,15 @@ class AlignmentReport:
         return "\n".join(lines) + "\n"
 
 
-def parse_weekday(sampling_weekday: str | int) -> int:
-    """Index (Monday 0) of a weekday given by index or case-insensitive name."""
-    if isinstance(sampling_weekday, int):
-        if not 0 <= sampling_weekday <= 6:
-            raise ParseError(f"weekday index out of range: {sampling_weekday}")
-        return sampling_weekday
+def parse_weekday(sampling_weekday: str) -> int:
+    """Index (Monday 0) of a weekday given by its case-insensitive name."""
     key = sampling_weekday.strip().lower()
     if key not in WEEKDAYS:
         raise ParseError(f"unknown weekday name: {sampling_weekday!r}")
     return WEEKDAYS[key]
 
 
-def load_prices(path, sampling_weekday: str | int) -> PriceTable:
+def load_prices(path, sampling_weekday: str) -> PriceTable:
     """Read a daily price file and sample one close per asset per week.
 
     The file is comma-separated UTF-8 text whose header names ``date``,

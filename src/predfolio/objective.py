@@ -2,8 +2,8 @@
 
 Raw allocation numbers over a selected asset subset decode to weights that
 sum to one and respect per-asset floors and caps; the cost blends portfolio
-risk, return, and a skewness term with preference weights ``lambda`` and
-``theta``.
+risk, return, and the weighted skewness ``w . skew`` with preference
+weights ``lambda`` and ``theta``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .risk_model import RiskModel
-
-SKEW_WEIGHTED = "weighted"
-SKEW_LITERAL = "literal"
 
 _FEAS_TOL = 1e-9
 
@@ -75,7 +72,6 @@ class Bounds:
 class ObjectiveParams:
     lam: float
     theta: float
-    skew_mode: str = SKEW_WEIGHTED
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -84,20 +80,17 @@ class ObjectiveParams:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
         if self.theta == math.inf:
             raise ConfigError(f"theta must be finite, got {self.theta}")
-        if self.skew_mode not in (SKEW_WEIGHTED, SKEW_LITERAL):
-            raise ConfigError(f"unknown skew mode {self.skew_mode!r}")
 
 
 @dataclass(frozen=True)
 class RowParams:
     """Preference weights per scored row: ``(R,)`` ``lam`` and ``theta``
-    arrays and one skew mode, for the stacked chromosomes of GA runs with
-    different ``ObjectiveParams``. Row ``i`` costs exactly what it would
-    under ``ObjectiveParams(lam[i], theta[i], skew_mode)``."""
+    arrays, for the stacked chromosomes of GA runs with different
+    ``ObjectiveParams``. Row ``i`` costs exactly what it would under
+    ``ObjectiveParams(lam[i], theta[i])``."""
 
     lam: np.ndarray
     theta: np.ndarray
-    skew_mode: str = SKEW_WEIGHTED
 
 
 @dataclass
@@ -198,10 +191,7 @@ def penalized_cost(
     sub_sigma = model.sigma[selection[:, :, None], selection[:, None, :]]
     risk = np.einsum("rk,rkl,rl->r", weights, sub_sigma, weights)
     ret = np.einsum("rk,rk->r", weights, model.mu[selection])
-    if params.skew_mode == SKEW_WEIGHTED:
-        skew_term = np.einsum("rk,rk->r", weights, model.skew[selection])
-    else:
-        skew_term = model.skew[selection].sum(axis=1)
+    skew_term = np.einsum("rk,rk->r", weights, model.skew[selection])
     cost = params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
     return cost + penalty, weights
 

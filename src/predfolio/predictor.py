@@ -41,6 +41,10 @@ _DAMPING_MIN = 1e-12
 _FTOL = 1e-12
 # Validation failures in a row that stop an LM run (trainlm's max_fail).
 _MAX_FAIL = 6
+# Shares of the samples that train and validate; the test slice takes the
+# rest. trainlm's dividerand ratios, taken in time order.
+_TRAIN_FRAC = 0.70
+_VAL_FRAC = 0.15
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,6 @@ class PredictorConfig:
     delay: int = 41
     hidden_units: int = 5
     max_epochs: int = 1000
-    train_frac: float = 0.70
-    val_frac: float = 0.15
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
@@ -61,12 +63,6 @@ class PredictorConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        # the test slice takes the rest, 1 - train_frac - val_frac
-        fracs = (self.train_frac, self.val_frac)
-        if not (min(fracs) > 0.0 and sum(fracs) < 1.0):
-            raise ConfigError(
-                f"train_frac and val_frac must be positive with a sum below 1, got {fracs}"
-            )
 
 
 @dataclass
@@ -263,7 +259,8 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
 
     The first ``delay`` returns are consumed as lags only; the remaining
     samples are labelled chronologically train, then validation, then test
-    by the configured fractions (each partition gets at least one sample).
+    in shares ``_TRAIN_FRAC``, ``_VAL_FRAC`` and the rest (each partition
+    gets at least one sample).
     """
     returns = np.asarray(series, dtype=float)
     d = config.delay
@@ -276,8 +273,8 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
     inputs = np.lib.stride_tricks.sliding_window_view(returns, d)[:n].copy()
     targets = returns[d:].copy()
 
-    n_train = min(max(int(round(config.train_frac * n)), 1), n - 2)
-    n_val = min(max(int(round(config.val_frac * n)), 1), n - n_train - 1)
+    n_train = min(max(int(round(_TRAIN_FRAC * n)), 1), n - 2)
+    n_val = min(max(int(round(_VAL_FRAC * n)), 1), n - n_train - 1)
     labels = np.empty(n, dtype=object)
     labels[:n_train] = TRAIN
     labels[n_train : n_train + n_val] = VAL

@@ -12,9 +12,9 @@ import datetime as dt
 
 import numpy as np
 
-from predfolio.errors import AlignmentError, ConfigError, ParseError
+from predfolio.errors import AlignmentError, ParseError
 from predfolio.market_data import AlignmentReport, PriceTable, ReturnSeries
-from predfolio.objective import SKEW_WEIGHTED, ObjectiveParams, portfolio_return, portfolio_risk
+from predfolio.objective import ObjectiveParams, portfolio_return, portfolio_risk
 from predfolio.predictor import TrainedPredictor, _hidden_layer, _jacobian_rows
 from predfolio.risk_model import RiskModel
 
@@ -84,23 +84,13 @@ def grid_search_mvs(mu, sigma, lams, steps: int = 200):
     return best
 
 
-def mvs_cost(weights, model: RiskModel, params: ObjectiveParams, selection=None) -> float:
+def mvs_cost(weights, model: RiskModel, params: ObjectiveParams) -> float:
     """Mean-Variance-Skewness cost of one full-universe weight vector,
-    ``lam * risk - (1 - lam) * return - theta * skew_term``.
-
-    The skew term is weight-weighted by default; literal mode sums the raw
-    skewness over ``selection``, which it requires (a selected asset can
-    decode to weight zero, so the weights do not determine it).
-    """
+    ``lam * risk - (1 - lam) * return - theta * w . skew``."""
     w = np.asarray(weights, dtype=float)
     risk = portfolio_risk(w, model.sigma)
     ret = portfolio_return(w, model.mu)
-    if params.skew_mode == SKEW_WEIGHTED:
-        skew_term = float(w @ model.skew)
-    else:
-        if selection is None:
-            raise ConfigError("literal skew mode needs the selection")
-        skew_term = float(model.skew[np.asarray(selection, dtype=int)].sum())
+    skew_term = float(w @ model.skew)
     return params.lam * risk - (1.0 - params.lam) * ret - params.theta * skew_term
 
 

@@ -20,7 +20,6 @@ from predfolio.eval_metrics import evaluate, ks_normality_test
 from predfolio.frontier import efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
-    SKEW_WEIGHTED,
     Bounds,
     ObjectiveParams,
     decode_weights,
@@ -240,7 +239,7 @@ def test_criterion_10_frontier_behavior():
         config = GAConfig(population_size=100, stall_generations=20,
                           generation_cap=200, seed=60601)
         result = sweep(model, Bounds(0.0, 1.0), 5, config, lambda_grid=(1.0, 0.8, 0.2, 0.0),
-                       theta_grid=(0.0, 0.2, 0.8), skew_mode=SKEW_WEIGHTED, repeats=2)
+                       theta_grid=(0.0, 0.2, 0.8), repeats=2)
         assert not result.failures
         assert len(result.points) == 12
 

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import codecs
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predfolio.cli import CONFIG_DEFAULTS, RunConfig, _write_json, main
+import predfolio
+from predfolio.cli import CONFIG_DEFAULTS, RunConfig, _read_config_file, _write_json, main
 from predfolio.errors import ConfigError
 from predfolio.ga_solver import GAConfig
 from predfolio.predictor import PredictorConfig
@@ -63,7 +68,7 @@ def pipeline(tmp_path):
 def test_run_config_parsing_and_overrides(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("seed = 7\nk = 4  # inline comment\n\n# full comment\n", encoding="utf-8")
-    config = RunConfig.from_file(path)
+    config = RunConfig(_read_config_file(path))
     assert config["seed"] == 7
     assert config["k"] == 4
     # a flag's value arrives typed and is parsed like the file's text
@@ -93,16 +98,16 @@ def test_run_config_refuses_a_malformed_value_when_it_loads(key, value, message)
         RunConfig({key: value})
 
 
-# Keys that configs once accepted: the split's test fraction (the rest of
-# train and validation), the LM damping schedule, centered error covariance,
-# the plain KS threshold, the MAPE zero guard, the GA's stall tolerance,
-# mutation swap rate and tournament size, the expected-return rule and the
-# KS level.
+# Keys that configs once accepted: the split's three fractions, the LM
+# damping schedule, centered error covariance, the plain KS threshold, the
+# MAPE zero guard, the GA's stall tolerance, mutation swap rate and
+# tournament size, the expected-return rule, the KS level and the skew term.
 RETIRED_KEYS = {
     "test_frac": "0.15", "lm_initial_damping": "1e-3", "lm_damping_factor": "10",
     "centered_covariance": "false", "ks_lilliefors": "true", "mape_floor": "1e-12",
     "function_tolerance": "1e-6", "mutation_swap_rate": "0.1", "tournament_size": "3",
-    "mu_mode": "mean", "ks_alpha": "0.05",
+    "mu_mode": "mean", "ks_alpha": "0.05", "skew_mode": "weighted", "train_frac": "0.7",
+    "val_frac": "0.15",
 }
 
 
@@ -110,7 +115,7 @@ def test_run_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_text("no_such_key = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
-        RunConfig.from_file(path)
+        RunConfig(_read_config_file(path))
     prices = make_demo_prices(tmp_path, n_assets=2, n_weeks=30)
     for key, value in {"no_such_key": "1", **RETIRED_KEYS}.items():
         config = write_config(tmp_path, prices, tmp_path / "out", f"{key} = {value}\n")
@@ -130,7 +135,6 @@ def test_run_config_defaults_are_the_dataclass_defaults():
 CHANGED_FIELDS = {
     PredictorConfig: [
         {"delay": 7}, {"hidden_units": 3}, {"max_epochs": 20},
-        {"train_frac": 0.6}, {"val_frac": 0.1},
     ],
     GAConfig: [
         {"population_size": 60}, {"crossover_fraction": 0.6}, {"crossover_kind": "two-point"},
@@ -365,12 +369,14 @@ def finished_pipeline(tmp_path_factory):
                  id="ks_lilliefors-retired"),
     pytest.param("mu_mode = bogus", "unknown config keys: ['mu_mode']", id="mu_mode-bogus"),
     pytest.param("ks_alpha = 0.5", "unknown config keys: ['ks_alpha']", id="ks_alpha-0.5"),
+    pytest.param("skew_mode = bogus", "unknown config keys: ['skew_mode']", id="skew_mode-bogus"),
+    pytest.param("train_frac = 0.6", "unknown config keys: ['train_frac']", id="train_frac-0.6"),
+    pytest.param("val_frac = 0.1", "unknown config keys: ['val_frac']", id="val_frac-0.1"),
     pytest.param("frontier_repeats = x", "config key 'frontier_repeats' must be an integer, got 'x'",
                  id="frontier_repeats-x-an integer"),
     *[
         pytest.param(f"{key} = bogus", message, id=f"{key}-bogus")
         for key, message in [
-            ("skew_mode", "unknown skew mode 'bogus'"),
             ("sampling_weekday", "unknown weekday name: 'bogus'"),
             ("selection_kind", "unknown selection kind 'bogus'"),
             ("crossover_kind", "unknown crossover kind 'bogus'"),
@@ -569,3 +575,42 @@ def test_tune_stage_with_tiny_budget(tmp_path, capsys):
     response = (out / "tune_response.csv").read_text().splitlines()
     assert response[0].startswith("factor,")
     assert len(response) == 6
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh(args, **settings) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a new process that sees this checkout's
+    package, with no BLAS thread variable set except ``settings``."""
+    src = str(Path(predfolio.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env={**env, **settings}, capture_output=True, text=True,
+        check=True,
+    )
+
+
+def test_importing_the_package_defaults_blas_to_one_thread():
+    probe = f"import os, predfolio; print(*(os.environ[v] for v in {BLAS_VARIABLES}))"
+    assert run_fresh(["-c", probe]).stdout == "1 1 1\n"
+    # a caller's own setting wins
+    assert run_fresh(["-c", probe], OPENBLAS_NUM_THREADS="2").stdout == "2 1 1\n"
+
+
+def test_predict_writes_the_same_bytes_with_blas_threads_unset_or_one(tmp_path):
+    # delay 41 over 220 weekly returns: fewer training samples than network
+    # parameters, so every LM step solves the sample-space system
+    prices = make_demo_prices(tmp_path, n_assets=4, n_weeks=221)
+    ingested = tmp_path / "ingested"
+    config = write_config(tmp_path, prices, ingested, "delay = 41\n")
+    assert main(["ingest", "--config", config]) == 0
+    outputs = {}
+    for name, settings in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = shutil.copytree(ingested, tmp_path / name)
+        run_fresh(["-m", "predfolio.cli", "predict", "--config", config, "--out", str(out)],
+                  **settings)
+        outputs[name] = snapshot(out)
+    assert {"predictions.json", "predictors.json"} <= set(outputs["one"])
+    assert outputs["unset"] == outputs["one"]

@@ -10,7 +10,7 @@ from predfolio.errors import ConfigError
 from predfolio.frontier import FrontierPoint, efficient_filter, sweep
 from predfolio.ga_solver import GAConfig, evolve
 from predfolio.objective import (
-    SKEW_WEIGHTED, Bounds, ObjectiveParams, Portfolio, portfolio_return, portfolio_risk,
+    Bounds, ObjectiveParams, Portfolio, portfolio_return, portfolio_risk,
 )
 
 from conftest import random_risk_model
@@ -99,8 +99,7 @@ def test_sweep_default_grids_give_12_points(rng):
     config = GAConfig(
         population_size=30, stall_generations=5, generation_cap=15, seed=0
     )
-    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, skew_mode=SKEW_WEIGHTED,
-                   repeats=1)
+    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, repeats=1)
     assert len(result.points) == 12
     assert not result.failures
     grid = {(p.lam, p.theta) for p in result.points}
@@ -111,7 +110,7 @@ def test_sweep_degenerate_single_point(rng):
     model = random_risk_model(rng, 3)
     result = sweep(
         model, Bounds(0.0, 1.0), 3, small_ga_config(), lambda_grid=[1.0], theta_grid=[0.0],
-        skew_mode=SKEW_WEIGHTED, repeats=1,
+        repeats=1,
     )
     assert len(result.points) == 1
     assert result.points[0].lam == 1.0
@@ -121,7 +120,7 @@ def test_sweep_points_recompute_exactly(rng):
     model = random_risk_model(rng, 4)
     result = sweep(
         model, Bounds(0.05, 0.6), 3, small_ga_config(3),
-        lambda_grid=[1.0, 0.0], theta_grid=[0.0], skew_mode=SKEW_WEIGHTED,
+        lambda_grid=[1.0, 0.0], theta_grid=[0.0],
         repeats=2,
     )
     for p in result.points:
@@ -135,7 +134,7 @@ def test_sweep_records_failures_and_continues(rng):
     # K=11 floors sum above 1: every GA run refuses upfront
     result = sweep(
         model, Bounds(0.1, 0.3), 11, small_ga_config(),
-        lambda_grid=[1.0, 0.0], theta_grid=[0.0], skew_mode=SKEW_WEIGHTED,
+        lambda_grid=[1.0, 0.0], theta_grid=[0.0],
         repeats=1,
     )
     assert result.points == []
@@ -149,15 +148,14 @@ def test_sweep_refuses_zero_repeats(rng):
     model = random_risk_model(rng, 4)
     with pytest.raises(ConfigError, match="^repeats must be >= 1, got 0$"):
         sweep(model, Bounds(0.0, 1.0), 3, small_ga_config(), lambda_grid=[1.0, 0.0],
-              theta_grid=[0.0], skew_mode=SKEW_WEIGHTED, repeats=0)
+              theta_grid=[0.0], repeats=0)
 
 
 def test_sweep_theta_zero_endpoints_are_extremal(rng):
     model = random_risk_model(np.random.default_rng(123), 4)
     result = sweep(
         model, Bounds(0.0, 1.0), 4, small_ga_config(9),
-        lambda_grid=[1.0, 0.5, 0.0], theta_grid=[0.0],
-        skew_mode=SKEW_WEIGHTED, repeats=2,
+        lambda_grid=[1.0, 0.5, 0.0], theta_grid=[0.0], repeats=2,
     )
     by_lam = {p.lam: p for p in result.points}
     sigmas = [p.sigma_p for p in result.points]
@@ -171,7 +169,7 @@ def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
     config = GAConfig(population_size=24, stall_generations=4, generation_cap=30, seed=(5, 1))
     bounds = Bounds(0.05, 0.6)
     result = sweep(model, bounds, 3, config, lambda_grid=[1.0, 0.3], theta_grid=[0.0, 0.5],
-                   skew_mode=SKEW_WEIGHTED, repeats=3)
+                   repeats=3)
     assert len(result.runs) == 12
     for i, p in enumerate(result.points):
         li, ti = divmod(i, 2)
@@ -193,8 +191,7 @@ def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
 def test_sweep_under_a_tiny_time_limit_reports_time_stops(rng):
     model = random_risk_model(rng, 6)
     config = GAConfig(population_size=30, time_limit_seconds=1e-9, seed=0)
-    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, skew_mode=SKEW_WEIGHTED,
-                   repeats=2)
+    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, repeats=2)
     assert len(result.points) == 12
     assert {p.stop_reason for p in result.points} == {"time"}
     assert {run.stop_reason for run in result.runs} == {"time"}

@@ -20,6 +20,7 @@ from predfolio.ga_solver import (
     STEP_FLOOR,
     STEP_START,
     GAConfig,
+    RunStreams,
     adapt_steps,
     crossover,
     evolve,
@@ -151,7 +152,7 @@ def test_tournament_contenders_are_uniform_pairs():
 
 def test_crossover_identical_parents_fixed_point(rng):
     sel, raw = rows([3, 1, 4], dtype=int), rows([0.2, 0.5, 0.9])
-    child_sel, child_raw = crossover(sel, raw, sel, raw, rng, kind="two-point")
+    child_sel, child_raw = crossover(sel, raw, sel, raw, RunStreams([rng]), kind="two-point")
     np.testing.assert_array_equal(child_sel, sel)
     np.testing.assert_array_equal(child_raw, raw)
 
@@ -165,7 +166,7 @@ def test_crossover_disjoint_parents_follow_the_cut_pattern(k, c, seed, kind):
     assets = np.argsort(rng.random((c, 2 * k)), axis=1)
     sel_a, sel_b = assets[:, :k], assets[:, k:]
     raw_a, raw_b = rng.random((c, k)), rng.random((c, k))
-    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind)
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, RunStreams([rng]), kind)
     from_a, from_b = child_sel == sel_a, child_sel == sel_b
     # every kind: each slot holds A's or B's gene of that same slot
     assert np.all(from_a ^ from_b)
@@ -189,8 +190,8 @@ def test_crossover_shared_asset_raw_from_either_parent():
     sel_b = np.tile([7, 4, 5], (trials, 1))
     raw_a = np.tile([0.25, 0.2, 0.3], (trials, 1))
     raw_b = np.tile([0.75, 0.8, 0.9], (trials, 1))
-    rng = np.random.default_rng(11)
-    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind="two-point")
+    streams = RunStreams([np.random.default_rng(11)])
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, streams, kind="two-point")
     raw_of_7 = child_raw[child_sel == 7]
     assert np.all((raw_of_7 == 0.25) | (raw_of_7 == 0.75))
     from_a = int((raw_of_7 == 0.25).sum())
@@ -202,7 +203,7 @@ def test_crossover_child_subset_size_and_uniqueness(rng):
         sel_a = np.argsort(rng.random((300, 12)), axis=1)[:, :5]
         sel_b = np.argsort(rng.random((300, 12)), axis=1)[:, :5]
         child_sel, _ = crossover(sel_a, rng.random((300, 5)), sel_b, rng.random((300, 5)),
-                                 rng, kind=kind)
+                                 RunStreams([rng]), kind=kind)
         assert child_sel.shape == (300, 5)
         for child, a, b in zip(child_sel.tolist(), sel_a.tolist(), sel_b.tolist()):
             assert len(set(child)) == 5
@@ -213,7 +214,7 @@ def test_crossover_child_subset_size_and_uniqueness(rng):
 
 def test_mutate_zero_step_leaves_raw_unchanged(rng):
     sel, raw = rows([0, 1, 2], dtype=int), rows([0.2, 0.5, 0.8])
-    new_sel, new_raw = mutate(sel, raw, 0.0, rng, n_assets=6, swap_rate=0.0)
+    new_sel, new_raw = mutate(sel, raw, 0.0, RunStreams([rng]), n_assets=6, swap_rate=0.0)
     np.testing.assert_array_equal(new_raw, raw)
     np.testing.assert_array_equal(new_sel, sel)
 
@@ -241,7 +242,8 @@ def test_mutate_raw_stays_in_unit_box(rng):
     for k in range(1, 6):
         selection = np.argsort(rng.random((2000, 10)), axis=1)[:, :k]
         new_sel, new_raw = mutate(
-            selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), rng, n_assets=10,
+            selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), RunStreams([rng]),
+            n_assets=10,
             swap_rate=0.1,
         )
         assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
@@ -250,7 +252,7 @@ def test_mutate_raw_stays_in_unit_box(rng):
 
 def test_mutate_swap_introduces_non_member(rng):
     selection = np.tile([0, 1, 2], (2000, 1))
-    new_sel, _ = mutate(selection, np.tile([0.2, 0.5, 0.8], (2000, 1)), 0.0, rng,
+    new_sel, _ = mutate(selection, np.tile([0.2, 0.5, 0.8], (2000, 1)), 0.0, RunStreams([rng]),
                         n_assets=8, swap_rate=1.0)
     swapped = 0
     for row in new_sel.tolist():
@@ -285,7 +287,7 @@ BATCH_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 @given(parent_batches(), st.sampled_from(CROSSOVER_KINDS))
 def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
     _, sel_a, raw_a, sel_b, raw_b, rng = batch
-    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, rng, kind)
+    child_sel, child_raw = crossover(sel_a, raw_a, sel_b, raw_b, RunStreams([rng]), kind)
     assert child_sel.shape == child_raw.shape == sel_a.shape
     for i in range(len(sel_a)):
         raw_of_a = dict(zip(sel_a[i].tolist(), raw_a[i].tolist()))
@@ -301,7 +303,7 @@ def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
 @given(parent_batches(), st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5, 1.0]))
 def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
     n, selection, raw, _, _, rng = batch
-    new_sel, new_raw = mutate(selection, raw, step, rng, n, swap_rate)
+    new_sel, new_raw = mutate(selection, raw, step, RunStreams([rng]), n, swap_rate)
     assert new_sel.shape == new_raw.shape == selection.shape
     assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
     for old, new in zip(selection.tolist(), new_sel.tolist()):
@@ -480,18 +482,18 @@ BATCH_RUNS = [  # (lambda, theta, seed): mixed preferences, so runs stall apart
 ]
 
 
-@pytest.mark.parametrize("selection_kind,crossover_kind,skew_mode,bounds", [
-    ("roulette", "single-point", "weighted", Bounds(0.05, 0.5)),
-    ("tournament", "scattered", "weighted", Bounds(0.0, 1.0)),
-    ("uniform", "two-point", "literal", Bounds(0.1, 0.3)),
+@pytest.mark.parametrize("selection_kind,crossover_kind,bounds", [
+    ("roulette", "single-point", Bounds(0.05, 0.5)),
+    ("tournament", "scattered", Bounds(0.0, 1.0)),
+    ("uniform", "two-point", Bounds(0.1, 0.3)),
 ])
-def test_batched_runs_equal_standalone_runs(selection_kind, crossover_kind, skew_mode, bounds):
+def test_batched_runs_equal_standalone_runs(selection_kind, crossover_kind, bounds):
     model = random_risk_model(np.random.default_rng(8), 9)
     base = GAConfig(
         population_size=30, selection_kind=selection_kind, crossover_kind=crossover_kind,
         stall_generations=4, generation_cap=40,
     )
-    params = [ObjectiveParams(lam, theta, skew_mode) for lam, theta, _ in BATCH_RUNS]
+    params = [ObjectiveParams(lam, theta) for lam, theta, _ in BATCH_RUNS]
     configs = [replace(base, seed=seed) for _, _, seed in BATCH_RUNS]
     batched = evolve_batch(model, params, bounds, 4, configs)
     assert len(batched) == len(BATCH_RUNS)
@@ -621,7 +623,7 @@ def test_pooled_batches_equal_serial_batches(monkeypatch):
     def frontier_and_tune_runs(cpus):
         pools = on_cpus(monkeypatch, cpus)
         swept = frontier.sweep(model, Bounds(0.0, 0.6), 3, base, [1.0, 0.5, 0.0], [0.0, 0.5],
-                               "weighted", repeats=2)
+                               repeats=2)
         tuned = []
         taguchi.ga_runner(model, ObjectiveParams(0.8, 0.2), MIXED_BOUNDS, 3, base,
                           on_result=tuned.append)(jobs)
@@ -660,12 +662,9 @@ def test_error_in_a_worker_batch_reaches_the_caller(monkeypatch):
     }
 
 
-def test_evolve_batch_refuses_mixed_skew_modes_and_invalid_configs():
+def test_evolve_batch_refuses_invalid_configs():
     model = random_risk_model(np.random.default_rng(1), 6)
     params = [ObjectiveParams(0.5, 0.0)] * 2
-    with pytest.raises(ConfigError, match="skew mode"):
-        evolve_batch(model, [ObjectiveParams(0.5, 0.0, "literal"), params[0]], Bounds(), 3,
-                     [fast_config(seed=1), fast_config(seed=2)])
     with pytest.raises(ConfigError, match="2 objective params for 1 GA configs"):
         evolve_batch(model, params, Bounds(), 3, [fast_config()])
     # An invalid config cannot reach the batch: building or replacing one

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from predfolio import market_data
 from predfolio.errors import AlignmentError, InsufficientDataError, ParseError
-from predfolio.market_data import align_universe, compute_returns, load_prices
+from predfolio.market_data import WEEKDAYS, align_universe, compute_returns, load_prices
 
 from conftest import make_return_series, weekly_dates
 from oracles import align_universe_sets, load_prices_rowwise
@@ -377,7 +377,7 @@ def assert_matches_rowwise_oracle(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_text(Path(tmp) / "p.csv", text)
         with mock.patch.object(market_data, "_CHUNK_ROWS", chunk):
-            outcome = load_outcome(load_prices, path, weekday)
+            outcome = load_outcome(load_prices, path, list(WEEKDAYS)[weekday])
         assert outcome == load_outcome(load_prices_rowwise, path, weekday)
     return outcome
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from predfolio.errors import ConfigError, DimensionError
 from predfolio.objective import (
-    SKEW_LITERAL,
-    SKEW_WEIGHTED,
     Bounds,
     ObjectiveParams,
     decode_weights,
@@ -183,28 +181,6 @@ def test_mvs_cost_hand_value_weighted_mode():
     assert cost == pytest.approx(-0.0975, abs=1e-12)
 
 
-def test_mvs_cost_literal_mode_ignores_weights_within_subset():
-    model = simple_model()
-    params = ObjectiveParams(lam=0.0, theta=1.0, skew_mode="literal")
-    a = mvs_cost([0.5, 0.5], model, params, selection=[0, 1])
-    b = mvs_cost([0.9, 0.1], model, params, selection=[0, 1])
-    # only the return term varies; both pay the same full-subset skew term
-    assert a - b == pytest.approx(-(0.015 - 0.011), abs=1e-12)
-
-
-def test_mvs_cost_literal_mode_requires_selection(rng):
-    model = random_risk_model(rng, 3)
-    params = ObjectiveParams(lam=0.0, theta=1.0, skew_mode="literal")
-    # a selected asset can decode to weight zero, so the weights do not
-    # tell which assets were selected
-    weights = decode_one([0.0, 1.0, 1.0], np.zeros(3), np.ones(3))
-    assert weights[0] == 0.0
-    with pytest.raises(ConfigError):
-        mvs_cost(weights, model, params)
-    cost = mvs_cost(weights, model, params, selection=[0, 1, 2])
-    assert cost == pytest.approx(-weights @ model.mu - model.skew.sum(), abs=1e-12)
-
-
 def test_mvs_cost_term_collapse_exact(rng):
     for _ in range(1000):
         m = int(rng.integers(2, 6))
@@ -236,8 +212,6 @@ def test_objective_params_validation():
         ObjectiveParams(lam=1.2, theta=0.0)
     with pytest.raises(ConfigError):
         ObjectiveParams(lam=0.5, theta=-0.1)
-    with pytest.raises(ConfigError):
-        ObjectiveParams(lam=0.5, theta=0.0, skew_mode="tensor")
 
 
 # ------------------------------------------------------------ penalized cost
@@ -248,7 +222,7 @@ def test_penalized_cost_feasible_equals_mvs(rng):
     bounds = Bounds(0.1, 0.3)
     raw = rng.random(5)
     cost, weights = cost_one(np.arange(5), raw, model, params, bounds)
-    assert cost == mvs_cost(weights, model, params, selection=np.arange(5))
+    assert cost == mvs_cost(weights, model, params)
     assert abs(weights.sum() - 1.0) <= 1e-9
 
 
@@ -324,11 +298,10 @@ def test_batched_decode_sums_to_one_within_bounds(batch):
 
 
 @BATCH_SETTINGS
-@given(chromosome_batches(), st.sampled_from([SKEW_WEIGHTED, SKEW_LITERAL]),
-       st.sampled_from([0.0, 10.0]))
-def test_batched_cost_is_mvs_cost_plus_penalty(batch, skew_mode, factor):
+@given(chromosome_batches(), st.sampled_from([0.0, 10.0]))
+def test_batched_cost_is_mvs_cost_plus_penalty(batch, factor):
     model, bounds, selection, raw = batch
-    params = ObjectiveParams(lam=0.6, theta=0.3, skew_mode=skew_mode)
+    params = ObjectiveParams(lam=0.6, theta=0.3)
     costs, weights = penalized_cost(selection, raw, model, params, bounds, factor)
     eps_q, dlt_q = bounds.for_selection(selection, model.n_assets)
     floor_total, cap_total = eps_q.sum(axis=1), dlt_q.sum(axis=1)
@@ -338,5 +311,5 @@ def test_batched_cost_is_mvs_cost_plus_penalty(batch, skew_mode, factor):
         full = np.zeros(model.n_assets)
         full[selection[r]] = weights[r]
         assert abs(full.sum() - 1.0) <= 1e-9
-        expected = mvs_cost(full, model, params, selection=selection[r]) + penalty[r]
+        expected = mvs_cost(full, model, params) + penalty[r]
         assert costs[r] == pytest.approx(expected, rel=0, abs=1e-12)

@@ -98,10 +98,6 @@ def test_split_series_too_short_errors():
 def test_config_validation():
     with pytest.raises(ConfigError):
         PredictorConfig(delay=0)
-    with pytest.raises(ConfigError):
-        PredictorConfig(train_frac=0.85, val_frac=0.15)
-    with pytest.raises(ConfigError):
-        PredictorConfig(val_frac=0)
     # replace re-runs the check
     with pytest.raises(ConfigError, match="^delay must be >= 1, got 0$"):
         replace(PredictorConfig(), delay=0)
