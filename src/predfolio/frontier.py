@@ -114,26 +114,18 @@ def sweep(
 
 
 def efficient_filter(points: Sequence[FrontierPoint]) -> list[FrontierPoint]:
-    """Non-dominated theta=0 points, sorted by portfolio risk.
+    """Non-dominated theta=0 points, sorted by ``(sigma_p, -mu_p)``.
 
     A point is dominated when another has risk <= and return >= with at
     least one strict; exact duplicates survive together.
     """
     candidates = [p for p in points if p.theta == 0.0]
-    if not candidates:
-        return []
-    ordered = sorted(candidates, key=lambda p: (p.sigma_p, -p.mu_p))
-    kept: list[FrontierPoint] = []
-    best_mu_lower = -np.inf
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].sigma_p == ordered[i].sigma_p:
-            j += 1
-        group = ordered[i:j]
-        group_max = max(p.mu_p for p in group)
-        if group_max > best_mu_lower:
-            kept.extend(p for p in group if p.mu_p == group_max)
-            best_mu_lower = group_max
-        i = j
-    return kept
+    kept = [
+        p for p in candidates
+        if not any(
+            q.sigma_p <= p.sigma_p and q.mu_p >= p.mu_p
+            and (q.sigma_p < p.sigma_p or q.mu_p > p.mu_p)
+            for q in candidates
+        )
+    ]
+    return sorted(kept, key=lambda p: (p.sigma_p, -p.mu_p))

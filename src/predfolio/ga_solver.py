@@ -150,56 +150,37 @@ def init_population(
     return selection, rng.random((size, k))
 
 
-def _rank_probabilities(costs: np.ndarray) -> np.ndarray:
-    """Linear rank weights: the lowest cost gets weight P, the highest 1."""
-    n = len(costs)
-    order = np.argsort(costs, kind="stable")
-    weights = np.empty(n)
-    weights[order] = np.arange(n, 0, -1, dtype=float)
-    return weights / weights.sum()
-
-
 def selection_probabilities(costs: np.ndarray, kind: str) -> np.ndarray:
-    """Roulette (linear rank) or uniform selection probabilities over a
-    population's ``(P,)`` costs."""
+    """Roulette or uniform selection probabilities over a population's
+    ``(P,)`` costs. Roulette weighs by linear rank: the lowest cost gets
+    weight P and the highest 1, equal costs in index order."""
     if not np.isfinite(costs).all():
         raise ConfigError("selection requires finite fitness for every chromosome")
+    n = len(costs)
     if kind == "roulette":
-        return _rank_probabilities(costs)
+        weights = np.empty(n)
+        weights[np.argsort(costs, kind="stable")] = np.arange(n, 0, -1, dtype=float)
+        return weights / weights.sum()
     if kind == "uniform":
-        return np.full(len(costs), 1.0 / len(costs))
+        return np.full(n, 1.0 / n)
     raise ConfigError(f"no selection probabilities for kind {kind!r}")
 
 
-def tournament_contenders(
-    p: int, n: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``(n, size)`` distinct member indices per tournament, sorted per row,
-    for ``size < p``. The j-th contender is drawn uniformly among the
-    ``p - j`` members not yet drawn: a draw below ``p - j`` is shifted past
-    each earlier pick, in ascending order, that it reaches."""
-    picked = np.empty((n, 0), dtype=np.int64)
-    for j in range(size):
-        pick = rng.integers(p - j, size=n)
-        for i in range(j):
-            pick += pick >= picked[:, i]
-        picked = np.sort(np.column_stack([picked, pick]), axis=1)
-    return picked
-
-
-def tournament_select(
-    costs: np.ndarray, n: int, rng: np.random.Generator, tournament_size: int
-) -> np.ndarray:
-    """Indices of ``n`` tournament winners: each tournament holds
-    ``tournament_size`` distinct contenders and keeps the cheapest (the
-    lowest index among equally cheap ones). A tournament as large as the
-    population holds all of it, so the global argmin wins and nothing is
-    drawn."""
+def tournament_select(costs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``n`` tournament winners: each tournament holds two
+    distinct members, a uniformly drawn pair, and keeps the cheaper (the
+    lower index when both cost the same). The second member is drawn among
+    the ``p - 1`` members left, a draw at or past the first shifted up by
+    one. A population no larger than ``TOURNAMENT_SIZE`` is one tournament,
+    so its argmin wins and nothing is drawn."""
     p = len(costs)
-    if tournament_size >= p:
+    if p <= TOURNAMENT_SIZE:
         return np.full(n, int(costs.argmin()))
-    contenders = tournament_contenders(p, n, tournament_size, rng)
-    return contenders[np.arange(n), np.argmin(costs[contenders], axis=1)]
+    first = rng.integers(p, size=n)
+    second = rng.integers(p - 1, size=n)
+    second += second >= first
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    return np.where(costs[high] < costs[low], high, low)
 
 
 def select_parents(
@@ -211,7 +192,7 @@ def select_parents(
     a tournament holds ``TOURNAMENT_SIZE`` contenders.
     """
     if kind == "tournament":
-        return tournament_select(costs, n, rng, TOURNAMENT_SIZE)
+        return tournament_select(costs, n, rng)
     cdf = np.cumsum(selection_probabilities(costs, kind))
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(costs) - 1)
 
@@ -341,13 +322,12 @@ def mutate(
     step_length: float | np.ndarray,
     streams: RunStreams,
     n_assets: int,
-    swap_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step each row along a random unit direction in allocation space and
-    clamp to [0, 1]; in a ``swap_rate`` share of rows, swap one selected
-    asset for a uniformly drawn non-member. ``step_length`` is one number
-    or a ``(C, 1)`` column, one per row. The rows are stacked run by run,
-    one run per generator of ``streams``."""
+    clamp to [0, 1]; in a ``MUTATION_SWAP_RATE`` share of rows, swap one
+    selected asset for a uniformly drawn non-member. ``step_length`` is one
+    number or a ``(C, 1)`` column, one per row. The rows are stacked run by
+    run, one run per generator of ``streams``."""
     c, k = raw.shape
     rows = c // len(streams.rngs)
     direction = streams.standard_normal(rows, k)
@@ -356,7 +336,7 @@ def mutate(
 
     selection = selection.copy()
     if n_assets > k:
-        swap = streams.random(rows) < swap_rate
+        swap = streams.random(rows) < MUTATION_SWAP_RATE
         swapped = np.flatnonzero(swap)
         per_run = swap.reshape(len(streams.rngs), rows).sum(axis=1)
         position = streams.integers(0, k, per_run)
@@ -561,9 +541,7 @@ def _evolve_together(
             streams, config.crossover_kind,
         )
         step_lengths = np.repeat(steps[active], n_children)
-        child_sel, child_raw = mutate(
-            child_sel, child_raw, step_lengths[:, None], streams, m, MUTATION_SWAP_RATE
-        )
+        child_sel, child_raw = mutate(child_sel, child_raw, step_lengths[:, None], streams, m)
         child_costs = score(child_sel, child_raw, active, n_children)[0]
 
         within, positions, children = truncate(

@@ -129,22 +129,11 @@ def best_linear_portfolio(mu, eps: float, dlt: float):
     return float(returns[idx]), vertices[idx]
 
 
-def dominance_scan(points):
-    """Brute-force O(n^2) removal of dominated (sigma_p, mu_p) points."""
-    kept = []
-    for p in points:
-        dominated = False
-        for q in points:
-            if q is p:
-                continue
-            if q.sigma_p <= p.sigma_p and q.mu_p >= p.mu_p and (
-                q.sigma_p < p.sigma_p or q.mu_p > p.mu_p
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(p)
-    return sorted(kept, key=lambda p: (p.sigma_p, -p.mu_p))
+def dominates(q, p) -> bool:
+    """Whether frontier point ``q`` has risk <= and return >= ``p``'s, with
+    at least one strict."""
+    return (q.sigma_p <= p.sigma_p and q.mu_p >= p.mu_p
+            and (q.sigma_p < p.sigma_p or q.mu_p > p.mu_p))
 
 
 def pairwise_covariance_loops(errors: np.ndarray) -> np.ndarray:
@@ -177,6 +166,25 @@ def truncate_by_scan(costs, child_costs):
     evicted = [i for i in range(p) if i not in kept_members]
     assert len(evicted) == len(kept_children)
     return dict(zip(evicted, kept_children))
+
+
+def tournament_by_scan(costs, n: int, rng: np.random.Generator) -> list[int]:
+    """Winners of ``n`` two-member tournaments, one pair at a time: the
+    first member uniform over all ``p``, the second uniform over the other
+    ``p - 1`` (a draw at or past the first moves up one), and the winner the
+    smaller ``(cost, index)``. With ``p <= 2`` the argmin always wins and
+    nothing is drawn. The draws are made in the shapes the GA makes them,
+    so a same-seeded generator ends in the same state."""
+    p = len(costs)
+    if p <= 2:
+        return [int(np.argmin(costs))] * n
+    firsts = rng.integers(p, size=n).tolist()
+    seconds = rng.integers(p - 1, size=n).tolist()
+    winners = []
+    for first, second in zip(firsts, seconds):
+        pair = (first, second + (second >= first))
+        winners.append(min(pair, key=lambda i: (costs[i], i)))
+    return winners
 
 
 def jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:

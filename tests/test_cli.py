@@ -209,6 +209,28 @@ def test_ingest_missing_file_fails_with_path(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mistake", [
+    "config is a directory", "prices_path is a directory", "out is an existing file",
+])
+def test_a_path_mistake_gives_one_error_line_and_writes_nothing(tmp_path, capsys, mistake):
+    folder, taken = tmp_path / "folder", tmp_path / "taken"
+    folder.mkdir()
+    taken.write_text("kept\n", encoding="utf-8")
+    prices = folder if mistake == "prices_path is a directory" else make_demo_prices(tmp_path)
+    config = write_config(tmp_path, prices, tmp_path / "out")
+    argv, offender = {
+        "config is a directory": (["ingest", "--config", str(folder)], folder),
+        "prices_path is a directory": (["ingest", "--config", config], folder),
+        "out is an existing file": (["ingest", "--config", config, "--out", str(taken)], taken),
+    }[mistake]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(offender) in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_ingest_refuses_a_price_file_that_is_not_utf8(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     prices.write_bytes(b"date,asset,close\n2024-01-01,AAA,100\n2024-01-08,AAA,1\xff0\n")

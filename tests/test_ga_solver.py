@@ -15,6 +15,7 @@ from predfolio import frontier, ga_solver, taguchi
 from predfolio.errors import ConfigError, InfeasibleBoundsError
 from predfolio.ga_solver import (
     CROSSOVER_KINDS,
+    MUTATION_SWAP_RATE,
     SELECTION_KINDS,
     STEP_CEILING,
     STEP_FLOOR,
@@ -29,7 +30,6 @@ from predfolio.ga_solver import (
     mutate,
     selection_probabilities,
     stop_summary,
-    tournament_contenders,
     tournament_select,
     truncate,
 )
@@ -37,7 +37,7 @@ from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.risk_model import RiskModel
 
 from conftest import random_risk_model
-from oracles import best_linear_portfolio, grid_search_mvs, truncate_by_scan
+from oracles import best_linear_portfolio, grid_search_mvs, tournament_by_scan, truncate_by_scan
 
 
 def rows(*values, dtype=float) -> np.ndarray:
@@ -117,35 +117,28 @@ def test_roulette_equal_costs_near_uniform():
 
 
 def test_tournament_prefers_cheaper(rng):
-    picks = tournament_select(np.array([0.0, 9.0]), 200, rng, tournament_size=2)
+    picks = tournament_select(np.array([0.0, 9.0]), 200, rng)
     assert np.all(picks == 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.integers(1, 12), st.integers(1, 40), st.integers(1, 14), st.integers(0, 2**32 - 1),
-)
-def test_tournament_contenders_are_distinct_and_the_cheapest_wins(p, n, size, seed):
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_tournament_select_matches_a_pair_by_pair_reference(p, n, seed):
     # integer costs over few values, so equally cheap contenders are common
     costs = np.random.default_rng(seed).integers(0, 4, size=p).astype(float)
-    winners = tournament_select(costs, n, np.random.default_rng(seed), tournament_size=size)
-    if size >= p:
-        assert np.all(winners == np.argmin(costs))
-        return
-    contenders = tournament_contenders(p, n, size, np.random.default_rng(seed))
-    assert contenders.shape == (n, size)
-    assert np.all((contenders >= 0) & (contenders < p))
-    assert np.all(np.diff(contenders, axis=1) > 0)  # sorted, hence distinct
-    for row, winner in zip(contenders.tolist(), winners.tolist()):
-        assert winner == min(row, key=lambda i: (costs[i], i))
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert tournament_select(costs, n, rng).tolist() == tournament_by_scan(costs, n, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_tournament_contenders_are_uniform_pairs():
-    # every unordered pair of 4 members is equally likely
-    contenders = tournament_contenders(4, 60_000, 2, np.random.default_rng(0))
-    _, counts = np.unique(contenders[:, 0] * 4 + contenders[:, 1], return_counts=True)
-    assert len(counts) == 6
-    np.testing.assert_allclose(counts / 60_000, 1 / 6, atol=0.01)
+def test_tournament_winners_by_rank():
+    # Each of the 6 pairs of 4 distinct costs is equally likely, so the
+    # cheapest member wins 3 of them, the next 2, the third 1, the dearest 0.
+    costs = np.array([3.0, 1.0, 4.0, 2.0])
+    winners = tournament_select(costs, 60_000, np.random.default_rng(0))
+    ranks = np.argsort(np.argsort(costs))
+    shares = np.bincount(ranks[winners], minlength=4) / 60_000
+    np.testing.assert_allclose(shares, [1 / 2, 1 / 3, 1 / 6, 0], atol=0.01)
 
 
 # -------------------------------------------------------------- crossover
@@ -214,9 +207,8 @@ def test_crossover_child_subset_size_and_uniqueness(rng):
 
 def test_mutate_zero_step_leaves_raw_unchanged(rng):
     sel, raw = rows([0, 1, 2], dtype=int), rows([0.2, 0.5, 0.8])
-    new_sel, new_raw = mutate(sel, raw, 0.0, RunStreams([rng]), n_assets=6, swap_rate=0.0)
+    _, new_raw = mutate(sel, raw, 0.0, RunStreams([rng]), n_assets=6)
     np.testing.assert_array_equal(new_raw, raw)
-    np.testing.assert_array_equal(new_sel, sel)
 
 
 def test_adaptive_step_schedule():
@@ -244,7 +236,6 @@ def test_mutate_raw_stays_in_unit_box(rng):
         new_sel, new_raw = mutate(
             selection, rng.random((2000, k)), float(rng.uniform(0, 0.5)), RunStreams([rng]),
             n_assets=10,
-            swap_rate=0.1,
         )
         assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
         assert all(len(set(row)) == k for row in new_sel.tolist())
@@ -253,14 +244,15 @@ def test_mutate_raw_stays_in_unit_box(rng):
 def test_mutate_swap_introduces_non_member(rng):
     selection = np.tile([0, 1, 2], (2000, 1))
     new_sel, _ = mutate(selection, np.tile([0.2, 0.5, 0.8], (2000, 1)), 0.0, RunStreams([rng]),
-                        n_assets=8, swap_rate=1.0)
+                        n_assets=8)
     swapped = 0
     for row in new_sel.tolist():
         new = set(row) - {0, 1, 2}
         if new:
             swapped += 1
-            assert new <= {3, 4, 5, 6, 7}
-    assert swapped == 2000
+            assert len(new) == 1 and new <= {3, 4, 5, 6, 7}
+    # a binomial(2000, 0.1) count: 200 with a standard deviation of about 13
+    assert swapped / 2000 == pytest.approx(MUTATION_SWAP_RATE, abs=0.03)
 
 
 # ---------------------------------------------------- batched operators
@@ -300,10 +292,10 @@ def test_crossover_rows_hold_k_unique_assets_of_the_union(batch, kind):
 
 
 @BATCH_SETTINGS
-@given(parent_batches(), st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5, 1.0]))
-def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step, swap_rate):
+@given(parent_batches(), st.floats(0.0, 0.5))
+def test_mutate_rows_keep_k_unique_assets_and_unit_raws(batch, step):
     n, selection, raw, _, _, rng = batch
-    new_sel, new_raw = mutate(selection, raw, step, RunStreams([rng]), n, swap_rate)
+    new_sel, new_raw = mutate(selection, raw, step, RunStreams([rng]), n)
     assert new_sel.shape == new_raw.shape == selection.shape
     assert np.all((new_raw >= 0.0) & (new_raw <= 1.0))
     for old, new in zip(selection.tolist(), new_sel.tolist()):
