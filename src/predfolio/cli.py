@@ -152,8 +152,10 @@ class RunConfig:
             for theta in self["theta_grid"]:
                 ObjectiveParams(lam, theta)
         market_data.parse_weekday(self["sampling_weekday"])
-        for key, low in (("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1)):
-            if self[key] < low:
+        for key, low in (
+            ("seed", 0), ("k", 1), ("tune_replicates", 1), ("frontier_repeats", 1), ("min_length", 1)
+        ):
+            if self[key] is not None and self[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {self[key]}")
 
     def __getitem__(self, key: str):

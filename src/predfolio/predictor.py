@@ -67,14 +67,13 @@ class PredictorConfig:
 
 @dataclass
 class SupervisedSplit:
-    """Lag-window samples with chronological train/val/test labels."""
+    """Lag-window samples in time order: the first ``n_train`` train, the
+    next ``n_val`` validate, and the rest test."""
 
     inputs: np.ndarray   # (n, delay), oldest lag first
     targets: np.ndarray  # (n,)
-    labels: np.ndarray   # (n,) strings from {train, val, test}
-
-    def mask(self, label: str) -> np.ndarray:
-        return self.labels == label
+    n_train: int
+    n_val: int
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -85,26 +84,14 @@ class TrainedPredictor:
     """Fitted network parameters for one asset."""
 
     asset: str
-    input_weights: np.ndarray   # (hidden, delay)
-    hidden_bias: np.ndarray     # (hidden,)
-    output_weights: np.ndarray  # (hidden,)
-    output_bias: float
+    parameters: np.ndarray  # flat, in the order :func:`_unpack` reads
+    delay: int
+    hidden_units: int
     best_val_loss: float
     epochs_run: int
     # how training stopped: "gradient", "no-accepted-step", "ftol",
     # "max-fail" or "max-epochs"
     stop_reason: str
-
-    @property
-    def delay(self) -> int:
-        return self.input_weights.shape[1]
-
-    @property
-    def hidden_units(self) -> int:
-        return self.input_weights.shape[0]
-
-    def flat(self) -> np.ndarray:
-        return _pack(self.input_weights, self.hidden_bias, self.output_weights, self.output_bias)
 
     def to_dict(self) -> dict:
         return {
@@ -113,12 +100,12 @@ class TrainedPredictor:
             "delay": self.delay,
             "hidden_units": self.hidden_units,
             "shapes": {
-                "input_weights": list(self.input_weights.shape),
+                "input_weights": [self.hidden_units, self.delay],
                 "hidden_bias": [self.hidden_units],
                 "output_weights": [self.hidden_units],
                 "output_bias": [],
             },
-            "parameters": [float(v) for v in self.flat()],
+            "parameters": [float(v) for v in self.parameters],
             "best_val_loss": float(self.best_val_loss),
             "epochs_run": int(self.epochs_run),
             "stop_reason": self.stop_reason,
@@ -143,20 +130,22 @@ class PredictionRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PredictionRecord":
-        return cls(
+        """Decode a record, refusing ragged series or non-finite values."""
+        record = cls(
             asset=data["asset"],
             real=np.asarray(data["real"], dtype=float),
             predicted=np.asarray(data["predicted"], dtype=float),
             split_labels=np.asarray(data["split_labels"], dtype=object),
         )
+        if not len(record.real) == len(record.predicted) == len(record.split_labels):
+            raise ValueError(f"{record.asset!r}: real, predicted and split_labels differ in length")
+        if not (np.isfinite(record.real).all() and np.isfinite(record.predicted).all()):
+            raise ValueError(f"{record.asset!r}: non-finite value in real or predicted")
+        return record
 
 
 def _n_params(delay: int, hidden: int) -> int:
     return hidden * delay + hidden + hidden + 1
-
-
-def _pack(w_in, b_h, w_out, b_out) -> np.ndarray:
-    return np.concatenate([np.ravel(w_in), np.ravel(b_h), np.ravel(w_out), [b_out]])
 
 
 def _unpack(theta: np.ndarray, delay: int, hidden: int):
@@ -169,28 +158,23 @@ def _unpack(theta: np.ndarray, delay: int, hidden: int):
 
 
 def _init_flat(delay: int, hidden: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform [-0.5, 0.5] scaled by 1/sqrt(fan-in) per layer."""
-    in_scale = 1.0 / np.sqrt(delay)
-    out_scale = 1.0 / np.sqrt(hidden)
-    w_in = rng.uniform(-0.5, 0.5, size=(hidden, delay)) * in_scale
-    b_h = rng.uniform(-0.5, 0.5, size=hidden) * in_scale
-    w_out = rng.uniform(-0.5, 0.5, size=hidden) * out_scale
-    b_out = rng.uniform(-0.5, 0.5) * out_scale
-    return _pack(w_in, b_h, w_out, b_out)
-
-
-def _forward_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:
-    w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
-    hidden_act = np.tanh(inputs @ w_in.T + b_h)
-    return hidden_act @ w_out + b_out
+    """Uniform [-0.5, 0.5] scaled by 1/sqrt(fan-in) per layer, drawn in
+    :func:`_unpack` order."""
+    hidden_layer = hidden * delay + hidden
+    scale = np.repeat([1.0 / np.sqrt(delay), 1.0 / np.sqrt(hidden)], [hidden_layer, hidden + 1])
+    return rng.uniform(-0.5, 0.5, size=hidden_layer + hidden + 1) * scale
 
 
 def _hidden_layer(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int):
-    """Hidden activations and the output-weighted tanh slope ("gate"), each
-    ``(n, hidden)``."""
-    w_in, b_h, w_out, _ = _unpack(theta, delay, hidden)
+    """The forward pass: hidden activations and the output-weighted tanh
+    slope ("gate"), each ``(n, hidden)``, and the output, ``(n,)``."""
+    w_in, b_h, w_out, b_out = _unpack(theta, delay, hidden)
     hidden_act = np.tanh(inputs @ w_in.T + b_h)
-    return hidden_act, (1.0 - hidden_act**2) * w_out
+    return hidden_act, (1.0 - hidden_act**2) * w_out, hidden_act @ w_out + b_out
+
+
+def _forward_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int) -> np.ndarray:
+    return _hidden_layer(theta, inputs, delay, hidden)[2]
 
 
 def _jacobian_rows(hidden_act, gate, inputs) -> np.ndarray:
@@ -198,7 +182,7 @@ def _jacobian_rows(hidden_act, gate, inputs) -> np.ndarray:
     hidden layer on ``inputs`` (see :func:`_hidden_layer`).
 
     Residuals are ``prediction - target``, so this is also the residual
-    Jacobian; column order matches :func:`_pack`. Row ``i`` is
+    Jacobian; column order matches :func:`_unpack`. Row ``i`` is
     ``[gate_i (x) inputs_i, gate_i, hidden_act_i, 1]``.
     """
     n = inputs.shape[0]
@@ -258,9 +242,9 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
     """Window a return series into (lags -> next return) samples.
 
     The first ``delay`` returns are consumed as lags only; the remaining
-    samples are labelled chronologically train, then validation, then test
-    in shares ``_TRAIN_FRAC``, ``_VAL_FRAC`` and the rest (each partition
-    gets at least one sample).
+    samples split chronologically into train, validation and test in
+    shares ``_TRAIN_FRAC``, ``_VAL_FRAC`` and the rest (each partition gets
+    at least one sample).
     """
     returns = np.asarray(series, dtype=float)
     d = config.delay
@@ -275,11 +259,7 @@ def split_series(series, config: PredictorConfig) -> SupervisedSplit:
 
     n_train = min(max(int(round(_TRAIN_FRAC * n)), 1), n - 2)
     n_val = min(max(int(round(_VAL_FRAC * n)), 1), n - n_train - 1)
-    labels = np.empty(n, dtype=object)
-    labels[:n_train] = TRAIN
-    labels[n_train : n_train + n_val] = VAL
-    labels[n_train + n_val :] = TEST
-    return SupervisedSplit(inputs=inputs, targets=targets, labels=labels)
+    return SupervisedSplit(inputs=inputs, targets=targets, n_train=n_train, n_val=n_val)
 
 
 def train_arnn(
@@ -318,19 +298,19 @@ def train_arnn(
         raise DimensionError(
             f"split built with delay {split.inputs.shape[1]}, config says {d}"
         )
-    x_train, y_train = split.inputs[split.mask(TRAIN)], split.targets[split.mask(TRAIN)]
-    x_val, y_val = split.inputs[split.mask(VAL)], split.targets[split.mask(VAL)]
-    if len(y_train) < 1 or len(y_val) < 1:
+    if split.n_train < 1 or split.n_val < 1:
         raise InsufficientDataError("need at least one training and one validation sample")
+    train, val = slice(split.n_train), slice(split.n_train, split.n_train + split.n_val)
+    x_train, y_train = split.inputs[train], split.targets[train]
+    x_val, y_val = split.inputs[val], split.targets[val]
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     theta = _init_flat(d, h, rng)
     lag_gram = _lag_gram(x_train, d, h)
 
     def evaluate(params, x, y):
-        hidden_act, gate = _hidden_layer(params, x, d, h)
-        _, _, w_out, b_out = _unpack(params, d, h)
-        r = hidden_act @ w_out + b_out - y
+        hidden_act, gate, output = _hidden_layer(params, x, d, h)
+        r = output - y
         return (hidden_act, gate, r), float(r @ r)
 
     network, loss = evaluate(theta, x_train, y_train)
@@ -365,8 +345,6 @@ def train_arnn(
             stop_reason = "no-accepted-step"
             break
         epochs_run = epoch
-        if not np.isfinite(loss):
-            raise TrainingError("training loss became non-finite", epoch=epoch)
 
         _, val_loss = evaluate(theta, x_val, y_val)
         if not np.isfinite(val_loss):
@@ -386,13 +364,11 @@ def train_arnn(
             stop_reason = "max-fail"
             break
 
-    w_in, b_h, w_out, b_out = _unpack(best_theta, d, h)
     return TrainedPredictor(
         asset=asset,
-        input_weights=w_in,
-        hidden_bias=b_h,
-        output_weights=w_out,
-        output_bias=b_out,
+        parameters=best_theta,
+        delay=d,
+        hidden_units=h,
         best_val_loss=best_val,
         epochs_run=epochs_run,
         stop_reason=stop_reason,
@@ -404,7 +380,7 @@ def rolling_predict(predictor: TrainedPredictor, split: SupervisedSplit) -> Pred
 
     The windows are the split's (no feedback of predictions), so ``real``,
     ``predicted`` and ``errors`` all have one entry per sample of the
-    split, and its labels are carried through.
+    split, labelled by the part of the split it falls in.
     """
     if split.inputs.shape[1] != predictor.delay:
         raise DimensionError(
@@ -412,11 +388,12 @@ def rolling_predict(predictor: TrainedPredictor, split: SupervisedSplit) -> Pred
             f" split built with delay {split.inputs.shape[1]}"
         )
     predicted = _forward_flat(
-        predictor.flat(), split.inputs, predictor.delay, predictor.hidden_units
+        predictor.parameters, split.inputs, predictor.delay, predictor.hidden_units
     )
+    n_test = len(split) - split.n_train - split.n_val
     return PredictionRecord(
         asset=predictor.asset,
         real=split.targets,
         predicted=predicted,
-        split_labels=split.labels,
+        split_labels=np.repeat([TRAIN, VAL, TEST], [split.n_train, split.n_val, n_test]),
     )

@@ -43,6 +43,9 @@ class RiskModel:
         return len(self.assets)
 
     def validate(self) -> None:
+        for name in ("mu", "sigma", "skew"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise EstimationError(f"risk model has a non-finite {name}")
         m = self.n_assets
         if self.mu.shape != (m,) or self.skew.shape != (m,) or self.sigma.shape != (m, m):
             raise EstimationError("risk model vector/matrix sizes disagree")

@@ -191,27 +191,42 @@ def jacobian_flat(theta: np.ndarray, inputs: np.ndarray, delay: int, hidden: int
     """The network's analytic Jacobian at parameters ``theta``, one row per
     sample, as the LM step forms it (``predictor._jacobian_rows``), for
     comparison against finite differences."""
-    return _jacobian_rows(*_hidden_layer(theta, inputs, delay, hidden), inputs)
+    hidden_act, gate, _ = _hidden_layer(theta, inputs, delay, hidden)
+    return _jacobian_rows(hidden_act, gate, inputs)
+
+
+def init_flat_by_layer(delay: int, hidden: int, rng: np.random.Generator) -> np.ndarray:
+    """The network's initial parameters drawn one layer at a time: each
+    weight and bias uniform on [-0.5, 0.5] times 1/sqrt of its layer's
+    fan-in, concatenated in ``predictor._unpack`` order."""
+    in_scale = 1.0 / np.sqrt(delay)
+    out_scale = 1.0 / np.sqrt(hidden)
+    w_in = rng.uniform(-0.5, 0.5, size=(hidden, delay)) * in_scale
+    b_h = rng.uniform(-0.5, 0.5, size=hidden) * in_scale
+    w_out = rng.uniform(-0.5, 0.5, size=hidden) * out_scale
+    b_out = rng.uniform(-0.5, 0.5) * out_scale
+    return np.concatenate([w_in.ravel(), b_h, w_out, [b_out]])
 
 
 def trained_predictor_from_dict(data: dict) -> TrainedPredictor:
-    """Decode a ``predictors.json`` entry, slicing the flat parameters by
-    the shapes the dump records."""
+    """Decode a ``predictors.json`` entry, checking that the shapes the dump
+    records account for every flat parameter."""
     assert data["version"] == 1
+    delay, hidden = data["delay"], data["hidden_units"]
     shapes = data["shapes"]
+    assert shapes == {
+        "input_weights": [hidden, delay],
+        "hidden_bias": [hidden],
+        "output_weights": [hidden],
+        "output_bias": [],
+    }
     theta = np.asarray(data["parameters"], dtype=float)
-    parts, start = [], 0
-    for name in ("input_weights", "hidden_bias", "output_weights", "output_bias"):
-        size = int(np.prod(shapes[name]))
-        parts.append(theta[start:start + size].reshape(shapes[name]))
-        start += size
-    assert start == len(theta)
+    assert sum(int(np.prod(shape)) for shape in shapes.values()) == len(theta)
     return TrainedPredictor(
         asset=data["asset"],
-        input_weights=parts[0],
-        hidden_bias=parts[1],
-        output_weights=parts[2],
-        output_bias=float(parts[3]),
+        parameters=theta,
+        delay=delay,
+        hidden_units=hidden,
         best_val_loss=data["best_val_loss"],
         epochs_run=data["epochs_run"],
         stop_reason=data["stop_reason"],

@@ -10,12 +10,15 @@ import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 import predfolio
-from predfolio.cli import CONFIG_DEFAULTS, RunConfig, _read_config_file, _write_json, main
+from predfolio.cli import (
+    CONFIG_DEFAULTS, STAGE_ARTIFACTS, RunConfig, _read_config_file, _write_json, main
+)
 from predfolio.errors import ConfigError
 from predfolio.ga_solver import GAConfig
 from predfolio.predictor import PredictorConfig
@@ -299,6 +302,52 @@ def test_stage_order_enforced(pipeline, capsys):
     assert "ingest" in err
 
 
+class Edit(NamedTuple):
+    """A change to the JSON artifact the pipeline wrote, and what the error
+    that refuses the changed file must say."""
+
+    change: Callable[[dict], None]
+    says: str
+
+
+def _first_record(data: dict) -> dict:
+    return next(iter(data["records"].values()))
+
+
+def _drop_last_prediction(data: dict) -> None:
+    _first_record(data)["predicted"].pop()
+
+
+def _nan_in_record(key: str):
+    def change(data: dict) -> None:
+        _first_record(data)[key][1] = float("nan")
+    return change
+
+
+def _nan_in_model(key: str):
+    def change(data: dict) -> None:
+        data[key][1] = float("nan")
+    return change
+
+
+EDITS = [
+    pytest.param(stage, artifact, Edit(change, says), id=f"{stage}-{artifact}-{name}")
+    for stage, artifact, name, change, says in [
+        ("risk", "predictions.json", "short-predicted", _drop_last_prediction,
+         "real, predicted and split_labels differ in length"),
+        ("risk", "predictions.json", "nan-predicted", _nan_in_record("predicted"), "non-finite"),
+        ("risk", "predictions.json", "nan-real", _nan_in_record("real"), "non-finite"),
+        ("metrics", "predictions.json", "nan-predicted", _nan_in_record("predicted"),
+         "non-finite"),
+        *[
+            (stage, "risk_model.json", f"nan-{key}", _nan_in_model(key), f"non-finite {key}")
+            for stage in ("optimize", "frontier")
+            for key in ("mu", "sigma", "skew")
+        ],
+    ]
+]
+
+
 @pytest.mark.parametrize(
     "stage, artifact, text",
     [
@@ -325,19 +374,27 @@ def test_stage_order_enforced(pipeline, capsys):
                 {"mu": [0.01]},  # sizes disagree
             )
         ],
+        *EDITS,
     ],
 )
 def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, text):
     config, out = pipeline
     for earlier in ("ingest", "predict", "risk"):
         assert main([earlier, "--config", config]) == 0
+    says = ""
+    if isinstance(text, Edit):
+        data = json.loads((out / artifact).read_text(encoding="utf-8"))
+        text.change(data)
+        text, says = json.dumps(data), text.says
     (out / artifact).write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main([stage, "--config", config]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed ")
     assert artifact in err
-    assert "re-run the `" in err
+    assert says in err
+    producer = next(name for name, file in STAGE_ARTIFACTS.items() if file == artifact)
+    assert f"re-run the `{producer}` stage" in err
     assert "Traceback" not in err
 
 
@@ -419,6 +476,7 @@ def finished_pipeline(tmp_path_factory):
                  id="frontier_repeats-0"),
     pytest.param("seed = -1", "seed must be >= 0, got -1", id="seed--1"),
     pytest.param("k = 0", "k must be >= 1, got 0", id="k-0"),
+    pytest.param("min_length = 0", "min_length must be >= 1, got 0", id="min_length-0"),
     # non-finite numbers, which fail every range check
     *[
         pytest.param(line, message, id=line.replace(" = ", "-").replace("\n", "-"))

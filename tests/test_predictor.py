@@ -36,7 +36,7 @@ from predfolio.predictor import (
     train_arnn,
 )
 
-from oracles import jacobian_flat, trained_predictor_from_dict
+from oracles import init_flat_by_layer, jacobian_flat, trained_predictor_from_dict
 
 
 # A patience no fit reaches: with it, training stops only on its other rules.
@@ -50,13 +50,11 @@ def small_config(**kwargs) -> PredictorConfig:
 
 
 def predictor_from_flat(theta, delay, hidden, asset="X") -> TrainedPredictor:
-    w_in, b_h, w_out, b_out = _unpack(np.asarray(theta, dtype=float), delay, hidden)
     return TrainedPredictor(
         asset=asset,
-        input_weights=w_in,
-        hidden_bias=b_h,
-        output_weights=w_out,
-        output_bias=b_out,
+        parameters=np.asarray(theta, dtype=float),
+        delay=delay,
+        hidden_units=hidden,
         best_val_loss=0.0,
         epochs_run=0,
         stop_reason="max-epochs",
@@ -69,9 +67,8 @@ def test_split_series_sample_count_matches_weekly_setup():
     returns = np.linspace(-0.05, 0.05, 221)
     split = split_series(returns, PredictorConfig(delay=41, seed=0))
     assert len(split) == 180
-    assert int(np.sum(split.mask(TRAIN))) == 126
-    assert int(np.sum(split.mask(VAL))) == 27
-    assert int(np.sum(split.mask(TEST))) == 27
+    assert (split.n_train, split.n_val) == (126, 27)
+    assert len(split) - split.n_train - split.n_val == 27
 
 
 def test_split_series_definitional_windowing():
@@ -85,14 +82,24 @@ def test_split_series_windows_are_chronological_lags():
     split = split_series(returns, PredictorConfig(delay=3, seed=0))
     np.testing.assert_array_equal(split.inputs[0], [0.0, 1.0, 2.0])
     assert split.targets[0] == 3.0
-    # labels are contiguous: train block, then val, then test
-    labels = list(split.labels)
-    assert labels == sorted(labels, key=[TRAIN, VAL, TEST].index)
+    # 7 samples: round(4.9) train, round(1.05) validate, and the rest test
+    assert (split.n_train, split.n_val) == (5, 1)
 
 
 def test_split_series_too_short_errors():
     with pytest.raises(InsufficientDataError):
         split_series(np.zeros(10), PredictorConfig(delay=9, seed=0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_init_flat_draws_as_layer_by_layer(delay, hidden, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    theta = _init_flat(delay, hidden, rng)
+    np.testing.assert_array_equal(theta, init_flat_by_layer(delay, hidden, oracle_rng))
+    assert len(theta) == _n_params(delay, hidden)
+    # the generator is left where the per-layer draws leave it
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_config_validation():
@@ -210,7 +217,7 @@ LM_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 def test_structured_gram_matches_dense(problem):
     theta, inputs, _, delay, hidden = problem
     jac = jacobian_flat(theta, inputs, delay, hidden)
-    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    hidden_act, gate, _ = _hidden_layer(theta, inputs, delay, hidden)
     gram = _sample_gram(hidden_act, gate, inputs @ inputs.T + 1.0)
     np.testing.assert_allclose(gram, jac @ jac.T, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
 
@@ -221,7 +228,7 @@ def test_structured_transpose_product_matches_dense(problem, seed):
     theta, inputs, _, delay, hidden = problem
     v = np.random.default_rng(seed).normal(size=inputs.shape[0])
     jac = jacobian_flat(theta, inputs, delay, hidden)
-    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    hidden_act, gate, _ = _hidden_layer(theta, inputs, delay, hidden)
     dense = jac.T @ v
     np.testing.assert_allclose(
         _jt_dot(hidden_act, gate, inputs, v), dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max()
@@ -235,7 +242,7 @@ def test_lm_step_matches_parameter_space_solve(problem, damping):
     lag_gram = _lag_gram(inputs, delay, hidden)
     assert (lag_gram is not None) == (len(targets) < len(theta))
     residual = _forward_flat(theta, inputs, delay, hidden) - targets
-    hidden_act, gate = _hidden_layer(theta, inputs, delay, hidden)
+    hidden_act, gate, _ = _hidden_layer(theta, inputs, delay, hidden)
     gradient, step = _gauss_newton(hidden_act, gate, residual, inputs, lag_gram)
 
     jac = jacobian_flat(theta, inputs, delay, hidden)
@@ -255,8 +262,9 @@ def test_train_constant_series_predicts_the_constant():
     config = small_config()
     split = split_series(returns, config)
     trained = train_arnn(split, config, asset="C")
+    test = slice(split.n_train + split.n_val, None)
     predictions = _forward_flat(
-        trained.flat(), split.inputs[split.mask(TEST)], config.delay, config.hidden_units
+        trained.parameters, split.inputs[test], config.delay, config.hidden_units
     )
     np.testing.assert_allclose(predictions, 0.02, atol=1e-6)
 
@@ -270,9 +278,9 @@ def test_train_noise_free_linear_recurrence(monkeypatch):
     config = PredictorConfig(delay=1, hidden_units=5, max_epochs=500, seed=3)
     split = split_series(returns, config)
     trained = train_arnn(split, config)
-    predictions = _forward_flat(trained.flat(), split.inputs, 1, 5)
-    test_rmse = np.sqrt(np.mean((predictions[split.mask(TEST)] - split.targets[split.mask(TEST)]) ** 2))
-    train_rmse = np.sqrt(np.mean((predictions[split.mask(TRAIN)] - split.targets[split.mask(TRAIN)]) ** 2))
+    errors = _forward_flat(trained.parameters, split.inputs, 1, 5) - split.targets
+    test_rmse = np.sqrt(np.mean(errors[split.n_train + split.n_val :] ** 2))
+    train_rmse = np.sqrt(np.mean(errors[: split.n_train] ** 2))
     assert test_rmse < 1e-3
     assert train_rmse < 1e-6
 
@@ -295,7 +303,7 @@ def test_training_is_deterministic(rng):
     split = split_series(returns, config)
     first = train_arnn(split, config)
     second = train_arnn(split, config)
-    np.testing.assert_array_equal(first.flat(), second.flat())
+    np.testing.assert_array_equal(first.parameters, second.parameters)
     assert first.best_val_loss == second.best_val_loss
     assert first.epochs_run == second.epochs_run
 
@@ -323,9 +331,9 @@ def test_train_non_finite_input_raises_training_error():
 def test_train_requires_validation_samples():
     config = small_config()
     split = split_series(np.zeros(40), config)
-    split.labels[split.labels == VAL] = TRAIN
-    with pytest.raises(InsufficientDataError):
-        train_arnn(split, config)
+    for empty in (replace(split, n_val=0), replace(split, n_train=0)):
+        with pytest.raises(InsufficientDataError):
+            train_arnn(empty, config)
 
 
 # --------------------------------------------------------------- prediction
@@ -353,6 +361,8 @@ def test_rolling_predict_record_count_and_identity():
     split = split_series(returns, config)
     record = rolling_predict(train_arnn(split, config), split)
     assert len(record) == 180
+    # three contiguous blocks: 126 train, 27 validate, 27 test
+    np.testing.assert_array_equal(record.split_labels, [TRAIN] * 126 + [VAL] * 27 + [TEST] * 27)
     # errors are exactly the stored real-minus-predicted recomputation
     np.testing.assert_array_equal(record.errors, record.real - record.predicted)
 
@@ -369,7 +379,7 @@ def test_predictor_dump_round_trip(rng):
     config = small_config(seed=5)
     trained = train_arnn(split_series(returns, config), config, asset="RT")
     loaded = trained_predictor_from_dict(json.loads(json.dumps(trained.to_dict())))
-    np.testing.assert_array_equal(loaded.flat(), trained.flat())
+    np.testing.assert_array_equal(loaded.parameters, trained.parameters)
     assert loaded.asset == "RT"
     assert loaded.best_val_loss == trained.best_val_loss
     assert loaded.epochs_run == trained.epochs_run
@@ -441,7 +451,7 @@ def test_max_fail_run_is_a_prefix_of_the_run_without_patience(delay, hidden, ext
     # the fit returns the best-validation snapshot of its prefix: the same
     # parameters as a run without patience cut at that epoch
     prefix = full if k == 0 else run(NO_PATIENCE, replace(config, max_epochs=k))[0]
-    np.testing.assert_array_equal(patient.flat(), prefix.flat())
+    np.testing.assert_array_equal(patient.parameters, prefix.parameters)
     assert patient.best_val_loss == prefix.best_val_loss
     assert all(patient.best_val_loss <= vl for _, vl in patient_epochs)
 
@@ -452,4 +462,4 @@ def test_max_fail_run_is_a_prefix_of_the_run_without_patience(delay, hidden, ext
         assert k == max_fail or patient_epochs[-max_fail - 1][1] == patient.best_val_loss
     else:
         assert (patient.stop_reason, k) == (full.stop_reason, full.epochs_run)
-        np.testing.assert_array_equal(patient.flat(), full.flat())
+        np.testing.assert_array_equal(patient.parameters, full.parameters)
