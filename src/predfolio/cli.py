@@ -20,7 +20,9 @@ import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,15 +37,6 @@ from .errors import (
 from .ga_solver import GAConfig, evolve, stop_summary
 from .objective import Bounds, ObjectiveParams
 from .predictor import PredictionRecord, PredictorConfig
-
-STAGE_ARTIFACTS = {
-    "ingest": "returns.csv",
-    "predict": "predictions.json",
-    "risk": "risk_model.json",
-    "optimize": "portfolio.json",
-    "frontier": "frontier.json",
-}
-
 
 def _keyed_fields(cls) -> list:
     """Fields of ``PredictorConfig``/``GAConfig`` set by a config key; the
@@ -168,9 +161,6 @@ class RunConfig:
         semantic = {k: v for k, v in self.values.items() if k not in ("out_dir", "prices_path")}
         return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
 
-    def out_dir(self) -> Path:
-        return Path(self["out_dir"])
-
     def _limit(self, key: str):
         parts = self[key]
         return parts[0] if len(parts) == 1 else np.array(parts)
@@ -254,15 +244,16 @@ def _write_artifacts(out: Path, config: RunConfig, artifacts: dict) -> None:
     _update_manifest(out, config, list(artifacts))
 
 
-def _load_stage(out: Path, stage: str, decode):
-    """``decode`` the artifact of ``stage``; a missing or malformed file
-    (one ``decode`` cannot read, or that fails its checks) raises an error
-    naming the stage to run."""
-    artifact = out / STAGE_ARTIFACTS[stage]
+def _load_stage(out: Path, stage: str, summarize=lambda value: value):
+    """Decode the artifact of ``stage`` and ``summarize`` the value; a
+    missing or malformed file (one the stage's decoder cannot read, or that
+    fails its checks or the summary's) raises an error naming the stage to
+    run."""
+    artifact = out / STAGES[stage].artifact
     if not artifact.exists():
         raise ConfigError(f"missing {artifact.name}; run the `{stage}` stage first")
     try:
-        return decode(artifact)
+        return summarize(STAGES[stage].decode(artifact))
     except (
         ValueError, LookupError, TypeError, AttributeError, StopIteration, PredfolioError
     ) as exc:
@@ -285,10 +276,12 @@ def _read_returns_csv(path: Path) -> tuple[list[str], list[dt.date], np.ndarray]
         raise ValueError(
             f"expected at least one row of {len(assets)} returns, got a {matrix.shape} matrix"
         )
+    if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
+        raise ValueError("dates are not strictly increasing")
     return assets, dates, matrix
 
 
-def cmd_ingest(config: RunConfig) -> int:
+def cmd_ingest(config: RunConfig, out: Path) -> int:
     if "prices_path" not in config.values:
         raise ConfigError("config key 'prices_path' is required for ingest")
     prices_path = Path(config["prices_path"])
@@ -306,7 +299,6 @@ def cmd_ingest(config: RunConfig) -> int:
     matrix, report = market_data.align_universe(series, config["min_length"])
     report.dropped = skipped + report.dropped
     # only now, so a refused price file leaves no output directory behind
-    out = config.out_dir()
     out.mkdir(parents=True, exist_ok=True)
 
     returns_rows = [["date"] + report.kept] + [
@@ -320,9 +312,8 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(config: RunConfig) -> int:
-    out = config.out_dir()
-    assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
+def cmd_predict(config: RunConfig, out: Path, returns) -> int:
+    assets, _, matrix = returns
     predictor_dumps = {}
     prediction_dumps = {}
     stops: Counter[str] = Counter()
@@ -345,17 +336,22 @@ def cmd_predict(config: RunConfig) -> int:
 
 
 def _decode_records(path: Path) -> dict[str, PredictionRecord]:
-    return {
-        asset: PredictionRecord.from_dict(record)
-        for asset, record in _read_json(path)["records"].items()
-    }
+    data = _read_json(path)
+    if data.get("version") != 1:
+        raise ValueError(f"unsupported predictions version {data.get('version')!r}")
+    records = {asset: PredictionRecord.from_dict(r) for asset, r in data["records"].items()}
+    misnamed = {asset: r.asset for asset, r in records.items() if r.asset != asset}
+    if misnamed:
+        raise ValueError(f"records name other assets than their keys: {misnamed}")
+    return records
 
 
-def _check_records_match(records: dict, assets: list[str], matrix: np.ndarray, delay: int) -> None:
+def _check_records_match(records: dict, returns, delay: int) -> None:
     """Refuse predictions made from other returns or under another ``delay``:
     both files must hold the same assets, and each record's ``real`` must be
     its asset's column after the first ``delay`` returns (both store
     ``repr`` floats, so the comparison is exact)."""
+    assets, _, matrix = returns
     differ = sorted(set(records) ^ set(assets))
     if not differ:
         differ = [
@@ -369,11 +365,9 @@ def _check_records_match(records: dict, assets: list[str], matrix: np.ndarray, d
         )
 
 
-def cmd_risk(config: RunConfig) -> int:
-    out = config.out_dir()
-    assets, _, matrix = _load_stage(out, "ingest", _read_returns_csv)
-    records = _load_stage(out, "predict", _decode_records)
-    _check_records_match(records, assets, matrix, config["delay"])
+def cmd_risk(config: RunConfig, out: Path, returns, records) -> int:
+    _check_records_match(records, returns, config["delay"])
+    assets, _, matrix = returns
     ordered = [records[a] for a in assets]
     returns_by_asset = {a: matrix[:, j] for j, a in enumerate(assets)}
     model = risk_model.build_risk_model(ordered, returns_by_asset)
@@ -382,10 +376,8 @@ def cmd_risk(config: RunConfig) -> int:
     return 0
 
 
-def cmd_metrics(config: RunConfig) -> int:
-    out = config.out_dir()
-    records = _load_stage(out, "predict", _decode_records)
-
+def cmd_metrics(config: RunConfig, out: Path, returns, records) -> int:
+    _check_records_match(records, returns, config["delay"])
     reports = {}
     ks_rows = {}
     for asset, record in records.items():
@@ -413,9 +405,7 @@ def cmd_metrics(config: RunConfig) -> int:
     return 0
 
 
-def cmd_tune(config: RunConfig) -> int:
-    out = config.out_dir()
-    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
+def cmd_tune(config: RunConfig, out: Path, model) -> int:
     ga_runs = []
     runner = taguchi.ga_runner(
         model, config.tune_params, config.bounds, config["k"], config.ga, on_result=ga_runs.append
@@ -448,9 +438,7 @@ def cmd_tune(config: RunConfig) -> int:
     return 0
 
 
-def cmd_optimize(config: RunConfig) -> int:
-    out = config.out_dir()
-    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
+def cmd_optimize(config: RunConfig, out: Path, model) -> int:
     params = config.params
     result = evolve(model, params, config.bounds, config["k"], config.ga)
 
@@ -470,9 +458,7 @@ def cmd_optimize(config: RunConfig) -> int:
     return 0
 
 
-def cmd_frontier(config: RunConfig) -> int:
-    out = config.out_dir()
-    model = _load_stage(out, "risk", risk_model.RiskModel.from_json)
+def cmd_frontier(config: RunConfig, out: Path, model) -> int:
     result = frontier.sweep(
         model,
         config.bounds,
@@ -519,27 +505,24 @@ def cmd_frontier(config: RunConfig) -> int:
     return 0
 
 
-def _summarize_returns(path: Path) -> dict:
-    assets, dates, _ = _read_returns_csv(path)
+def _summarize_returns(returns) -> dict:
+    assets, dates, _ = returns
     return {"assets": len(assets), "weeks": len(dates)}
 
 
-def _summarize_risk_model(path: Path) -> dict:
-    model = risk_model.RiskModel.from_json(path)
+def _summarize_risk_model(model) -> dict:
     return {"assets": model.n_assets, "estimation_window": model.estimation_window}
 
 
-def _summarize_portfolio(path: Path) -> dict:
-    dump = _read_json(path)
+def _summarize_portfolio(dump: dict) -> dict:
     return {key: dump[key] for key in ("best_cost", "lambda", "theta", "stop_reason")}
 
 
-def _summarize_frontier(path: Path) -> dict:
-    dump = _read_json(path)
+def _summarize_frontier(dump: dict) -> dict:
     return {"points": len(dump["points"]), "failures": len(dump["failures"])}
 
 
-# report section -> (stage whose artifact it reads, summarizer)
+# report section -> (stage whose artifact it reads, summarizer of the decoded artifact)
 REPORT_SECTIONS = {
     "universe": ("ingest", _summarize_returns),
     "risk_model": ("risk", _summarize_risk_model),
@@ -548,29 +531,45 @@ REPORT_SECTIONS = {
 }
 
 
-def cmd_report(config: RunConfig) -> int:
-    out = config.out_dir()
+def cmd_report(config: RunConfig, out: Path) -> int:
     if not out.is_dir():
         raise ConfigError(f"output directory not found: {out}")
     summary: dict = {"artifacts": _read_manifest(out)}
     for section, (stage, summarize) in REPORT_SECTIONS.items():
-        if (out / STAGE_ARTIFACTS[stage]).exists():
+        if (out / STAGES[stage].artifact).exists():
             summary[section] = _load_stage(out, stage, summarize)
     _write_json(out / "report.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
-COMMANDS = {
-    "ingest": cmd_ingest,
-    "predict": cmd_predict,
-    "risk": cmd_risk,
-    "metrics": cmd_metrics,
-    "tune": cmd_tune,
-    "optimize": cmd_optimize,
-    "frontier": cmd_frontier,
-    "report": cmd_report,
+class Stage(NamedTuple):
+    artifact: str | None  # the file of its own that later stages read, through decode
+    decode: Callable[[Path], object] | None
+    reads: tuple[str, ...]  # the stages whose decoded artifacts run gets, in order
+    run: Callable[..., int]  # run(config, out, *inputs)
+
+
+STAGES = {
+    "ingest": Stage("returns.csv", _read_returns_csv, (), cmd_ingest),
+    "predict": Stage("predictions.json", _decode_records, ("ingest",), cmd_predict),
+    "risk": Stage("risk_model.json", risk_model.RiskModel.from_json, ("ingest", "predict"), cmd_risk),
+    "metrics": Stage(None, None, ("ingest", "predict"), cmd_metrics),
+    "tune": Stage(None, None, ("risk",), cmd_tune),
+    "optimize": Stage("portfolio.json", _read_json, ("risk",), cmd_optimize),
+    "frontier": Stage("frontier.json", _read_json, ("risk",), cmd_frontier),
+    "report": Stage(None, None, (), cmd_report),
 }
+
+
+def _run_stage(name: str, config: RunConfig) -> int:
+    """Run stage ``name`` in the output directory, on what the stages it reads wrote."""
+    stage = STAGES[name]
+    out = Path(config["out_dir"])
+    return stage.run(config, out, *(_load_stage(out, read) for read in stage.reads))
+
+
+COMMANDS = {name: partial(_run_stage, name) for name in STAGES}
 
 
 def build_parser() -> argparse.ArgumentParser:

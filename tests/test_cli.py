@@ -17,7 +17,7 @@ import pytest
 
 import predfolio
 from predfolio.cli import (
-    CONFIG_DEFAULTS, STAGE_ARTIFACTS, RunConfig, _read_config_file, _write_json, main
+    CONFIG_DEFAULTS, STAGES, RunConfig, _read_config_file, _write_json, main
 )
 from predfolio.errors import ConfigError
 from predfolio.ga_solver import GAConfig
@@ -330,6 +330,12 @@ def _nan_in_model(key: str):
     return change
 
 
+def _name_first_record(asset):
+    def change(data: dict) -> None:
+        _first_record(data)["asset"] = asset
+    return change
+
+
 EDITS = [
     pytest.param(stage, artifact, Edit(change, says), id=f"{stage}-{artifact}-{name}")
     for stage, artifact, name, change, says in [
@@ -339,6 +345,12 @@ EDITS = [
         ("risk", "predictions.json", "nan-real", _nan_in_record("real"), "non-finite"),
         ("metrics", "predictions.json", "nan-predicted", _nan_in_record("predicted"),
          "non-finite"),
+        ("risk", "predictions.json", "other-asset", _name_first_record("AST1"),
+         "records name other assets than their keys: {'AST0': 'AST1'}"),
+        ("risk", "predictions.json", "list-asset", _name_first_record(["AST0"]),
+         "records name other assets than their keys: {'AST0': ['AST0']}"),
+        ("risk", "predictions.json", "no-version", lambda data: data.pop("version"),
+         "unsupported predictions version None"),
         *[
             (stage, "risk_model.json", f"nan-{key}", _nan_in_model(key), f"non-finite {key}")
             for stage in ("optimize", "frontier")
@@ -358,6 +370,9 @@ EDITS = [
         ("predict", "returns.csv", "date,AST0\n"),
         ("predict", "returns.csv", "date,AST0,AST1\n2024-01-08,0.01\n"),
         ("report", "portfolio.json", "{"),
+        ("report", "portfolio.json", '{"version": 1}'),
+        pytest.param("predict", "returns.csv", "date,AST0\n2024-01-08,0.01\n2024-01-08,0.02\n",
+                     id="predict-returns.csv-repeated-date"),
         ("risk", "predictions.json", '{"records": []}'),
         ("metrics", "predictions.json", "[]"),
         ("metrics", "predictions.json", '{"records": {"STK0": 5}}'),
@@ -393,16 +408,20 @@ def test_malformed_artifact_is_a_clean_error(pipeline, capsys, stage, artifact, 
     assert err.startswith("error: malformed ")
     assert artifact in err
     assert says in err
-    producer = next(name for name, file in STAGE_ARTIFACTS.items() if file == artifact)
+    producer = next(name for name, stage in STAGES.items() if stage.artifact == artifact)
     assert f"re-run the `{producer}` stage" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("change", ["extra asset", "re-ingested", "other delay"])
-def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, change):
+@pytest.mark.parametrize("stage, change", [
+    pytest.param(stage, change, id=change if stage == "risk" else f"{stage}-{change}")
+    for stage in ("risk", "metrics")
+    for change in ("extra asset", "re-ingested", "other delay", "dropped record")
+])
+def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, stage, change):
     config, out = pipeline
-    for stage in ("ingest", "predict"):
-        assert main([stage, "--config", config]) == 0
+    for earlier in ("ingest", "predict"):
+        assert main([earlier, "--config", config]) == 0
     if change == "extra asset":
         lines = (out / "returns.csv").read_text(encoding="utf-8").splitlines()
         lines = [lines[0] + ",EXTRA"] + [line + ",0.0" for line in lines[1:]]
@@ -410,18 +429,20 @@ def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, c
     elif change == "other delay":
         text = Path(config).read_text(encoding="utf-8")
         Path(config).write_text(text.replace("delay = 5", "delay = 8"), encoding="utf-8")
+    elif change == "dropped record":
+        data = json.loads((out / "predictions.json").read_text(encoding="utf-8"))
+        del data["records"]["AST3"]
+        (out / "predictions.json").write_text(json.dumps(data), encoding="utf-8")
     else:
         make_demo_prices(tmp_path, n_weeks=50)
         assert main(["ingest", "--config", config]) == 0
+    before = snapshot(out)
     capsys.readouterr()
-    assert main(["risk", "--config", config]) == 1
+    assert main([stage, "--config", config]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: predictions.json does not match returns.csv (")
     assert err.rstrip().endswith("re-run the `predict` stage")
-    assert not (out / "risk_model.json").exists()
-
-
-STAGES = ("ingest", "predict", "risk", "metrics", "tune", "optimize", "frontier", "report")
+    assert snapshot(out) == before
 
 
 def snapshot(directory: Path) -> dict:
@@ -439,6 +460,25 @@ def finished_pipeline(tmp_path_factory):
         if stage != "tune":
             assert main([stage, "--config", config]) == 0, stage
     return tmp_path, prices, out
+
+
+@pytest.mark.parametrize(
+    "stage, read", [(stage, read) for stage, declared in STAGES.items() for read in declared.reads]
+)
+def test_a_stage_refuses_to_run_without_an_artifact_it_reads(
+    finished_pipeline, tmp_path, capsys, stage, read
+):
+    out = tmp_path / "out"
+    shutil.copytree(finished_pipeline[2], out)
+    artifact = STAGES[read].artifact
+    (out / artifact).unlink()
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: missing {artifact}; run the `{read}` stage first\n"
+    assert snapshot(out) == before
 
 
 @pytest.mark.parametrize("lines, message", [
