@@ -267,6 +267,9 @@ def _read_returns_csv(path: Path) -> tuple[list[str], list[dt.date], np.ndarray]
         reader = csv.reader(fh)
         header = next(reader)
         assets = header[1:]
+        repeated = sorted(a for a, n in Counter(assets).items() if n > 1)
+        if repeated:
+            raise ValueError(f"asset columns repeat: {repeated}")
         dates, rows = [], []
         for row in reader:
             dates.append(dt.date.fromisoformat(row[0]))
@@ -410,22 +413,19 @@ def cmd_tune(config: RunConfig, out: Path, model) -> int:
     runner = taguchi.ga_runner(
         model, config.tune_params, config.bounds, config["k"], config.ga, on_result=ga_runs.append
     )
-    runs = taguchi.run_experiments(
+    costs = taguchi.run_experiments(
         runner, replicates=config["tune_replicates"], seed=config["seed"]
     )
-    result = taguchi.analyze_means(runs)
+    result = taguchi.analyze_means(costs)
 
     names = list(taguchi.FACTORS)
-    run_rows = [["row"] + names + ["replicate", "cost"]]
-    for run in runs:
-        assignment = taguchi.assignment(run.levels)
-        run_rows += [
-            [run.row] + [assignment[name] for name in names] + [rep, cost]
-            for rep, cost in enumerate(run.costs)
-        ]
     _write_artifacts(out, config, {
         "tune_result.json": {"version": 1, **asdict(result)},
-        "tune_runs.csv": run_rows,
+        "tune_runs.csv": [["row"] + names + ["replicate", "cost"]] + [
+            [row] + list(taguchi.assignment(levels).values()) + [rep, cost]
+            for row, (levels, row_costs) in enumerate(zip(taguchi.ARRAY, costs.tolist()))
+            for rep, cost in enumerate(row_costs)
+        ],
         "tune_response.csv": [["factor", "level_1", "level_2", "level_3", "best_level", "tie"]]
         + [
             [name] + result.response_table[name] + [result.best_levels[name], result.ties[name]]

@@ -123,8 +123,11 @@ def build_risk_model(
 
     assets = [r.asset for r in records]
     errors = np.vstack([np.asarray(r.errors, dtype=float) for r in records])
-    sigma = (errors @ errors.T) / (n - 1)
-    sigma = (sigma + sigma.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        sigma = (errors @ errors.T) / (n - 1)
+        sigma = (sigma + sigma.T) / 2.0
+    if not np.isfinite(sigma).all():
+        raise EstimationError("risk model has a non-finite sigma")
 
     shift = 0.0
     min_eig = float(np.linalg.eigvalsh(sigma).min())

@@ -51,19 +51,10 @@ def assignment(level_indices: Sequence[int]) -> dict:
 
 
 @dataclass
-class ExperimentRun:
-    row: int
-    levels: tuple[int, ...]
-    costs: list[float]
-
-
-@dataclass
 class TuneResult:
     best_levels: dict[str, object]
-    best_level_indices: dict[str, int]
     response_table: dict[str, list[float]]
     ties: dict[str, bool]
-    runs: list[ExperimentRun]
 
 
 Job = tuple[dict, tuple[int, int, int]]
@@ -74,12 +65,13 @@ def run_experiments(
     *,
     replicates: int,
     seed: int,
-) -> list[ExperimentRun]:
+) -> np.ndarray:
     """Execute every :data:`ARRAY` row ``replicates`` times with derived seeds.
 
     ``runner(jobs)`` gets every ``(assignment, (seed, row, replicate))``
     job at once, row by row, and must return one final cost per job, in
-    order. Failures are re-raised as an :class:`ExperimentError`.
+    order. Failures are re-raised as an :class:`ExperimentError`. Returns
+    the ``(len(ARRAY), replicates)`` cost table, row ``i`` for ``ARRAY[i]``.
     """
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
@@ -94,14 +86,7 @@ def run_experiments(
         raise ExperimentError(f"experiment runs failed: {exc}") from exc
     if len(costs) != len(jobs):
         raise ExperimentError(f"runner returned {len(costs)} costs for {len(jobs)} jobs")
-    return [
-        ExperimentRun(
-            row=row,
-            levels=tuple(int(v) for v in levels),
-            costs=costs[row * replicates:(row + 1) * replicates],
-        )
-        for row, levels in enumerate(ARRAY)
-    ]
+    return np.array(costs).reshape(len(ARRAY), replicates)
 
 
 def ga_runner(
@@ -130,43 +115,23 @@ def ga_runner(
     return run
 
 
-def analyze_means(runs: list[ExperimentRun]) -> TuneResult:
-    """Mean cost per (factor, level) over the :data:`ARRAY` rows; the best
-    level minimizes it.
+def analyze_means(costs: np.ndarray) -> TuneResult:
+    """Mean cost per (factor, level) over the cost table of
+    :func:`run_experiments`; the best level minimizes it.
 
     Ties break toward the lower-index level and are flagged.
     """
-    if len(runs) != len(ARRAY):
-        raise ExperimentError(f"expected {len(ARRAY)} runs, got {len(runs)}")
-    by_row = {run.row: run for run in runs}
-    if sorted(by_row) != list(range(len(ARRAY))):
-        raise ExperimentError("run table is missing rows or has duplicates")
-    if any(not run.costs for run in runs):
-        raise ExperimentError("every run needs at least one replicate cost")
-
+    if costs.ndim != 2 or len(costs) != len(ARRAY) or costs.shape[1] < 1:
+        raise ExperimentError(
+            f"expected a {len(ARRAY)} x replicates cost table, got shape {costs.shape}"
+        )
     response_table: dict[str, list[float]] = {}
     best_levels: dict[str, object] = {}
-    best_level_indices: dict[str, int] = {}
     ties: dict[str, bool] = {}
     for f, (name, levels) in enumerate(FACTORS.items()):
-        means = []
-        for level in range(3):
-            costs = [
-                c
-                for row_idx in range(len(ARRAY))
-                if ARRAY[row_idx, f] == level
-                for c in by_row[row_idx].costs
-            ]
-            means.append(float(np.mean(costs)))
+        means = [float(costs[ARRAY[:, f] == level].mean()) for level in range(3)]
         response_table[name] = means
         winners = [i for i, v in enumerate(means) if v == min(means)]
-        best_level_indices[name] = winners[0]
         best_levels[name] = levels[winners[0]]
         ties[name] = len(winners) > 1
-    return TuneResult(
-        best_levels=best_levels,
-        best_level_indices=best_level_indices,
-        response_table=response_table,
-        ties=ties,
-        runs=runs,
-    )
+    return TuneResult(best_levels=best_levels, response_table=response_table, ties=ties)

@@ -212,10 +212,9 @@ def test_criterion_09_taguchi_recovery_and_array_checks():
         def cost(assignment, seed):
             return float(sum(assignment[n] != target[n] for n in names))
 
-        runs = run_experiments(each_job(cost), replicates=1, seed=0)
-        result = analyze_means(runs)
+        result = analyze_means(run_experiments(each_job(cost), replicates=1, seed=0))
         for f, name in enumerate(names):
-            assert result.best_level_indices[name] == planted[f]
+            assert result.best_levels[name] == FACTORS[name][planted[f]]
 
 
 def _frontier_model() -> RiskModel:

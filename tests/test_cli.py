@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from predfolio.cli import (
 from predfolio.errors import ConfigError
 from predfolio.ga_solver import GAConfig
 from predfolio.predictor import PredictorConfig
+from predfolio.taguchi import FACTORS
 
 from conftest import geometric_walk, write_prices_csv
 
@@ -369,6 +371,7 @@ EDITS = [
         ("predict", "returns.csv", "date,AST0\n2024-01-08,0.0x\n"),
         ("predict", "returns.csv", "date,AST0\n"),
         ("predict", "returns.csv", "date,AST0,AST1\n2024-01-08,0.01\n"),
+        ("predict", "returns.csv", "date,AST0,AST0\n2024-01-08,0.01,0.02\n"),
         ("report", "portfolio.json", "{"),
         ("report", "portfolio.json", '{"version": 1}'),
         pytest.param("predict", "returns.csv", "date,AST0\n2024-01-08,0.01\n2024-01-08,0.02\n",
@@ -442,6 +445,22 @@ def test_risk_refuses_predictions_of_other_returns(tmp_path, pipeline, capsys, s
     err = capsys.readouterr().err
     assert err.startswith("error: predictions.json does not match returns.csv (")
     assert err.rstrip().endswith("re-run the `predict` stage")
+    assert snapshot(out) == before
+
+
+def test_risk_refuses_predictions_whose_errors_overflow_sigma(pipeline, capsys):
+    config, out = pipeline
+    for earlier in ("ingest", "predict"):
+        assert main([earlier, "--config", config]) == 0
+    data = json.loads((out / "predictions.json").read_text(encoding="utf-8"))
+    data["records"]["AST0"]["predicted"][0] = 1e308
+    data["records"]["AST1"]["predicted"][0] = -1e308
+    (out / "predictions.json").write_text(json.dumps(data), encoding="utf-8")
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(["risk", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: risk model has a non-finite sigma\n"
     assert snapshot(out) == before
 
 
@@ -670,31 +689,46 @@ def test_flag_overrides_reach_the_run(pipeline, capsys):
 def test_tune_stage_with_tiny_budget(tmp_path, capsys):
     prices = make_demo_prices(tmp_path, n_assets=4, n_weeks=40)
     out = tmp_path / "out"
-    extra = PIPELINE_KEYS + "\ntune_replicates = 1\ngeneration_cap = 4\nstall_generations = 3\n"
+    extra = PIPELINE_KEYS + "\ntune_replicates = 2\ngeneration_cap = 4\nstall_generations = 3\n"
     config = write_config(tmp_path, prices, out, extra)
     for stage in ("ingest", "predict", "risk"):
         assert main([stage, "--config", config]) == 0
     capsys.readouterr()
     assert main(["tune", "--config", config]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # 27 rows x 1 replicate, each stopped by the stall window or the cap
-    match = re.fullmatch(r"27 GA runs \((.*); (\d+) evaluations\)", lines[0])
+    # 27 rows x 2 replicates, each stopped by the stall window or the cap
+    match = re.fullmatch(r"54 GA runs \((.*); (\d+) evaluations\)", lines[0])
     assert match, lines[0]
     stops = dict(part.rsplit(" ", 1) for part in match[1].split(", "))
     assert set(stops) <= {"stall", "generation-limit"}
-    assert sum(int(n) for n in stops.values()) == 27
+    assert sum(int(n) for n in stops.values()) == 54
     assert lines[1].startswith("best levels: ")
+
+    # every artifact of the tune agrees with the cost table in tune_runs.csv
     result = json.loads((out / "tune_result.json").read_text())
-    assert set(result["best_levels"]) == {
-        "population_size", "selection_kind", "crossover_fraction",
-        "crossover_kind", "penalty_factor",
+    assert set(result) == {"version", "best_levels", "response_table", "ties"}
+    with open(out / "tune_runs.csv", newline="", encoding="utf-8") as fh:
+        runs = list(csv.DictReader(fh))
+    assert [(int(r["row"]), int(r["replicate"])) for r in runs] == [
+        (row, rep) for row in range(27) for rep in range(2)
+    ]
+    means = {
+        name: [
+            float(np.mean([float(r["cost"]) for r in runs if r[name] == str(level)]))
+            for level in levels
+        ]
+        for name, levels in FACTORS.items()
     }
-    assert (out / "tune_runs.csv").exists()
-    assert (out / "tune_response.csv").exists()
-    assert (out / "tuned_ga.cfg").exists()
-    response = (out / "tune_response.csv").read_text().splitlines()
-    assert response[0].startswith("factor,")
+    assert result["response_table"] == means
+    with open(out / "tune_response.csv", newline="", encoding="utf-8") as fh:
+        response = list(csv.reader(fh))
+    assert response[0] == ["factor", "level_1", "level_2", "level_3", "best_level", "tie"]
     assert len(response) == 6
+    assert {row[0]: [float(v) for v in row[1:4]] for row in response[1:]} == means
+    best = {name: str(value) for name, value in result["best_levels"].items()}
+    assert {row[0]: row[4] for row in response[1:]} == best
+    tuned = (out / "tuned_ga.cfg").read_text(encoding="utf-8").splitlines()
+    assert dict(line.split(" = ") for line in tuned) == best
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

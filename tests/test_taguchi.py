@@ -13,7 +13,6 @@ from predfolio.objective import Bounds, ObjectiveParams
 from predfolio.taguchi import (
     ARRAY,
     FACTORS,
-    ExperimentRun,
     analyze_means,
     ga_runner,
     run_experiments,
@@ -68,9 +67,8 @@ def test_run_experiments_counts_and_determinism():
         calls.append([(tuple(sorted(assignment.items())), tuple(seed)) for assignment, seed in jobs])
         return [1.0] * len(jobs)
 
-    runs = run_experiments(runner, replicates=1, seed=5)
-    assert len(runs) == 27
-    assert all(len(r.costs) == 1 for r in runs)
+    costs = run_experiments(runner, replicates=1, seed=5)
+    assert costs.shape == (27, 1)
     # one call holds every job, row by row
     assert len(calls) == 1 and [seed for _, seed in calls[0]] == [(5, row, 0) for row in range(27)]
     first = list(calls)
@@ -83,8 +81,8 @@ def test_run_experiments_quadratic_stub_matches_analytic_means():
     def cost(assignment, seed):
         return float(assignment["population_size"]) ** 2 / 1e4
 
-    runs = run_experiments(each_job(cost), replicates=2, seed=0)
-    result = analyze_means(runs)
+    costs = run_experiments(each_job(cost), replicates=2, seed=0)
+    result = analyze_means(costs)
     np.testing.assert_allclose(
         result.response_table["population_size"],
         [50.0**2 / 1e4, 100.0**2 / 1e4, 200.0**2 / 1e4],
@@ -113,41 +111,31 @@ def test_run_experiments_identifies_failing_row():
 
 def test_analyze_means_recovers_planted_optimum():
     planted = (2, 1, 0, 2, 1)
-    runs = run_experiments(planted_runner(planted), replicates=1, seed=0)
-    result = analyze_means(runs)
+    costs = run_experiments(planted_runner(planted), replicates=1, seed=0)
+    result = analyze_means(costs)
     for f, name in enumerate(FACTORS):
-        assert result.best_level_indices[name] == planted[f]
+        assert result.best_levels[name] == FACTORS[name][planted[f]]
         assert not result.ties[name]
 
 
 def test_analyze_means_constant_response_ties_flagged():
-    runs = run_experiments(each_job(lambda a, s: 3.5), replicates=1, seed=0)
-    result = analyze_means(runs)
+    costs = run_experiments(each_job(lambda a, s: 3.5), replicates=1, seed=0)
+    result = analyze_means(costs)
     for name in FACTORS:
         assert result.ties[name]
-        assert result.best_level_indices[name] == 0
+        assert result.best_levels[name] == FACTORS[name][0]
 
 
-def test_analyze_means_invariant_to_row_permutation_and_shift():
+def test_analyze_means_invariant_to_shift():
     planted = (0, 2, 1, 1, 2)
-    runs = run_experiments(planted_runner(planted), replicates=1, seed=0)
-    base = analyze_means(runs)
-
-    shuffled = list(runs)[::-1]
-    permuted = analyze_means(shuffled)
-    assert permuted.best_level_indices == base.best_level_indices
-
-    shifted = [
-        ExperimentRun(r.row, r.levels, [c + 11.25 for c in r.costs]) for r in runs
-    ]
-    shifted_result = analyze_means(shifted)
-    assert shifted_result.best_level_indices == base.best_level_indices
+    costs = run_experiments(planted_runner(planted), replicates=1, seed=0)
+    assert analyze_means(costs + 11.25).best_levels == analyze_means(costs).best_levels
 
 
 def test_analyze_means_incomplete_table_errors():
-    runs = run_experiments(each_job(lambda a, s: 1.0), replicates=1, seed=0)
+    costs = run_experiments(each_job(lambda a, s: 1.0), replicates=1, seed=0)
     with pytest.raises(ExperimentError):
-        analyze_means(runs[:-1])
+        analyze_means(costs[:-1])
 
 
 def test_ga_runner_executes_assignment(rng):
