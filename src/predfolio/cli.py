@@ -19,7 +19,7 @@ import sys
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -383,21 +383,25 @@ def cmd_metrics(config: RunConfig, out: Path, returns, records) -> int:
     _check_records_match(records, returns, config["delay"])
     reports = {}
     ks_rows = {}
-    for asset, record in records.items():
-        reports[asset] = eval_metrics.evaluate(record.real, record.predicted)
-        try:
-            ks = eval_metrics.ks_normality_test(record.errors)
-            ks_rows[asset] = asdict(ks)
-        except (InsufficientDataError, DegenerateInputError) as exc:
-            ks_rows[asset] = {"error": str(exc)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        for asset, record in records.items():
+            reports[asset] = eval_metrics.evaluate(record.real, record.predicted)
+            try:
+                ks = eval_metrics.ks_normality_test(record.errors)
+                ks_rows[asset] = asdict(ks)
+            except (InsufficientDataError, DegenerateInputError) as exc:
+                ks_rows[asset] = {"error": str(exc)}
+        summary = eval_metrics.summarize_reports(reports)
+    rows = [*map(astuple, reports.values()), *summary, *map(dict.values, ks_rows.values())]
+    if not np.isfinite([v for row in rows for v in row if isinstance(v, float)]).all():
+        raise ConfigError("predictions.json gives non-finite metrics; re-run the `predict` stage")
 
     columns = ["n", "me", "signed_me", "rmse", "mape", "mape_skipped", "hr", "hr_plus", "hr_minus"]
     _write_artifacts(out, config, {
         "metrics.csv": [["asset"] + columns] + [
             [asset] + [getattr(reports[asset], c) for c in columns] for asset in sorted(reports)
         ],
-        "metrics_summary.csv": [["metric", "mean", "variance", "std"]]
-        + eval_metrics.summarize_reports(reports),
+        "metrics_summary.csv": [["metric", "mean", "variance", "std"]] + summary,
         "metrics.json": {
             "version": 1,
             "per_asset": {a: asdict(reports[a]) for a in sorted(reports)},
@@ -589,10 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--theta", type=float, help="override theta")
     parser.add_argument("--k", type=int, help="override the subset size K")
-    parser.add_argument(
-        "--time-limit", dest="time_limit_seconds", metavar="TIME_LIMIT", type=float,
-        help="override the GA time limit in seconds",
-    )
     return parser
 
 

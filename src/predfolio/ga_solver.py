@@ -5,7 +5,7 @@ roulette (or uniform/tournament) parent selection, positional crossover
 with subset-aware repair, adaptive step mutation in allocation space, all
 applied to a whole generation of children at once, then a (mu + lambda)
 truncation that keeps the P cheapest of members and children. Stops on a
-stalled best cost, a wall-clock limit, or the generation cap.
+stalled best cost or the generation cap.
 
 Several runs that share a model, bounds and K can evolve together
 (:func:`evolve_batch`): runs whose GA settings differ only in seed and
@@ -14,15 +14,13 @@ over the children of every run in the stack. Each run keeps its own
 random generator and draws from it exactly as it would alone, so a run's
 result does not depend on the batch it is in. No batch reads another's
 state, so the batches run at the same time in up to one forked worker
-process per CPU; ``time_limit_seconds`` still runs on each batch's own
-clock, started when the batch starts.
+process per CPU.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from itertools import repeat
@@ -45,7 +43,6 @@ SELECTION_KINDS = ("roulette", "uniform", "tournament")
 CROSSOVER_KINDS = ("single-point", "two-point", "scattered")
 
 STOP_STALL = "stall"
-STOP_TIME = "time"
 STOP_GENERATIONS = "generation-limit"
 
 # Settings that no configuration varies. A run stalls when its best cost
@@ -70,13 +67,6 @@ _BATCH_ROWS = 1200
 class GAConfig:
     """Settings of one GA run; checked when built or ``replace``d.
 
-    ``time_limit_seconds`` is measured from the start of the run's batch:
-    runs that evolve together (see :func:`evolve_batch`: a frontier's
-    repeats, or tune runs that differ only in seed and penalty factor)
-    share one start clock, so the limit bounds the wall time of the whole
-    batch. Batches run at the same time in up to one forked worker per
-    CPU, each on its own clock, so the limit bounds each batch and not the
-    whole call. It is the only stop that can differ between machines.
     Every range check is written so that NaN fails it.
     """
 
@@ -86,7 +76,6 @@ class GAConfig:
     selection_kind: str = "roulette"
     penalty_factor: float = 10.0
     stall_generations: int = 50
-    time_limit_seconds: float = 1000.0
     generation_cap: int = 500
     seed: int | tuple[int, ...] = 0
 
@@ -108,8 +97,6 @@ class GAConfig:
             raise ConfigError("stall_generations must be >= 1")
         if not 0.0 < self.penalty_factor < math.inf:
             raise ConfigError(f"penalty_factor must be finite and > 0, got {self.penalty_factor}")
-        if not self.time_limit_seconds > 0:
-            raise ConfigError("time_limit_seconds must be positive")
         if self.generation_cap < 1:
             raise ConfigError("generation_cap must be >= 1")
 
@@ -386,8 +373,7 @@ def evolve(
     ``C`` children as arrays against the generation-start population. The
     P cheapest of members and children then survive (see
     :func:`truncate`), so the best cost never increases.
-    Deterministic for a fixed seed, except that a wall-clock stop can land
-    on different generations across machines. A batch of one run through
+    Deterministic for a fixed seed. A batch of one run through
     :func:`evolve_batch`.
     """
     return evolve_batch(model, [params], bounds, k, [config])[0]
@@ -410,8 +396,7 @@ def evolve_batch(
     process. The pool is shut down before this returns or raises; an error
     raised in a batch reaches the caller with its type and message.
     Results come back in input order. Result ``r`` equals the standalone
-    ``evolve`` of run ``r`` field for field, except where a wall-clock stop
-    fires: a batch's runs share one start clock.
+    ``evolve`` of run ``r`` field for field.
     """
     if len(params) != len(configs):
         raise ConfigError(f"{len(params)} objective params for {len(configs)} GA configs")
@@ -484,13 +469,12 @@ def _evolve_together(
     """The GA loop over the ``(R, P, K)`` populations of a validated batch
     whose configs differ only in seed and penalty factor.
 
-    A run leaves the active set when it stalls; a time stop ends every
-    active run at once, and the rest stop at the generation cap.
+    A run leaves the active set when it stalls; the rest stop at the
+    generation cap.
     """
     config = configs[0]
     m, n_runs, size = model.n_assets, len(configs), config.population_size
     rngs = [np.random.default_rng(np.random.SeedSequence(c.seed)) for c in configs]
-    start = time.monotonic()
 
     lam = np.array([p.lam for p in params])
     theta = np.array([p.theta for p in params])
@@ -513,7 +497,7 @@ def _evolve_together(
     best_cost = costs[every, best_index]
     best_selection, best_raw = selection[every, best_index], raw[every, best_index]
     # One (R,) row per generation, grown as the runs go rather than sized by
-    # the cap, which a time stop may leave far out of reach. A stopped run's
+    # the cap, which a stall may leave far out of reach. A stopped run's
     # column is cut at its last generation.
     cost_history, mean_history = [best_cost.copy()], [costs.mean(axis=1)]
     steps = np.full(n_runs, STEP_START)
@@ -524,10 +508,6 @@ def _evolve_together(
     window = config.stall_generations
     active = every
     for generation in range(1, config.generation_cap + 1):
-        if time.monotonic() - start > config.time_limit_seconds:
-            stop_reasons[active], generations[active] = STOP_TIME, generation - 1
-            break
-
         parents = np.stack([
             select_parents(costs[r], config.selection_kind, 2 * n_children, rngs[r])
             for r in active
@@ -593,7 +573,7 @@ def _evolve_together(
 
 
 def stop_summary(results: Sequence[GAResult]) -> str:
-    """How a set of GA runs stopped, e.g. ``stall 30, time 6; 36000 evaluations``."""
+    """How a set of GA runs stopped, e.g. ``stall 30; 36000 evaluations``."""
     stops = Counter(result.stop_reason for result in results)
     reasons = ", ".join(f"{reason} {n}" for reason, n in sorted(stops.items()))
     evaluations = f"{sum(result.evaluations for result in results)} evaluations"

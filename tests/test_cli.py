@@ -85,8 +85,6 @@ def test_run_config_parsing_and_overrides(tmp_path):
     assert RunConfig({"lambda": "0.80"}).hash() == RunConfig({"lambda": "0.8"}).hash()
     assert RunConfig({"lambda": "0.7"}).hash() != RunConfig({"lambda": "0.8"}).hash()
     assert RunConfig({"out_dir": "elsewhere"}).hash() == RunConfig({}).hash()
-    # the one number that may be infinite: no time stop
-    assert RunConfig({"time_limit_seconds": "inf"}).ga.time_limit_seconds == float("inf")
 
 
 @pytest.mark.parametrize(
@@ -144,7 +142,7 @@ CHANGED_FIELDS = {
     GAConfig: [
         {"population_size": 60}, {"crossover_fraction": 0.6}, {"crossover_kind": "two-point"},
         {"selection_kind": "tournament"}, {"penalty_factor": 50.0}, {"stall_generations": 20},
-        {"time_limit_seconds": 30.0}, {"generation_cap": 100},
+        {"generation_cap": 100},
     ],
 }
 
@@ -464,6 +462,32 @@ def test_risk_refuses_predictions_whose_errors_overflow_sigma(pipeline, capsys):
     assert snapshot(out) == before
 
 
+@pytest.mark.parametrize("error", [
+    pytest.param(1e308, id="squares-overflow"),
+    # at the smallest |real| the error's square stays finite, but MAPE's
+    # variance across assets overflows
+    pytest.param(1.3e154, id="mape-variance-overflows"),
+])
+def test_metrics_refuses_predictions_whose_metrics_overflow(pipeline, capsys, error):
+    config, out = pipeline
+    for earlier in ("ingest", "predict"):
+        assert main([earlier, "--config", config]) == 0
+    data = json.loads((out / "predictions.json").read_text(encoding="utf-8"))
+    record = data["records"]["AST0"]
+    smallest = int(np.argmin(np.abs(record["real"])))
+    record["predicted"][smallest] = record["real"][smallest] - error
+    (out / "predictions.json").write_text(json.dumps(data), encoding="utf-8")
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(["metrics", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: predictions.json gives non-finite metrics; re-run the `predict` stage\n"
+    )
+    assert snapshot(out) == before
+
+
 def snapshot(directory: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
@@ -505,6 +529,8 @@ def test_a_stage_refuses_to_run_without_an_artifact_it_reads(
                  id="k-five-an integer"),
     pytest.param("ks_lilliefors = false", "unknown config keys: ['ks_lilliefors']",
                  id="ks_lilliefors-retired"),
+    pytest.param("time_limit_seconds = 1000", "unknown config keys: ['time_limit_seconds']",
+                 id="time_limit_seconds-retired"),
     pytest.param("mu_mode = bogus", "unknown config keys: ['mu_mode']", id="mu_mode-bogus"),
     pytest.param("ks_alpha = 0.5", "unknown config keys: ['ks_alpha']", id="ks_alpha-0.5"),
     pytest.param("skew_mode = bogus", "unknown config keys: ['skew_mode']", id="skew_mode-bogus"),
@@ -548,7 +574,6 @@ def test_a_stage_refuses_to_run_without_an_artifact_it_reads(
             ("theta_grid = inf", "theta must be finite, got inf"),
             ("epsilon = nan", "lower limits must lie in [0, 1)"),
             ("delta = nan", "upper limits must lie in (0, 1]"),
-            ("time_limit_seconds = nan", "time_limit_seconds must be positive"),
             *[
                 (f"penalty_factor = {value}",
                  f"penalty_factor must be finite and > 0, got {float(value)}")
@@ -667,12 +692,23 @@ def test_frontier_reports_ga_stops(pipeline, capsys):
     config, out = pipeline
     for stage in ("ingest", "predict", "risk"):
         assert main([stage, "--config", config]) == 0
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write("generation_cap = 1\n")
     capsys.readouterr()
-    assert main(["frontier", "--config", config, "--time-limit", "1e-9"]) == 0
-    # 2 points x 1 repeat, each stopped before its first generation
-    assert capsys.readouterr().out.strip() == "2 frontier points, 0 failures (time 2; 80 evaluations)"
+    assert main(["frontier", "--config", config]) == 0
+    # 2 points x 1 repeat, each stopped by the cap after one generation
+    assert capsys.readouterr().out.strip() == (
+        "2 frontier points, 0 failures (generation-limit 2; 144 evaluations)"
+    )
     points = json.loads((out / "frontier.json").read_text())["points"]
-    assert [point["stop_reason"] for point in points] == ["time", "time"]
+    assert [point["stop_reason"] for point in points] == ["generation-limit"] * 2
+
+
+def test_retired_time_limit_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["optimize", "--time-limit", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --time-limit 5" in capsys.readouterr().err
 
 
 def test_flag_overrides_reach_the_run(pipeline, capsys):

@@ -184,13 +184,3 @@ def test_sweep_points_are_the_best_of_their_standalone_repeats(rng):
         assert p.portfolio.weights.tobytes() == alone[best].best.weights.tobytes()
         assert (p.stop_reason, p.generations) == (alone[best].stop_reason, alone[best].generations)
         assert p.spread == max(costs) - min(costs)
-
-
-def test_sweep_under_a_tiny_time_limit_reports_time_stops(rng):
-    model = random_risk_model(rng, 6)
-    config = GAConfig(population_size=30, time_limit_seconds=1e-9, seed=0)
-    result = sweep(model, Bounds(0.0, 1.0), 3, config, **DEFAULT_GRIDS, repeats=2)
-    assert len(result.points) == 12
-    assert {p.stop_reason for p in result.points} == {"time"}
-    assert {run.stop_reason for run in result.runs} == {"time"}
-    assert all(run.generations == 0 for run in result.runs)

@@ -366,23 +366,6 @@ def test_evolve_max_return_under_bounds():
     assert result.best.weights[0] >= 0.25
 
 
-def test_evolve_time_limit_stop():
-    rng = np.random.default_rng(2)
-    model = random_risk_model(rng, 8)
-    params = ObjectiveParams(lam=0.5, theta=0.1)
-    config = GAConfig(
-        population_size=400,
-        time_limit_seconds=0.05,
-        generation_cap=100_000,
-        stall_generations=100_000 - 1,
-        seed=0,
-    )
-    result = evolve(model, params, Bounds(0.0, 1.0), 4, config)
-    assert result.stop_reason == "time"
-    weights = result.best.weights
-    assert abs(weights.sum() - 1.0) <= 1e-9
-
-
 def test_evolve_best_cost_non_increasing(rng):
     model = random_risk_model(rng, 6)
     params = ObjectiveParams(lam=0.7, theta=0.2)
@@ -669,17 +652,6 @@ def test_evolve_batch_refuses_invalid_configs():
         with pytest.raises(ConfigError, match=message):
             replace(fast_config(), **invalid)
     assert evolve_batch(model, [], Bounds(), 3, []) == []
-
-
-def test_batch_shares_one_clock_for_the_time_stop():
-    model = random_risk_model(np.random.default_rng(2), 8)
-    base = GAConfig(population_size=50, time_limit_seconds=0.05,
-                    generation_cap=100_000, stall_generations=100_000 - 1)
-    configs = [replace(base, seed=seed) for seed in range(4)]
-    results = evolve_batch(model, [ObjectiveParams(0.5, 0.1)] * 4, Bounds(), 4, configs)
-    assert {result.stop_reason for result in results} == {"time"}
-    # the clock is checked once per generation for the whole batch
-    assert len({result.generations for result in results}) == 1
 
 
 def test_stop_summary_counts_reasons_and_evaluations():
